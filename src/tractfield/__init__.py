@@ -9,13 +9,11 @@ metrics suite make every stage checkable against closed-form ground truth.
 
 from .centerline import (
     Centerline,
-    DistanceField,
     cross_section_normal,
     cross_section_normals,
     distance_transform,
     extract_centerline,
     load_centerline,
-    medial_axis,
     path_energy,
     save_centerline,
 )

@@ -1,4 +1,4 @@
-"""Distance transform, medial axis, and minimal-path centerline extraction.
+"""Distance transform and minimal-path centerline extraction.
 
 The centerline between two endpoints is the shortest path on the
 26-connected foreground voxel graph under the trapezoidal discretization of
@@ -37,13 +37,6 @@ _SMOOTH_PASSES = 2
 _OFFSETS_13 = tuple(
     off for off in product((-1, 0, 1), repeat=3) if off > (0, 0, 0)
 )
-
-
-@dataclass(frozen=True, eq=False)
-class DistanceField:
-    """Per-voxel Euclidean distance (mm) to the mask boundary; zero outside."""
-
-    grid: VolumeGrid
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,9 +83,10 @@ class Centerline:
         return np.concatenate([[0.0], np.cumsum(segs)])
 
 
-def distance_transform(mask: Mask) -> DistanceField:
+def distance_transform(mask: Mask) -> VolumeGrid:
     """Exact Euclidean distance (mm) from each foreground voxel center to the
-    nearest background voxel center; out-of-bounds counts as background.
+    nearest background voxel center; zero outside the foreground, and
+    out-of-bounds counts as background.
     """
     fg = mask.foreground
     if not fg.any():
@@ -104,7 +98,7 @@ def distance_transform(mask: Mask) -> DistanceField:
     dist = ndimage.distance_transform_edt(padded, sampling=mask.grid.spacing)
     data = np.where(fg, dist[1:-1, 1:-1, 1:-1], 0.0)
     g = mask.grid
-    return DistanceField(VolumeGrid(g.dims, g.spacing, g.origin, data))
+    return VolumeGrid(g.dims, g.spacing, g.origin, data)
 
 
 def _shift_slices(off):
@@ -122,45 +116,26 @@ def _shift_slices(off):
     return tuple(sa), tuple(sb)
 
 
-def medial_axis(dt: DistanceField) -> set:
-    """Foreground voxels that are local maxima of the distance transform along
-    at least one of the 13 undirected grid directions; ties count as maxima.
-    """
-    d = dt.grid.data
-    fg = d > 0
-    pad = np.zeros(tuple(s + 2 for s in d.shape))
-    pad[1:-1, 1:-1, 1:-1] = d
-    core = pad[1:-1, 1:-1, 1:-1]
-    ridge = np.zeros(d.shape, dtype=bool)
-    nx, ny, nz = d.shape
-    for off in _OFFSETS_13:
-        oi, oj, ok = off
-        plus = pad[1 + oi:1 + oi + nx, 1 + oj:1 + oj + ny, 1 + ok:1 + ok + nz]
-        minus = pad[1 - oi:1 - oi + nx, 1 - oj:1 - oj + ny, 1 - ok:1 - ok + nz]
-        ridge |= (core >= plus) & (core >= minus)
-    return set(map(tuple, np.argwhere(ridge & fg)))
-
-
-def path_energy(dt: DistanceField, voxels) -> float:
+def path_energy(dt: VolumeGrid, voxels) -> float:
     """Trapezoidal 1/(DT + eps) line energy of a voxel index chain."""
     idx = np.atleast_2d(np.asarray(voxels))
     if len(idx) < 2:
         return 0.0
-    h = 1.0 / (dt.grid.data[idx[:, 0], idx[:, 1], idx[:, 2]] + DT_EPS)
-    steps = np.diff(idx, axis=0) * np.asarray(dt.grid.spacing)
+    h = 1.0 / (dt.data[idx[:, 0], idx[:, 1], idx[:, 2]] + DT_EPS)
+    steps = np.diff(idx, axis=0) * np.asarray(dt.spacing)
     lengths = np.linalg.norm(steps, axis=1)
     return float(np.sum(lengths * 0.5 * (h[:-1] + h[1:])))
 
 
-def _min_energy_path(dt: DistanceField, start, goal) -> np.ndarray:
-    d = dt.grid.data
+def _min_energy_path(dt: VolumeGrid, start, goal) -> np.ndarray:
+    d = dt.data
     fg = d > 0
     fg_idx = np.argwhere(fg)
     n = len(fg_idx)
     ids = np.full(d.shape, -1, dtype=np.int64)
     ids[fg] = np.arange(n)
     h = np.where(fg, 1.0 / (d + DT_EPS), 0.0)
-    spacing = np.asarray(dt.grid.spacing)
+    spacing = np.asarray(dt.spacing)
     rows, cols, weights = [], [], []
     for off in _OFFSETS_13:
         sa, sb = _shift_slices(off)

@@ -14,6 +14,9 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,7 +40,7 @@ from .grids import (
 )
 from .metrics import hausdorff, spatial_overlap, voxelize
 from .phantom import generate, load_phantom_spec, save_descriptor
-from .polyfield import RIDGE_PER_SAMPLE, fit_bundle_field, load_field, save_field
+from .polyfield import bundle_ridge, fit_bundle_field, load_field, save_field
 from .prior import MIN_AMP_DEFAULT, build_prior, prior_from_peaks, prior_to_peaks
 from .tracking import ANGLE_MAX_DEFAULT, TrackParams, baseline_peak_track, track
 
@@ -105,157 +108,197 @@ def _load_endpoints(path):
     return values["p1"], values["p2"]
 
 
-def _run_phantom(spec_path, out_dir, rng_seed):
-    spec = load_phantom_spec(spec_path)
-    result = generate(spec, rng_seed)
-    paths = {
-        "mask": os.path.join(out_dir, MASK_FILE),
-        "peaks": os.path.join(out_dir, PEAKS_FILE),
-        "axis": os.path.join(out_dir, AXIS_FILE),
-        "descriptor": os.path.join(out_dir, DESCRIPTOR_FILE),
-        "endpoints": os.path.join(out_dir, ENDPOINTS_FILE),
+class _Flag(NamedTuple):
+    """One command-line flag, written once and shared by every stage taking it.
+
+    ``file`` marks an input flag: ``pipeline`` sets it to that file in the
+    run directory instead of declaring it.
+    """
+
+    name: str
+    options: dict
+    file: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.name[2:].replace("-", "_")
+
+
+def _flag(name, help, file=None, **options):
+    return _Flag(name, dict(options, help=help), file)
+
+
+_FLAGS = {
+    flag.name: flag
+    for flag in (
+        _flag("--out", "output directory", required=True),
+        _flag("--spec", "phantom spec text file", required=True),
+        _flag("--rng-seed", "random seed", type=int, default=0),
+        _flag("--mask", "mask volume file", MASK_FILE, required=True),
+        _flag("--p1", "first endpoint x,y,z", type=_triple, default=None),
+        _flag("--p2", "second endpoint x,y,z", type=_triple, default=None),
+        _flag("--endpoints", "endpoint file (as written by phantom)",
+              ENDPOINTS_FILE, default=None),
+        _flag("--delta", "centerline resampling step, mm",
+              type=float, default=RESAMPLE_STEP),
+        _flag("--peaks", "peaks volume file", PEAKS_FILE, required=True),
+        _flag("--centerline", "centerline file", CENTERLINE_FILE, required=True),
+        _flag("--cutoff", "peak amplitude floor", type=float, default=MIN_AMP_DEFAULT),
+        _flag("--centerline-only",
+              "select only at voxels the centerline passes through",
+              action="store_true"),
+        _flag("--prior", "prior volume file", PRIOR_FILE, required=True),
+        _flag("--order", "polynomial order", type=int, default=4),
+        _flag("--ridge", "coefficient shrinkage weight (default 1e-8 per sample)",
+              type=float, default=None),
+        _flag("--field", "fitted field file", FIELD_FILE, required=True),
+        _flag("--step", "integration step, mm", type=float, default=0.3),
+        _flag("--max-steps", "step budget per direction", type=int, default=2000),
+        _flag("--min-len", "minimum streamline length, mm (default 3x step)",
+              type=float, default=None),
+        _flag("--unidirectional", "integrate forward from seeds only",
+              action="store_true"),
+        _flag("--sigma", "direction perturbation std", type=float, default=0.1),
+        _flag("--seed-count", "streamline repetitions per seed", type=int, default=10),
+        _flag("--angle-max", "turning angle stop, degrees",
+              type=float, default=ANGLE_MAX_DEFAULT),
+        _flag("--tract", "tract file to score", TRACT_FILE, required=True),
+        _flag("--ref-tract", "reference tract file", AXIS_FILE, required=True),
+        _flag("--grid", "volume file defining the voxelization grid",
+              MASK_FILE, required=True),
+        _flag("--ref-mask", "score overlap against this mask instead of the "
+              "voxelized reference tract", MASK_FILE, default=None),
+    )
+}
+_TRACK_FLAGS = ("--step", "--max-steps", "--min-len", "--unidirectional")
+_SEEDING = "all foreground voxel centers"
+
+
+def _out(args, name):
+    return os.path.join(args.out, name)
+
+
+# Each stage function takes the parsed flags, writes the stage's outputs
+# into --out and returns the manifest's (parameters, inputs, outputs).
+# Library calls go through this module's globals at call time, so a
+# profiler can wrap them here.
+
+
+def _phantom(args):
+    result = generate(load_phantom_spec(args.spec), args.rng_seed)
+    outputs = {
+        "mask": _out(args, MASK_FILE),
+        "peaks": _out(args, PEAKS_FILE),
+        "axis": _out(args, AXIS_FILE),
+        "descriptor": _out(args, DESCRIPTOR_FILE),
+        "endpoints": _out(args, ENDPOINTS_FILE),
     }
-    save_mask(result.mask, paths["mask"])
-    save_peaks(result.peaks, paths["peaks"])
-    save_centerline(result.centerline, paths["axis"])
-    save_descriptor(result.field, paths["descriptor"])
-    _save_endpoints(paths["endpoints"], result.p1, result.p2)
-    _write_manifest(
-        out_dir,
-        "phantom",
-        {"rng_seed": int(rng_seed)},
-        {"spec": spec_path},
-        paths,
+    save_mask(result.mask, outputs["mask"])
+    save_peaks(result.peaks, outputs["peaks"])
+    save_centerline(result.centerline, outputs["axis"])
+    save_descriptor(result.field, outputs["descriptor"])
+    _save_endpoints(outputs["endpoints"], result.p1, result.p2)
+    return {"rng_seed": int(args.rng_seed)}, {"spec": args.spec}, outputs
+
+
+def _centerline(args):
+    if args.endpoints is not None:
+        p1, p2 = _load_endpoints(args.endpoints)
+    elif args.p1 is None or args.p2 is None:
+        raise ValueError("give either --endpoints or both --p1 and --p2")
+    else:
+        p1, p2 = args.p1, args.p2
+    path = _out(args, CENTERLINE_FILE)
+    save_centerline(extract_centerline(load_mask(args.mask), p1, p2, args.delta), path)
+    parameters = {
+        "p1": [float(v) for v in p1],
+        "p2": [float(v) for v in p2],
+        "delta": float(args.delta),
+    }
+    return parameters, {"mask": args.mask}, {"centerline": path}
+
+
+def _prior(args):
+    prior = build_prior(
+        load_peaks(args.peaks), load_centerline(args.centerline),
+        load_mask(args.mask), args.cutoff, args.centerline_only,
     )
-    return paths
-
-
-def _run_centerline(mask_path, p1, p2, delta, out_dir):
-    mask = load_mask(mask_path)
-    cl = extract_centerline(mask, p1, p2, delta)
-    out_path = os.path.join(out_dir, CENTERLINE_FILE)
-    save_centerline(cl, out_path)
-    _write_manifest(
-        out_dir,
-        "centerline",
-        {
-            "p1": [float(v) for v in p1],
-            "p2": [float(v) for v in p2],
-            "delta": float(delta),
-        },
-        {"mask": mask_path},
-        {"centerline": out_path},
+    path = _out(args, PRIOR_FILE)
+    save_peaks(prior_to_peaks(prior), path)
+    return (
+        {"cutoff": float(args.cutoff), "centerline_only": bool(args.centerline_only)},
+        {"peaks": args.peaks, "centerline": args.centerline, "mask": args.mask},
+        {"prior": path},
     )
-    return out_path
 
 
-def _run_prior(peaks_path, centerline_path, mask_path, cutoff, centerline_only, out_dir):
-    peaks = load_peaks(peaks_path)
-    cl = load_centerline(centerline_path)
-    mask = load_mask(mask_path)
-    prior = build_prior(peaks, cl, mask, cutoff, centerline_only)
-    out_path = os.path.join(out_dir, PRIOR_FILE)
-    save_peaks(prior_to_peaks(prior), out_path)
-    _write_manifest(
-        out_dir,
-        "prior",
-        {"cutoff": float(cutoff), "centerline_only": bool(centerline_only)},
-        {"peaks": peaks_path, "centerline": centerline_path, "mask": mask_path},
-        {"prior": out_path},
+def _fit(args):
+    prior = prior_from_peaks(load_peaks(args.prior))
+    mask = load_mask(args.mask)
+    field = fit_bundle_field(prior, mask, args.order, args.ridge)
+    path = _out(args, FIELD_FILE)
+    save_field(field, path)
+    return (
+        {"order": int(args.order), "ridge": float(bundle_ridge(prior, mask, args.ridge))},
+        {"prior": args.prior, "mask": args.mask},
+        {"field": path},
     )
-    return out_path
 
 
-def _run_fit(prior_path, mask_path, order, ridge, out_dir):
-    prior = prior_from_peaks(load_peaks(prior_path))
-    mask = load_mask(mask_path)
-    if ridge is None:
-        ridge = RIDGE_PER_SAMPLE * int(
-            (np.asarray(prior.valid, dtype=bool) & mask.foreground).sum()
-        )
-    field = fit_bundle_field(prior, mask, order, ridge)
-    out_path = os.path.join(out_dir, FIELD_FILE)
-    save_field(field, out_path)
-    _write_manifest(
-        out_dir,
-        "fit",
-        {"order": int(order), "ridge": float(ridge)},
-        {"prior": prior_path, "mask": mask_path},
-        {"field": out_path},
-    )
-    return out_path
-
-
-def _track_params(args) -> TrackParams:
+def _track_params(args, sigma=0.0, seed_count=1, rng_seed=0) -> TrackParams:
+    """The tracking flags; the defaults are the baseline's noise-free run."""
     return TrackParams(
         step=args.step,
-        sigma=getattr(args, "sigma", 0.0),
+        sigma=sigma,
         max_steps=args.max_steps,
-        seed_count=getattr(args, "seed_count", 1),
-        rng_seed=getattr(args, "rng_seed", 0),
+        seed_count=seed_count,
+        rng_seed=rng_seed,
         min_len=args.min_len,
         bidirectional=not args.unidirectional,
     )
 
 
-def _run_track(field_path, mask_path, params, out_dir):
-    field = load_field(field_path)
-    mask = load_mask(mask_path)
-    tract = track(field, mask, mask.foreground_points(), params)
-    out_path = os.path.join(out_dir, TRACT_FILE)
-    save_tract(tract, out_path)
-    _write_manifest(
-        out_dir,
-        "track",
-        {
-            "step": params.step,
-            "sigma": params.sigma,
-            "max_steps": params.max_steps,
-            "seed_count": params.seed_count,
-            "rng_seed": params.rng_seed,
-            "min_len": params.min_len,
-            "bidirectional": params.bidirectional,
-            "seeding": "all foreground voxel centers",
-        },
-        {"field": field_path, "mask": mask_path},
-        {"tract": out_path},
+def _track(args):
+    params = _track_params(args, args.sigma, args.seed_count, args.rng_seed)
+    field = load_field(args.field)
+    mask = load_mask(args.mask)
+    path = _out(args, TRACT_FILE)
+    save_tract(track(field, mask, mask.foreground_points(), params), path)
+    return (
+        dict(asdict(params), seeding=_SEEDING),
+        {"field": args.field, "mask": args.mask},
+        {"tract": path},
     )
-    return out_path
 
 
-def _run_baseline(peaks_path, mask_path, params, angle_max, cutoff, out_dir):
-    peaks = load_peaks(peaks_path)
-    mask = load_mask(mask_path)
+def _baseline(args):
+    params = _track_params(args)
+    peaks = load_peaks(args.peaks)
+    mask = load_mask(args.mask)
     tract = baseline_peak_track(
-        peaks, mask, mask.foreground_points(), params, angle_max, cutoff
+        peaks, mask, mask.foreground_points(), params, args.angle_max, args.cutoff
     )
-    out_path = os.path.join(out_dir, BASELINE_FILE)
-    save_tract(tract, out_path)
-    _write_manifest(
-        out_dir,
-        "baseline",
-        {
-            "step": params.step,
-            "max_steps": params.max_steps,
-            "min_len": params.min_len,
-            "bidirectional": params.bidirectional,
-            "angle_max": float(angle_max),
-            "cutoff": float(cutoff),
-            "seeding": "all foreground voxel centers",
-        },
-        {"peaks": peaks_path, "mask": mask_path},
-        {"tract": out_path},
-    )
-    return out_path
+    path = _out(args, BASELINE_FILE)
+    save_tract(tract, path)
+    parameters = {
+        "step": params.step,
+        "max_steps": params.max_steps,
+        "min_len": params.min_len,
+        "bidirectional": params.bidirectional,
+        "angle_max": float(args.angle_max),
+        "cutoff": float(args.cutoff),
+        "seeding": _SEEDING,
+    }
+    return parameters, {"peaks": args.peaks, "mask": args.mask}, {"tract": path}
 
 
-def _run_metrics(tract_path, ref_tract_path, grid_path, ref_mask_path, out_dir):
-    tract = load_tract(tract_path)
-    ref_tract = load_tract(ref_tract_path)
-    grid = load_volume(grid_path)
+def _metrics(args):
+    tract = load_tract(args.tract)
+    ref_tract = load_tract(args.ref_tract)
+    grid = load_volume(args.grid)
     tract_mask = voxelize(tract, grid)
-    if ref_mask_path:
-        reference = load_mask(ref_mask_path)
+    if args.ref_mask:
+        reference = load_mask(args.ref_mask)
         against = "reference mask"
     else:
         reference = voxelize(ref_tract, grid)
@@ -270,127 +313,73 @@ def _run_metrics(tract_path, ref_tract_path, grid_path, ref_mask_path, out_dir):
         f"hausdorff        {hd:8.2f}  mm, pooled points vs reference tract",
         f"avg hausdorff    {ahd:8.2f}  mm, pooled points vs reference tract",
     ]
-    out_path = os.path.join(out_dir, METRICS_FILE)
-    with open(out_path, "w", encoding="ascii", newline="\n") as fh:
+    path = _out(args, METRICS_FILE)
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(table) + "\n")
     print("\n".join(table))
-    _write_manifest(
-        out_dir,
-        "metrics",
-        {"overlap": overlap, "hd": hd, "ahd": ahd},
-        {
-            "tract": tract_path,
-            "ref_tract": ref_tract_path,
-            "grid": grid_path,
-            "ref_mask": ref_mask_path,
-        },
-        {"metrics": out_path},
-    )
-    return out_path
+    inputs = {
+        "tract": args.tract,
+        "ref_tract": args.ref_tract,
+        "grid": args.grid,
+        "ref_mask": args.ref_mask,
+    }
+    return {"overlap": overlap, "hd": hd, "ahd": ahd}, inputs, {"metrics": path}
 
 
-def _cmd_phantom(args):
+class _Stage(NamedTuple):
+    """One subcommand: its input and parameter flags and its stage function."""
+
+    name: str
+    help: str
+    inputs: tuple
+    params: tuple
+    run: Callable
+
+
+# The stages in pipeline order.
+STAGES = (
+    _Stage("phantom", "generate a synthetic tube phantom",
+           ("--spec",), ("--rng-seed",), _phantom),
+    _Stage("centerline", "extract a mask centerline",
+           ("--mask", "--p1", "--p2", "--endpoints"), ("--delta",), _centerline),
+    _Stage("prior", "select one peak per voxel",
+           ("--peaks", "--centerline", "--mask"), ("--cutoff", "--centerline-only"),
+           _prior),
+    _Stage("fit", "fit the divergence-free polynomial field",
+           ("--prior", "--mask"), ("--order", "--ridge"), _fit),
+    _Stage("track", "trace streamlines through a fitted field",
+           ("--field", "--mask"),
+           _TRACK_FLAGS + ("--sigma", "--seed-count", "--rng-seed"), _track),
+    _Stage("baseline", "deterministic peak-following tracker",
+           ("--peaks", "--mask"), _TRACK_FLAGS + ("--angle-max", "--cutoff"),
+           _baseline),
+    _Stage("metrics", "compare a tract against a reference",
+           ("--tract", "--ref-tract", "--grid", "--ref-mask"), (), _metrics),
+)
+
+
+def _run_stage(stage, args):
     os.makedirs(args.out, exist_ok=True)
-    _run_phantom(args.spec, args.out, args.rng_seed)
+    parameters, inputs, outputs = stage.run(args)
+    _write_manifest(args.out, stage.name, parameters, inputs, outputs)
     return 0
 
 
-def _cmd_centerline(args):
-    if args.endpoints is None and (args.p1 is None or args.p2 is None):
-        raise ValueError("give either --endpoints or both --p1 and --p2")
-    if args.endpoints is not None:
-        p1, p2 = _load_endpoints(args.endpoints)
-    else:
-        p1, p2 = args.p1, args.p2
-    os.makedirs(args.out, exist_ok=True)
-    _run_centerline(args.mask, p1, p2, args.delta, args.out)
+def _run_pipeline(args):
+    # Inputs without a run-directory file are --spec, which pipeline
+    # declares itself, and --p1/--p2, which --endpoints overrides.
+    for stage in STAGES:
+        for name in stage.inputs:
+            flag = _FLAGS[name]
+            if flag.file:
+                setattr(args, flag.dest, _out(args, flag.file))
+        _run_stage(stage, args)
     return 0
 
 
-def _cmd_prior(args):
-    os.makedirs(args.out, exist_ok=True)
-    _run_prior(
-        args.peaks, args.centerline, args.mask, args.cutoff,
-        args.centerline_only, args.out,
-    )
-    return 0
-
-
-def _cmd_fit(args):
-    os.makedirs(args.out, exist_ok=True)
-    _run_fit(args.prior, args.mask, args.order, args.ridge, args.out)
-    return 0
-
-
-def _cmd_track(args):
-    os.makedirs(args.out, exist_ok=True)
-    _run_track(args.field, args.mask, _track_params(args), args.out)
-    return 0
-
-
-def _cmd_baseline(args):
-    os.makedirs(args.out, exist_ok=True)
-    params = TrackParams(
-        step=args.step,
-        sigma=0.0,
-        max_steps=args.max_steps,
-        seed_count=1,
-        rng_seed=0,
-        min_len=args.min_len,
-        bidirectional=not args.unidirectional,
-    )
-    _run_baseline(args.peaks, args.mask, params, args.angle_max, args.cutoff, args.out)
-    return 0
-
-
-def _cmd_metrics(args):
-    os.makedirs(args.out, exist_ok=True)
-    _run_metrics(args.tract, args.ref_tract, args.grid, args.ref_mask, args.out)
-    return 0
-
-
-def _cmd_pipeline(args):
-    os.makedirs(args.out, exist_ok=True)
-    paths = _run_phantom(args.spec, args.out, args.rng_seed)
-    p1, p2 = _load_endpoints(paths["endpoints"])
-    centerline_path = _run_centerline(paths["mask"], p1, p2, args.delta, args.out)
-    prior_path = _run_prior(
-        paths["peaks"], centerline_path, paths["mask"], args.cutoff,
-        args.centerline_only, args.out,
-    )
-    field_path = _run_fit(prior_path, paths["mask"], args.order, args.ridge, args.out)
-    tract_path = _run_track(field_path, paths["mask"], _track_params(args), args.out)
-    baseline_params = TrackParams(
-        step=args.step,
-        sigma=0.0,
-        max_steps=args.max_steps,
-        seed_count=1,
-        rng_seed=0,
-        min_len=args.min_len,
-        bidirectional=not args.unidirectional,
-    )
-    _run_baseline(
-        paths["peaks"], paths["mask"], baseline_params, args.angle_max,
-        args.cutoff, args.out,
-    )
-    _run_metrics(tract_path, paths["axis"], paths["mask"], paths["mask"], args.out)
-    return 0
-
-
-def _add_track_flags(p, with_noise=True):
-    p.add_argument("--step", type=float, default=0.3, help="integration step, mm")
-    p.add_argument("--max-steps", type=int, default=2000,
-                   help="step budget per direction")
-    p.add_argument("--min-len", type=float, default=None,
-                   help="minimum streamline length, mm (default 3x step)")
-    p.add_argument("--unidirectional", action="store_true",
-                   help="integrate forward from seeds only")
-    if with_noise:
-        p.add_argument("--sigma", type=float, default=0.1,
-                       help="direction perturbation std")
-        p.add_argument("--seed-count", type=int, default=10,
-                       help="streamline repetitions per seed")
-        p.add_argument("--rng-seed", type=int, default=0, help="random seed")
+def _add_flags(parser, names):
+    for name in names:
+        parser.add_argument(name, **_FLAGS[name].options)
 
 
 def _build_parser() -> _Parser:
@@ -403,89 +392,14 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="<command>",
                                 parser_class=_Parser)
     sub.required = True
-
-    p = sub.add_parser("phantom", help="generate a synthetic tube phantom")
-    p.add_argument("--spec", required=True, help="phantom spec text file")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--rng-seed", type=int, default=0, help="random seed")
-    p.set_defaults(func=_cmd_phantom)
-
-    p = sub.add_parser("centerline", help="extract a mask centerline")
-    p.add_argument("--mask", required=True, help="mask volume file")
-    p.add_argument("--p1", type=_triple, default=None, help="first endpoint x,y,z")
-    p.add_argument("--p2", type=_triple, default=None, help="second endpoint x,y,z")
-    p.add_argument("--endpoints", default=None,
-                   help="endpoint file (as written by phantom)")
-    p.add_argument("--delta", type=float, default=RESAMPLE_STEP,
-                   help="centerline resampling step, mm")
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_centerline)
-
-    p = sub.add_parser("prior", help="select one peak per voxel")
-    p.add_argument("--peaks", required=True, help="peaks volume file")
-    p.add_argument("--centerline", required=True, help="centerline file")
-    p.add_argument("--mask", required=True, help="mask volume file")
-    p.add_argument("--cutoff", type=float, default=MIN_AMP_DEFAULT,
-                   help="peak amplitude floor")
-    p.add_argument("--centerline-only", action="store_true",
-                   help="select only at voxels the centerline passes through")
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_prior)
-
-    p = sub.add_parser("fit", help="fit the divergence-free polynomial field")
-    p.add_argument("--prior", required=True, help="prior volume file")
-    p.add_argument("--mask", required=True, help="mask volume file")
-    p.add_argument("--order", type=int, default=4, help="polynomial order")
-    p.add_argument("--ridge", type=float, default=None,
-                   help="coefficient shrinkage weight (default 1e-8 per sample)")
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_fit)
-
-    p = sub.add_parser("track", help="trace streamlines through a fitted field")
-    p.add_argument("--field", required=True, help="fitted field file")
-    p.add_argument("--mask", required=True, help="mask volume file")
-    _add_track_flags(p)
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_track)
-
-    p = sub.add_parser("baseline", help="deterministic peak-following tracker")
-    p.add_argument("--peaks", required=True, help="peaks volume file")
-    p.add_argument("--mask", required=True, help="mask volume file")
-    _add_track_flags(p, with_noise=False)
-    p.add_argument("--angle-max", type=float, default=ANGLE_MAX_DEFAULT,
-                   help="turning angle stop, degrees")
-    p.add_argument("--cutoff", type=float, default=MIN_AMP_DEFAULT,
-                   help="peak amplitude floor")
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_baseline)
-
-    p = sub.add_parser("metrics", help="compare a tract against a reference")
-    p.add_argument("--tract", required=True, help="tract file to score")
-    p.add_argument("--ref-tract", required=True, help="reference tract file")
-    p.add_argument("--grid", required=True,
-                   help="volume file defining the voxelization grid")
-    p.add_argument("--ref-mask", default=None,
-                   help="score overlap against this mask instead of the "
-                   "voxelized reference tract")
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_metrics)
-
+    for stage in STAGES:
+        p = sub.add_parser(stage.name, help=stage.help)
+        _add_flags(p, stage.inputs + stage.params + ("--out",))
+        p.set_defaults(func=partial(_run_stage, stage))
     p = sub.add_parser("pipeline", help="run phantom through metrics in one go")
-    p.add_argument("--spec", required=True, help="phantom spec text file")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--order", type=int, default=4, help="polynomial order")
-    p.add_argument("--ridge", type=float, default=None,
-                   help="coefficient shrinkage weight (default 1e-8 per sample)")
-    p.add_argument("--cutoff", type=float, default=MIN_AMP_DEFAULT,
-                   help="peak amplitude floor")
-    p.add_argument("--centerline-only", action="store_true",
-                   help="select only at voxels the centerline passes through")
-    p.add_argument("--delta", type=float, default=RESAMPLE_STEP,
-                   help="centerline resampling step, mm")
-    p.add_argument("--angle-max", type=float, default=ANGLE_MAX_DEFAULT,
-                   help="baseline turning angle stop, degrees")
-    _add_track_flags(p)
-    p.set_defaults(func=_cmd_pipeline)
+    params = dict.fromkeys(name for stage in STAGES for name in stage.params)
+    _add_flags(p, ("--spec", "--out", *params))
+    p.set_defaults(func=_run_pipeline)
     return parser
 
 

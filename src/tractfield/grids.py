@@ -116,13 +116,14 @@ class PeaksField:
 
     def validate(self):
         """Raise ValueError when the stored peaks break the format invariants."""
-        if np.any(self.amplitudes < 0):
+        # Each check asks that all values pass, so a NaN fails it.
+        if not np.all(self.amplitudes >= 0):
             raise ValueError("peak amplitudes must be nonnegative")
         if not np.all(np.diff(self.amplitudes, axis=-1) <= 0):
             raise ValueError("peak amplitudes must be sorted descending per voxel")
         norms = np.linalg.norm(self.directions, axis=-1)
         active = self.amplitudes > 0
-        if np.any(np.abs(norms[active] - 1.0) > UNIT_TOL):
+        if not np.all(np.abs(norms[active] - 1.0) <= UNIT_TOL):
             raise ValueError("peak directions with positive amplitude must be unit length")
 
 
@@ -246,6 +247,8 @@ def _parse_triple(fields: dict, key: str, conv, path, positive=False) -> tuple:
         out = tuple(conv(p) for p in parts)
     except ValueError:
         raise FormatError(f"{path}: bad number in header line {line!r}") from None
+    if not all(np.isfinite(out)):
+        raise FormatError(f"{path}: values must be finite in header line {line!r}")
     if positive and min(out) <= 0:
         raise FormatError(f"{path}: values must be positive in header line {line!r}")
     return out
@@ -433,9 +436,6 @@ def load_tract(path) -> Tract:
         raise FormatError(f"{path}: {exc}") from None
 
 
-def save_tract(tract: Tract, path, marker=None):
-    """Write a tract text file; ``marker`` adds one extra header comment."""
-    headers = [f"step {_fmt(tract.step)}"]
-    if marker:
-        headers.append(str(marker))
-    _write_points_text(path, tract.streamlines, headers)
+def save_tract(tract: Tract, path):
+    """Write a tract text file with a '# step' header."""
+    _write_points_text(path, tract.streamlines, [f"step {_fmt(tract.step)}"])

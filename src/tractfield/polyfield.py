@@ -263,14 +263,23 @@ def fit_field(
 RIDGE_PER_SAMPLE = 1e-8
 
 
+def bundle_ridge(prior, mask: Mask, ridge=None) -> float:
+    """The ridge ``fit_bundle_field`` applies: ``ridge`` when given, else
+    RIDGE_PER_SAMPLE per usable voxel, a floor against rank deficiency in
+    thin tubes."""
+    if ridge is not None:
+        return ridge
+    usable = np.asarray(prior.valid, dtype=bool) & mask.foreground
+    return RIDGE_PER_SAMPLE * int(usable.sum())
+
+
 def fit_bundle_field(prior, mask: Mask, order: int = 4, ridge=None) -> PolyField:
     """Divergence-free fit of the selected voxel directions inside the mask.
 
     Samples are the voxel centers that are both mask foreground and valid in
     the prior; the domain normalization comes from the mask bounding box.
     Requires at least term_count(order) usable voxels.  ridge=None picks
-    RIDGE_PER_SAMPLE per sample, a floor against rank deficiency in thin
-    tubes; pass 0.0 for an unregularized fit.
+    ``bundle_ridge``; pass 0.0 for an unregularized fit.
     """
     if not same_geometry(prior, mask.grid):
         raise DomainError("prior grid does not match the mask grid")
@@ -286,9 +295,7 @@ def fit_bundle_field(prior, mask: Mask, order: int = 4, ridge=None) -> PolyField
     pts = np.asarray(mask.grid.origin) + idx * np.asarray(mask.grid.spacing)
     tgt = np.asarray(prior.directions, dtype=float)[idx[:, 0], idx[:, 1], idx[:, 2]]
     offset, scale = domain_from_mask(mask)
-    if ridge is None:
-        ridge = RIDGE_PER_SAMPLE * usable
-    return fit_field(pts, tgt, order, offset, scale, ridge)
+    return fit_field(pts, tgt, order, offset, scale, bundle_ridge(prior, mask, ridge))
 
 
 def save_field(field_: PolyField, path):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centerline import Centerline, _nearest_centerline_index
+from .centerline import Centerline, cross_section_normals
 from .errors import DomainError
 from .grids import Mask, PeaksField, nearest_indices, same_geometry
 
@@ -119,7 +119,7 @@ def build_prior(
                 valid[voxel] = True
         return PriorField(dims, mask.grid.spacing, mask.grid.origin, directions, valid)
     fg = mask.foreground_indices()
-    normals = cl.tangents[_nearest_centerline_index(cl, mask.foreground_points())]
+    normals = cross_section_normals(cl, mask.foreground_points())
     for row, n in zip(fg, normals):
         voxel = tuple(int(v) for v in row)
         d = select_peak(*peaks.peaks_at(voxel), n, min_amp)

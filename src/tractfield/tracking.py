@@ -39,9 +39,11 @@ class TrackParams:
     bidirectional: bool = True
 
     def __post_init__(self):
-        if self.step <= 0:
+        # Written as "not (ok)" so that NaN, which fails every comparison,
+        # is rejected too.
+        if not self.step > 0:
             raise ValueError("step must be positive")
-        if self.sigma < 0:
+        if not self.sigma >= 0:
             raise ValueError("sigma must be >= 0")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
@@ -49,7 +51,7 @@ class TrackParams:
             raise ValueError("seed_count must be >= 1")
         if self.min_len is None:
             object.__setattr__(self, "min_len", 3.0 * self.step)
-        elif self.min_len < 0:
+        elif not self.min_len >= 0:
             raise ValueError("min_len must be >= 0")
         object.__setattr__(self, "min_len", float(self.min_len))
 

@@ -161,7 +161,7 @@ def test_4_distance_and_hausdorff_match_oracles():
     for _ in range(10):
         dims = rng.integers(8, 21, size=3)
         mask = random_mask(rng, dims)
-        if np.array_equal(distance_transform(mask).grid.data,
+        if np.array_equal(distance_transform(mask).data,
                           brute_force_distance(mask)):
             masks_exact += 1
     pairs_exact = 0

@@ -1,4 +1,4 @@
-"""Distance transform, medial ridge, and minimal-path centerline."""
+"""Distance transform and minimal-path centerline."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from tractfield import (
     generate,
     inside,
     load_centerline,
-    medial_axis,
     path_energy,
     save_centerline,
 )
@@ -25,47 +24,18 @@ from tractfield.centerline import _min_energy_path
 
 from conftest import brute_force_distance, make_mask, random_mask
 
-# one representative per undirected 26-neighborhood direction
-_UNDIRECTED = [
-    o
-    for o in ((i, j, k) for i in (-1, 0, 1) for j in (-1, 0, 1) for k in (-1, 0, 1))
-    if o != (0, 0, 0) and o > (-o[0], -o[1], -o[2])
-]
-
-
-def ridge_oracle(dt) -> set:
-    """Direct 26-neighborhood reading of the ridge rule, python loops only."""
-    data = dt.grid.data
-    dims = data.shape
-    out = set()
-    for ijk in np.argwhere(data > 0):
-        i, j, k = (int(v) for v in ijk)
-        for off in _UNDIRECTED:
-            vals = []
-            for sign in (1, -1):
-                ni, nj, nk = i + sign * off[0], j + sign * off[1], k + sign * off[2]
-                if 0 <= ni < dims[0] and 0 <= nj < dims[1] and 0 <= nk < dims[2]:
-                    vals.append(data[ni, nj, nk])
-                else:
-                    vals.append(0.0)
-            if data[i, j, k] >= vals[0] and data[i, j, k] >= vals[1]:
-                out.add((i, j, k))
-                break
-    return out
-
-
 class TestDistanceTransform:
     def test_single_voxel(self):
         dt = distance_transform(make_mask(np.ones((1, 1, 1))))
-        assert dt.grid.data[0, 0, 0] == 1.0
+        assert dt.data[0, 0, 0] == 1.0
 
     def test_solid_block_center(self):
         dt = distance_transform(make_mask(np.ones((3, 3, 3))))
-        assert dt.grid.data[1, 1, 1] == 2.0
+        assert dt.data[1, 1, 1] == 2.0
 
     def test_boundary_counts_as_background(self):
         dt = distance_transform(make_mask(np.ones((4, 4, 4))))
-        assert dt.grid.data[0, 0, 0] == 1.0
+        assert dt.data[0, 0, 0] == 1.0
 
     def test_empty_mask(self):
         with pytest.raises(DomainError):
@@ -74,25 +44,25 @@ class TestDistanceTransform:
     def test_zero_outside_foreground(self, rng):
         mask = random_mask(rng, (7, 6, 8))
         dt = distance_transform(mask)
-        assert np.all(dt.grid.data[~mask.foreground] == 0)
+        assert np.all(dt.data[~mask.foreground] == 0)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_brute_force_exactly(self, seed):
         rng = np.random.default_rng(seed)
         dims = rng.integers(3, 11, size=3)
         mask = random_mask(rng, dims)
-        got = distance_transform(mask).grid.data
+        got = distance_transform(mask).data
         assert np.array_equal(got, brute_force_distance(mask))
 
     def test_matches_brute_force_anisotropic(self, rng):
         # dyadic spacings keep both routes' float sums order-independent
         mask = random_mask(rng, (9, 6, 7), spacing=(0.5, 1.25, 2.0))
-        got = distance_transform(mask).grid.data
+        got = distance_transform(mask).data
         assert np.array_equal(got, brute_force_distance(mask))
 
     def test_lipschitz_along_neighbors(self, rng):
         mask = random_mask(rng, (10, 9, 8))
-        d = distance_transform(mask).grid.data
+        d = distance_transform(mask).data
         for axis in range(3):
             step = mask.grid.spacing[axis]
             diff = np.abs(np.diff(d, axis=axis))
@@ -100,33 +70,6 @@ class TestDistanceTransform:
             pair = np.minimum(np.take(fg, range(0, fg.shape[axis] - 1), axis=axis),
                               np.take(fg, range(1, fg.shape[axis]), axis=axis))
             assert np.all(diff[pair] <= step + 1e-12)
-
-
-class TestMedialAxis:
-    def test_single_voxel_is_ridge(self):
-        dt = distance_transform(make_mask(np.ones((1, 1, 1))))
-        assert (0, 0, 0) in medial_axis(dt)
-
-    def test_bar_center_line(self):
-        data = np.zeros((3, 3, 12))
-        data[:, :, :] = 1
-        dt = distance_transform(make_mask(data))
-        ridge = medial_axis(dt)
-        for k in range(12):
-            assert (1, 1, k) in ridge
-
-    def test_ball_contains_center(self):
-        idx = np.stack(np.meshgrid(*[np.arange(9)] * 3, indexing="ij"), axis=-1)
-        fg = ((idx - 4.0) ** 2).sum(axis=-1) <= 16
-        dt = distance_transform(make_mask(fg))
-        assert (4, 4, 4) in medial_axis(dt)
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_matches_loop_oracle(self, seed):
-        rng = np.random.default_rng(seed)
-        mask = random_mask(rng, rng.integers(4, 9, size=3))
-        dt = distance_transform(mask)
-        assert medial_axis(dt) == ridge_oracle(dt)
 
 
 def straight_tube(length=30):

@@ -1,5 +1,6 @@
 """Command-line behaviour: artifacts, manifests, exit codes, reproducibility."""
 
+import argparse
 import json
 import re
 
@@ -8,7 +9,9 @@ import pytest
 
 import tractfield
 from tractfield import (
+    Mask,
     PhantomSpec,
+    VolumeGrid,
     inside_many,
     load_centerline,
     load_field,
@@ -16,8 +19,10 @@ from tractfield import (
     load_peaks,
     load_tract,
     pooled_points,
+    save_mask,
     save_phantom_spec,
 )
+from tractfield import cli
 from tractfield.cli import main
 
 TRACK_FLAGS = ["--seed-count", "1", "--rng-seed", "0"]
@@ -35,6 +40,82 @@ DATA_ARTIFACTS = [
     "metrics.txt",
 ]
 STAGE_NAMES = ["phantom", "centerline", "prior", "fit", "track", "baseline", "metrics"]
+# Every subcommand's flags as (type, default, required).
+TRACK_SURFACE = {
+    "--step": (float, 0.3, False),
+    "--max-steps": (int, 2000, False),
+    "--min-len": (float, None, False),
+    "--unidirectional": (None, False, False),
+}
+NOISE_SURFACE = {
+    "--sigma": (float, 0.1, False),
+    "--seed-count": (int, 10, False),
+    "--rng-seed": (int, 0, False),
+}
+CLI_SURFACE = {
+    "phantom": {
+        "--spec": (None, None, True),
+        "--out": (None, None, True),
+        "--rng-seed": (int, 0, False),
+    },
+    "centerline": {
+        "--mask": (None, None, True),
+        "--p1": (cli._triple, None, False),
+        "--p2": (cli._triple, None, False),
+        "--endpoints": (None, None, False),
+        "--delta": (float, 0.5, False),
+        "--out": (None, None, True),
+    },
+    "prior": {
+        "--peaks": (None, None, True),
+        "--centerline": (None, None, True),
+        "--mask": (None, None, True),
+        "--cutoff": (float, 0.05, False),
+        "--centerline-only": (None, False, False),
+        "--out": (None, None, True),
+    },
+    "fit": {
+        "--prior": (None, None, True),
+        "--mask": (None, None, True),
+        "--order": (int, 4, False),
+        "--ridge": (float, None, False),
+        "--out": (None, None, True),
+    },
+    "track": {
+        "--field": (None, None, True),
+        "--mask": (None, None, True),
+        **TRACK_SURFACE,
+        **NOISE_SURFACE,
+        "--out": (None, None, True),
+    },
+    "baseline": {
+        "--peaks": (None, None, True),
+        "--mask": (None, None, True),
+        **TRACK_SURFACE,
+        "--angle-max": (float, 40.0, False),
+        "--cutoff": (float, 0.05, False),
+        "--out": (None, None, True),
+    },
+    "metrics": {
+        "--tract": (None, None, True),
+        "--ref-tract": (None, None, True),
+        "--grid": (None, None, True),
+        "--ref-mask": (None, None, False),
+        "--out": (None, None, True),
+    },
+    "pipeline": {
+        "--spec": (None, None, True),
+        "--out": (None, None, True),
+        "--order": (int, 4, False),
+        "--ridge": (float, None, False),
+        "--cutoff": (float, 0.05, False),
+        "--centerline-only": (None, False, False),
+        "--delta": (float, 0.5, False),
+        "--angle-max": (float, 40.0, False),
+        **TRACK_SURFACE,
+        **NOISE_SURFACE,
+    },
+}
 RECORD_RE = re.compile(
     r"^overlap=(\d+\.\d{4}) hd=(\d+\.\d{4}) ahd=(\d+\.\d{4})$"
 )
@@ -43,6 +124,12 @@ RECORD_RE = re.compile(
 def read_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def manifest_text(run_dir, name):
+    """A stage manifest with the run directory replaced by a placeholder."""
+    text = (run_dir / f"manifest-{name}.json").read_text()
+    return text.replace(str(run_dir), "<run>")
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +174,23 @@ def stages_dir(tmp_path_factory, spec_file):
     for cmd in cmds:
         assert main(cmd) == 0, cmd[0]
     return out
+
+
+class TestParser:
+    def test_flags_and_defaults_are_pinned(self):
+        parser = cli._build_parser()
+        sub = next(
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        surface = {
+            name: {
+                a.option_strings[0]: (a.type, a.default, a.required)
+                for a in p._actions
+                if a.dest != "help"
+            }
+            for name, p in sub.choices.items()
+        }
+        assert surface == CLI_SURFACE
 
 
 class TestExitCodes:
@@ -134,13 +238,31 @@ class TestExitCodes:
         assert "invalid parameter" in capsys.readouterr().err
 
     def test_bad_track_step_is_parameter_error(self, tmp_path, stages_dir, capsys):
+        track = ["track", "--field", f"{stages_dir}/field.txt"]
+        baseline = ["baseline", "--peaks", f"{stages_dir}/peaks.rvf"]
+        for stage, flag, value in [
+            (track, "--step", "0"),
+            (track, "--step", "nan"),
+            (track, "--sigma", "nan"),
+            (baseline, "--min-len", "nan"),
+        ]:
+            code = main(stage + [
+                "--mask", f"{stages_dir}/mask.rvf", flag, value,
+                "--out", str(tmp_path),
+            ])
+            assert code == 1, (stage[0], flag, value)
+            assert "invalid parameter" in capsys.readouterr().err
+
+    def test_mismatched_grids_is_data_error(self, tmp_path, stages_dir, capsys):
+        small = tmp_path / "small.rvf"
+        save_mask(Mask(VolumeGrid((2, 2, 2), (1, 1, 1), (0, 0, 0),
+                                  np.ones((2, 2, 2), np.uint8))), small)
         code = main([
-            "track", "--field", f"{stages_dir}/field.txt",
-            "--mask", f"{stages_dir}/mask.rvf", "--step", "0",
+            "fit", "--prior", f"{stages_dir}/prior.rvf", "--mask", str(small),
             "--out", str(tmp_path),
         ])
-        assert code == 1
-        assert "invalid parameter" in capsys.readouterr().err
+        assert code == 2
+        assert "does not match" in capsys.readouterr().err
 
     def test_underdetermined_fit_is_numerical_error(self, tmp_path, capsys):
         spec = PhantomSpec(kind="straight-tube", radius=1.0, length=4.0)
@@ -275,6 +397,10 @@ class TestPipelineCommand:
         for name in DATA_ARTIFACTS:
             assert read_bytes(pipeline_dir / name) == read_bytes(
                 stages_dir / name
+            ), name
+        for name in STAGE_NAMES:
+            assert manifest_text(pipeline_dir, name) == manifest_text(
+                stages_dir, name
             ), name
 
     def test_rerun_is_byte_identical(self, tmp_path, spec_file, pipeline_dir):

@@ -121,12 +121,13 @@ class TestTypeValidation:
         Tract([line], step=0.31)
 
     def test_peaks_validate_catches_non_unit(self):
-        dirs = np.zeros((1, 1, 1, 1, 3))
-        dirs[..., 0] = 0.5
-        amps = np.ones((1, 1, 1, 1))
-        peaks = PeaksField((1, 1, 1), (1, 1, 1), (0, 0, 0), dirs, amps)
-        with pytest.raises(ValueError):
-            peaks.validate()
+        for x, amp in [(0.5, 1.0), (np.nan, 1.0), (1.0, np.nan)]:
+            dirs = np.zeros((1, 1, 1, 1, 3))
+            dirs[..., 0] = x
+            amps = np.full((1, 1, 1, 1), amp)
+            peaks = PeaksField((1, 1, 1), (1, 1, 1), (0, 0, 0), dirs, amps)
+            with pytest.raises(ValueError):
+                peaks.validate()
 
     def test_peaks_validate_catches_unsorted(self):
         dirs = np.zeros((1, 1, 1, 2, 3))
@@ -172,9 +173,14 @@ class TestVolumeRoundTrip:
 
     def test_malformed_header_names_line(self, tmp_path):
         path = tmp_path / "bad.rvf"
-        path.write_bytes(b"dims: 1 1 1\nspacing 1 1 1\n\n")
-        with pytest.raises(FormatError, match="spacing"):
-            load_volume(path)
+        for header in [
+            b"dims: 1 1 1\nspacing 1 1 1\n\n",
+            b"dims: 1 1 1\nspacing: nan 1.0 1.0\norigin: 0 0 0\n"
+            b"dtype: u8\nencoding: raw\n\n\x01",
+        ]:
+            path.write_bytes(header)
+            with pytest.raises(FormatError, match="spacing"):
+                load_volume(path)
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "short.rvf"

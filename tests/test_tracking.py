@@ -74,6 +74,9 @@ class TestTrackParams:
             ({"max_steps": 0}, "max_steps"),
             ({"seed_count": 0}, "seed_count"),
             ({"min_len": -1.0}, "min_len"),
+            ({"step": float("nan")}, "step"),
+            ({"sigma": float("nan")}, "sigma"),
+            ({"min_len": float("nan")}, "min_len"),
         ],
     )
     def test_rejects_bad_values(self, kwargs, match):
