@@ -8,6 +8,7 @@ uniform arc-length step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -231,6 +232,8 @@ def extract_centerline(mask: Mask, p1, p2, delta=RESAMPLE_STEP) -> Centerline:
     projected back to the nearest foreground voxel center, and the result is
     resampled at arc-length step ``delta`` with central-difference tangents.
     """
+    if not 0 < delta < math.inf:
+        raise ValueError("delta must be positive and finite")
     start = _endpoint_voxel(mask, p1, "p1")
     goal = _endpoint_voxel(mask, p2, "p2")
     if start == goal:

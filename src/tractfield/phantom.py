@@ -180,13 +180,20 @@ class PhantomSpec:
         object.__setattr__(self, "spacing", tuple(float(v) for v in spacing))
         if len(self.spacing) != 3:
             raise ValueError("spacing must be a scalar or three values")
-        if self.radius <= 0:
+        for name in _SPEC_FLOATS + ("spacing", "distractor_band", "origin"):
+            value = getattr(self, name)
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite")
+        # Written as "not (ok)" so that NaN fails every check too.
+        if not self.radius > 0:
             raise ValueError("radius must be positive")
-        if min(self.spacing) <= 0:
+        if not min(self.spacing) > 0:
             raise ValueError("spacing must be positive")
         for name in ("length", "major_radius", "helix_radius", "pitch", "turns"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        if not self.noise_deg >= 0:
+            raise ValueError("noise_deg must be >= 0")
         if not 0 <= self.distractor_amp <= 1:
             raise ValueError("distractor_amp must be in [0, 1]")
         if self.distractor_count < 0:

@@ -8,6 +8,7 @@ consumes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,6 +101,8 @@ def build_prior(
     in axial angle.  With ``centerline_only`` the selection runs only at the
     voxels the centerline itself passes through (first visit wins).
     """
+    if not math.isfinite(min_amp):
+        raise ValueError("min_amp must be finite")
     if not same_geometry(peaks, mask.grid):
         raise DomainError("peaks grid does not match the mask grid")
     dims = mask.grid.dims

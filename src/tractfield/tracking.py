@@ -1,12 +1,19 @@
 """Streamline generation through a fitted field, plus a peak-following baseline.
 
-Each streamline samples a Gaussian-perturbed unit direction from the field,
-advances with a classic fourth-order Runge-Kutta step whose remaining stages
-use the deterministic field, and runs bidirectionally from its seed until it
-leaves the mask, the field vanishes, or the step budget runs out.  Every
-streamline owns an independent random substream derived from the run seed,
-the seed coordinates, and the repetition index, so results are reproducible
-and do not depend on seed ordering or batch composition.
+One lockstep loop runs both trackers: all streamlines advance together from
+their seeds, forward then backward, until they leave the mask, their
+direction rule stops them, or the step budget runs out; the halves are
+spliced at the seed and lines shorter than ``min_len`` are dropped.  Two
+direction rules plug into it:
+
+- ``track``: a Runge-Kutta step whose first slope is a Gaussian-perturbed
+  unit field direction and whose later stages use the deterministic field;
+  it stops where the field vanishes.  Each streamline draws from its own
+  random substream keyed by the run seed, the seed coordinates and the
+  repetition index, so results do not depend on seed order or batching.
+- ``baseline_peak_track``: an Euler step, then a turn to the nearest
+  voxel's admissible peak closest in axial angle; it stops when no peak is
+  admissible or the turn exceeds ``angle_max``.
 """
 
 from __future__ import annotations
@@ -140,8 +147,14 @@ def _substream(rng_seed: int, seed_point: np.ndarray, rep: int):
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def _integrate_half(field, mask, start, d0, alive0, rngs, params):
-    """Advance all live streamlines in lockstep; returns per-stream points."""
+def _integrate_half(mask, start, d0, alive0, advance, turn, params):
+    """Advance all live streamlines in lockstep; returns per-stream points.
+
+    ``advance(eta, d)`` gives the rows' next points and ok flags; a row
+    stops when it fails or leaves the mask, and the exiting point is
+    dropped.  ``turn(rows, pts, prev)`` yields each accepted row's next
+    direction in row order, or None to stop that row there.
+    """
     n = len(start)
     points = [[] for _ in range(n)]
     eta = np.array(start, dtype=float)
@@ -151,7 +164,7 @@ def _integrate_half(field, mask, start, d0, alive0, rngs, params):
         act = np.flatnonzero(alive)
         if not len(act):
             break
-        new, ok = _rk4_many(field, eta[act], d[act], params.step)
+        new, ok = advance(eta[act], d[act])
         good = ok & inside_many(mask, new)
         alive[act[~good]] = False
         keep = act[good]
@@ -159,10 +172,8 @@ def _integrate_half(field, mask, start, d0, alive0, rngs, params):
             break
         accepted = new[good]
         eta[keep] = accepted
-        v = field.evaluate_many(accepted)
-        for row, i in enumerate(keep):
-            points[i].append(accepted[row])
-            nd = sample_direction(v[row], d[i], params.sigma, rngs[i])
+        for i, p, nd in zip(keep, accepted, turn(keep, accepted, d[keep])):
+            points[i].append(p)
             if nd is None:
                 alive[i] = False
             else:
@@ -170,16 +181,31 @@ def _integrate_half(field, mask, start, d0, alive0, rngs, params):
     return points
 
 
-def _filter_streamlines(raw, min_len):
-    kept = []
-    for pts in raw:
-        if len(pts) < 2:
+def _trace(mask, starts, first, advance, turn, params) -> Tract:
+    """Both halves from each start, spliced at it, kept when >= min_len.
+
+    ``first`` holds each start's initial direction, or None for a start
+    whose line is the start alone.
+    """
+    alive = np.array([d is not None for d in first], dtype=bool)
+    d0 = np.array([np.zeros(3) if d is None else d for d in first], dtype=float)
+    forward = _integrate_half(mask, starts, d0, alive, advance, turn, params)
+    if params.bidirectional:
+        backward = _integrate_half(mask, starts, -d0, alive, advance, turn, params)
+    else:
+        backward = [[] for _ in starts]
+    streamlines = []
+    for b, s, f in zip(backward, starts, forward):
+        if not b and not f:
             continue
-        arr = np.asarray(pts, dtype=float)
-        length = float(np.linalg.norm(np.diff(arr, axis=0), axis=1).sum())
-        if length >= min_len:
-            kept.append(arr)
-    return kept
+        line = np.asarray(b[::-1] + [s] + f, dtype=float)
+        if np.linalg.norm(np.diff(line, axis=0), axis=1).sum() >= params.min_len:
+            streamlines.append(line)
+    if not streamlines:
+        raise EmptyTractError(
+            "every streamline was shorter than min_len; nothing to keep"
+        )
+    return Tract(streamlines, params.step)
 
 
 def _valid_seeds(mask: Mask, seeds) -> np.ndarray:
@@ -210,59 +236,22 @@ def track(field: PolyField, mask: Mask, seeds, params: TrackParams) -> Tract:
         for seed in kept_seeds
         for rep in range(reps)
     ]
-    n = len(starts)
-    v0 = field.evaluate_many(starts)
-    d0 = np.zeros((n, 3))
-    alive = np.zeros(n, dtype=bool)
-    for i in range(n):
-        d = sample_direction(v0[i], None, params.sigma, rngs[i])
-        if d is not None:
-            d0[i] = d
-            alive[i] = True
-    forward = _integrate_half(field, mask, starts, d0, alive, rngs, params)
-    if params.bidirectional:
-        backward = _integrate_half(field, mask, starts, -d0, alive, rngs, params)
-    else:
-        backward = [[] for _ in range(n)]
-    raw = [
-        backward[i][::-1] + [starts[i]] + forward[i]
-        for i in range(n)
-    ]
-    streamlines = _filter_streamlines(raw, params.min_len)
-    if not streamlines:
-        raise EmptyTractError(
-            "every streamline was shorter than min_len; nothing to keep"
+
+    def advance(eta, d):
+        return _rk4_many(field, eta, d, params.step)
+
+    def turn(rows, pts, prev):
+        v = field.evaluate_many(pts)
+        return (
+            sample_direction(u, p, params.sigma, rngs[i])
+            for u, p, i in zip(v, prev, rows)
         )
-    return Tract(streamlines, params.step)
 
-
-def _peak_at(peaks: PeaksField, mask: Mask, point, min_amp):
-    idx, inb = nearest_indices(mask.grid, [point])
-    if not inb[0]:
-        return None, None
-    voxel = tuple(int(v) for v in idx[0])
-    dirs, amps = peaks.peaks_at(voxel)
-    keep = amps >= min_amp
-    return dirs[keep], amps[keep]
-
-
-def _follow_peaks(peaks, mask, seed, d0, params, cos_stop, min_amp):
-    points = []
-    eta = np.asarray(seed, dtype=float)
-    d = np.asarray(d0, dtype=float)
-    for _ in range(params.max_steps):
-        eta = eta + params.step * d
-        if not inside_many(mask, [eta])[0]:
-            break
-        points.append(eta.copy())
-        dirs, amps = _peak_at(peaks, mask, eta, min_amp)
-        if dirs is None or not len(dirs):
-            break
-        nd = select_peak(dirs, amps, d, min_amp)
-        if nd is None or float(np.dot(nd, d)) < cos_stop:
-            break
-        d = nd
-    return points
+    first = [
+        sample_direction(v, None, params.sigma, rng)
+        for v, rng in zip(field.evaluate_many(starts), rngs)
+    ]
+    return _trace(mask, starts, first, advance, turn, params)
 
 
 def baseline_peak_track(
@@ -281,26 +270,27 @@ def baseline_peak_track(
     no peak passes ``min_amp``, or on the tracker's shared stopping rules.
     One streamline per direction per seed; repetitions would be identical.
     """
+    # The range test is written as "not (ok)" so that NaN fails it too.
+    if not math.isfinite(min_amp):
+        raise ValueError("min_amp must be finite")
+    if not 0 <= angle_max <= 180:
+        raise ValueError("angle_max must be in [0, 180] degrees")
     kept_seeds = _valid_seeds(mask, seeds)
     cos_stop = math.cos(math.radians(angle_max)) - 1e-9
-    raw = []
-    for seed in kept_seeds:
-        dirs, amps = _peak_at(peaks, mask, seed, min_amp)
-        if dirs is None or not len(dirs):
-            raw.append([np.asarray(seed, dtype=float)])
-            continue
-        d0 = dirs[0]
-        forward = _follow_peaks(peaks, mask, seed, d0, params, cos_stop, min_amp)
-        if params.bidirectional:
-            backward = _follow_peaks(
-                peaks, mask, seed, -d0, params, cos_stop, min_amp
-            )
-        else:
-            backward = []
-        raw.append(backward[::-1] + [np.asarray(seed, dtype=float)] + forward)
-    streamlines = _filter_streamlines(raw, params.min_len)
-    if not streamlines:
-        raise EmptyTractError(
-            "every streamline was shorter than min_len; nothing to keep"
-        )
-    return Tract(streamlines, params.step)
+
+    def advance(eta, d):
+        return eta + params.step * d, np.ones(len(eta), dtype=bool)
+
+    def turn(rows, pts, prev):
+        idx, _ = nearest_indices(mask.grid, pts)
+        for ijk, p in zip(idx, prev):
+            nd = select_peak(*peaks.peaks_at(ijk), p, min_amp)
+            yield None if nd is None or float(np.dot(nd, p)) < cos_stop else nd
+
+    # Each seed starts along its first admissible peak in storage order.
+    first = []
+    for ijk in nearest_indices(mask.grid, kept_seeds)[0]:
+        dirs, amps = peaks.peaks_at(ijk)
+        dirs = dirs[amps >= min_amp]
+        first.append(dirs[0] if len(dirs) else None)
+    return _trace(mask, kept_seeds, first, advance, turn, params)

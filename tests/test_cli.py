@@ -218,8 +218,13 @@ class TestExitCodes:
 
     def test_malformed_spec_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.spec"
-        bad.write_text("kind: moebius-strip\n")
-        assert main(["phantom", "--spec", str(bad), "--out", str(tmp_path)]) == 2
+        for key, value in [
+            ("kind", "moebius-strip"), ("radius", "nan"), ("noise_deg", "nan"),
+        ]:
+            bad.write_text(f"{key}: {value}\n")
+            assert main(["phantom", "--spec", str(bad), "--out", str(tmp_path)]) == 2
+            err = capsys.readouterr().err
+            assert str(bad) in err and key in err, (key, value)
 
     def test_malformed_endpoints_is_data_error(self, tmp_path, stages_dir, capsys):
         bad = tmp_path / "endpoints.txt"
@@ -240,11 +245,24 @@ class TestExitCodes:
     def test_bad_track_step_is_parameter_error(self, tmp_path, stages_dir, capsys):
         track = ["track", "--field", f"{stages_dir}/field.txt"]
         baseline = ["baseline", "--peaks", f"{stages_dir}/peaks.rvf"]
+        prior = ["prior", "--peaks", f"{stages_dir}/peaks.rvf",
+                 "--centerline", f"{stages_dir}/centerline.tract"]
+        centerline = ["centerline", "--endpoints", f"{stages_dir}/endpoints.txt"]
         for stage, flag, value in [
             (track, "--step", "0"),
             (track, "--step", "nan"),
             (track, "--sigma", "nan"),
             (baseline, "--min-len", "nan"),
+            (prior, "--cutoff", "nan"),
+            (prior, "--cutoff", "inf"),
+            (baseline, "--cutoff", "nan"),
+            (baseline, "--angle-max", "nan"),
+            (baseline, "--angle-max", "-10"),
+            (baseline, "--angle-max", "400"),
+            (centerline, "--delta", "0"),
+            (centerline, "--delta", "-1"),
+            (centerline, "--delta", "nan"),
+            (centerline, "--delta", "inf"),
         ]:
             code = main(stage + [
                 "--mask", f"{stages_dir}/mask.rvf", flag, value,

@@ -215,6 +215,26 @@ class TestCompletionRate:
         assert completion_rate(Tract([], step=0.5), desc) == 0.0
 
 
+class TestSpecValidation:
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            (dict(radius=float("nan")), "radius"),
+            (dict(length=float("nan")), "length"),
+            (dict(fan_rate=float("inf")), "fan_rate"),
+            (dict(noise_deg=float("nan")), "noise_deg"),
+            (dict(noise_deg=-1.0), "noise_deg"),
+            (dict(distractor_amp=float("nan")), "distractor_amp"),
+            (dict(spacing=(1.0, float("nan"), 1.0)), "spacing"),
+            (dict(distractor_band=(0.4, float("nan"))), "distractor_band"),
+            (dict(dims=(5, 5, 5), origin=(0.0, float("nan"), 0.0)), "origin"),
+        ],
+    )
+    def test_rejects_non_finite_fields(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            PhantomSpec(**kwargs)
+
+
 class TestSpecIO:
     def test_round_trip(self, tmp_path):
         spec = PhantomSpec(kind="helix", radius=2.5, helix_radius=8.0, pitch=8.0,

@@ -329,6 +329,20 @@ class TestBaselinePeakTrack:
             l.tobytes() for l in b.streamlines
         ]
 
+    def test_single_seed_run_embedded_in_batch(self, torus):
+        params = TrackParams(step=0.3, sigma=0.0, seed_count=1, min_len=0.0)
+        seeds = [torus.field.axis_point(t) for t in np.linspace(0.1, 1.4, 5)]
+        seeds.append(seeds[2] + np.array([0.0, 0.0, 1.5]))
+        alone = [
+            line.tobytes()
+            for seed in seeds
+            for line in baseline_peak_track(
+                torus.peaks, torus.mask, [seed], params
+            ).streamlines
+        ]
+        batch = baseline_peak_track(torus.peaks, torus.mask, seeds, params)
+        assert alone == [line.tobytes() for line in batch.streamlines]
+
     def test_points_stay_inside_mask(self, torus):
         seed = torus.field.axis_point(math.pi / 4)
         params = TrackParams(step=0.3, sigma=0.0, seed_count=1)
