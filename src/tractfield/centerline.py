@@ -77,12 +77,6 @@ class Centerline:
     def p2(self) -> np.ndarray:
         return self.points[-1]
 
-    def arc_lengths(self) -> np.ndarray:
-        if len(self.points) < 2:
-            return np.zeros(1)
-        segs = np.linalg.norm(np.diff(self.points, axis=0), axis=1)
-        return np.concatenate([[0.0], np.cumsum(segs)])
-
 
 def distance_transform(mask: Mask) -> VolumeGrid:
     """Exact Euclidean distance (mm) from each foreground voxel center to the
@@ -286,4 +280,6 @@ def load_centerline(path) -> Centerline:
         raise FormatError(f"{path}: centerline file must hold exactly one polyline")
     delta = _step_from_headers(headers, path)
     pts = groups[0]
+    if not np.isfinite(pts).all():
+        raise FormatError(f"{path}: centerline points must be finite")
     return Centerline(pts, _unit_tangents(pts), delta)

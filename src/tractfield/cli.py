@@ -22,14 +22,14 @@ import numpy as np
 
 from . import __version__
 from .centerline import RESAMPLE_STEP, extract_centerline, load_centerline, save_centerline
-from .errors import (
-    ConditioningError,
-    FormatError,
-    TractFieldError,
-    UnderdeterminedError,
-)
+from .errors import ConditioningError, TractFieldError, UnderdeterminedError
 from .grids import (
-    _fmt,
+    _line,
+    _numbers,
+    _parse_fields,
+    _read_text,
+    _require_keys,
+    _write_text,
     load_mask,
     load_peaks,
     load_tract,
@@ -88,24 +88,13 @@ def _write_manifest(out_dir, name, parameters, inputs, outputs):
 
 
 def _save_endpoints(path, p1, p2):
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("p1: " + " ".join(_fmt(v) for v in p1) + "\n")
-        fh.write("p2: " + " ".join(_fmt(v) for v in p2) + "\n")
+    _write_text(path, [_line("p1", p1), _line("p2", p2)])
 
 
 def _load_endpoints(path):
-    values = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh.read().splitlines():
-            if not line.strip():
-                continue
-            key, sep, value = line.partition(": ")
-            if not sep or key not in ("p1", "p2") or key in values:
-                raise FormatError(f"{path}: malformed endpoint line {line!r}")
-            values[key] = np.array([float(v) for v in value.split()])
-    if set(values) != {"p1", "p2"}:
-        raise FormatError(f"{path}: endpoint file needs both p1 and p2")
-    return values["p1"], values["p2"]
+    fields = _parse_fields(_read_text(path).splitlines(), path)
+    _require_keys(fields, ("p1", "p2"), path)
+    return tuple(np.array(_numbers(fields[key], key, path, 3)) for key in ("p1", "p2"))
 
 
 class _Flag(NamedTuple):
@@ -314,8 +303,7 @@ def _metrics(args):
         f"avg hausdorff    {ahd:8.2f}  mm, pooled points vs reference tract",
     ]
     path = _out(args, METRICS_FILE)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(table) + "\n")
+    _write_text(path, table)
     print("\n".join(table))
     inputs = {
         "tract": args.tract,
@@ -411,7 +399,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (UnderdeterminedError, ConditioningError) as exc:
+    except (UnderdeterminedError, ConditioningError, np.linalg.LinAlgError) as exc:
         print(f"tractfield: numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

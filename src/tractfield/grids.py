@@ -7,6 +7,7 @@ axes; file payloads are little endian with x varying fastest.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,15 +137,17 @@ class Tract:
 
     def __post_init__(self):
         self.step = float(self.step)
-        if self.step <= 0:
-            raise ValueError("step must be positive")
+        if not 0 < self.step < math.inf:
+            raise ValueError("step must be positive and finite")
         cleaned = []
         for sl in self.streamlines:
             arr = np.asarray(sl, dtype=float)
             if arr.ndim != 2 or arr.shape[1] != 3 or len(arr) < 2:
                 raise ValueError("each streamline needs at least two 3-D points")
+            if not np.isfinite(arr).all():
+                raise ValueError("streamline points must be finite")
             gaps = np.linalg.norm(np.diff(arr, axis=0), axis=1)
-            if gaps.max() > 2.0 * self.step + 1e-9:
+            if not (gaps.max() <= 2.0 * self.step + 1e-9):
                 raise ValueError("consecutive streamline points exceed twice the step length")
             cleaned.append(arr)
         self.streamlines = cleaned
@@ -208,67 +211,114 @@ def same_geometry(a, b) -> bool:
     return a.dims == b.dims and a.spacing == b.spacing and a.origin == b.origin
 
 
-def _split_header(raw: bytes, path) -> tuple[dict, bytes]:
-    end = raw.find(b"\n\n")
-    if end < 0:
-        raise FormatError(f"{path}: header not terminated by a blank line")
+def _ascii(raw: bytes, path) -> str:
     try:
-        text = raw[:end].decode("ascii")
+        return raw.decode("ascii")
     except UnicodeDecodeError:
-        raise FormatError(f"{path}: header is not ASCII text") from None
+        raise FormatError(f"{path}: not ASCII text") from None
+
+
+def _read_text(path) -> str:
+    with open(path, "rb") as fh:
+        return _ascii(fh.read(), path)
+
+
+def _parse_fields(lines, path) -> dict:
+    """The ``key: value`` lines of every text format, as a dict.
+
+    Each line splits at its first colon and both sides are stripped; blank
+    lines and ``#`` comments are skipped, and a repeated key is an error.
+    """
     fields = {}
-    for line in text.split("\n"):
-        if ":" not in line:
-            raise FormatError(f"{path}: malformed header line {line!r}")
-        key, value = line.split(":", 1)
-        key, value = key.strip(), value.strip()
+    for line in lines:
+        s = line.strip()
+        if not s or s.startswith("#"):
+            continue
+        key, sep, value = s.partition(":")
+        key = key.strip()
+        if not sep or not key:
+            raise FormatError(f"{path}: malformed line {line!r}")
         if key in fields:
-            raise FormatError(f"{path}: duplicate header line {line!r}")
-        fields[key] = value
-    return fields, raw[end + 2:]
+            raise FormatError(f"{path}: duplicate key in line {line!r}")
+        fields[key] = value.strip()
+    return fields
 
 
-def _require_keys(fields: dict, expected: tuple, path):
+def _require_keys(fields: dict, expected, path):
     for key in expected:
         if key not in fields:
-            raise FormatError(f"{path}: missing header key {key!r}")
+            raise FormatError(f"{path}: missing key {key!r}")
     for key, value in fields.items():
         if key not in expected:
-            raise FormatError(f"{path}: unexpected header line {f'{key}: {value}'!r}")
+            raise FormatError(f"{path}: unexpected line {f'{key}: {value}'!r}")
 
 
-def _parse_triple(fields: dict, key: str, conv, path, positive=False) -> tuple:
-    value = fields[key]
-    parts = value.split()
-    line = f"{key}: {value}"
-    if len(parts) != 3:
-        raise FormatError(f"{path}: expected three values in header line {line!r}")
+def _numbers(text: str, what: str, path, count: int, conv=float) -> list:
+    """The ``count`` finite numbers in ``text``, the value of key ``what``.
+
+    A FormatError names the file and quotes the line.
+    """
+    parts = text.split()
+    line = f"{what}: {text}"
+    if len(parts) != count:
+        raise FormatError(f"{path}: expected {count} values in line {line!r}")
     try:
-        out = tuple(conv(p) for p in parts)
-    except ValueError:
-        raise FormatError(f"{path}: bad number in header line {line!r}") from None
-    if not all(np.isfinite(out)):
-        raise FormatError(f"{path}: values must be finite in header line {line!r}")
-    if positive and min(out) <= 0:
-        raise FormatError(f"{path}: values must be positive in header line {line!r}")
+        out = [conv(p) for p in parts]
+        finite = all(map(math.isfinite, out))
+    except (ValueError, OverflowError):
+        raise FormatError(f"{path}: bad number in line {line!r}") from None
+    if not finite:
+        raise FormatError(f"{path}: values must be finite in line {line!r}")
     return out
+
+
+def _line(key: str, values) -> str:
+    """One ``key: value`` line; numbers are written with ``_fmt``."""
+    if isinstance(values, str):
+        return f"{key}: {values}"
+    return f"{key}: " + " ".join(_fmt(v) for v in np.ravel(values))
+
+
+def _write_text(path, lines):
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _load_raw_grid(path, expected_keys):
     with open(path, "rb") as fh:
         raw = fh.read()
-    fields, payload = _split_header(raw, path)
+    end = raw.find(b"\n\n")
+    if end < 0:
+        raise FormatError(f"{path}: header not terminated by a blank line")
+    fields = _parse_fields(_ascii(raw[:end], path).split("\n"), path)
     _require_keys(fields, expected_keys, path)
-    dims = _parse_triple(fields, "dims", int, path, positive=True)
-    spacing = _parse_triple(fields, "spacing", float, path, positive=True)
-    origin = _parse_triple(fields, "origin", float, path)
-    if fields["encoding"] != "raw":
-        line = "encoding: " + fields["encoding"]
-        raise FormatError(f"{path}: unsupported header line {line!r}")
-    if fields["dtype"] not in _DTYPES:
-        line = "dtype: " + fields["dtype"]
-        raise FormatError(f"{path}: unsupported header line {line!r}")
-    return fields, payload, dims, spacing, origin
+    dims = tuple(_numbers(fields["dims"], "dims", path, 3, int))
+    spacing = tuple(_numbers(fields["spacing"], "spacing", path, 3))
+    origin = tuple(_numbers(fields["origin"], "origin", path, 3))
+    for key, values in (("dims", dims), ("spacing", spacing)):
+        if min(values) <= 0:
+            raise FormatError(f"{path}: values must be positive in line "
+                              f"{_line(key, fields[key])!r}")
+    for key, allowed in (("encoding", ("raw",)), ("dtype", _DTYPES)):
+        if fields[key] not in allowed:
+            raise FormatError(f"{path}: unsupported line {_line(key, fields[key])!r}")
+    return fields, raw[end + 2:], dims, spacing, origin
+
+
+def _save_raw_grid(grid, path, dtype: str, payload: np.ndarray, *extra):
+    """Write the ``.rvf`` header (floats as ``repr``, which is lossless),
+    one blank line, then the payload bytes."""
+    lines = [
+        _line("dims", grid.dims),
+        _line("spacing", " ".join(map(repr, grid.spacing))),
+        _line("origin", " ".join(map(repr, grid.origin))),
+        _line("dtype", dtype),
+        _line("encoding", "raw"),
+        *extra,
+    ]
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(lines) + "\n\n").encode("ascii"))
+        fh.write(payload.tobytes())
 
 
 def load_volume(path) -> VolumeGrid:
@@ -293,18 +343,7 @@ def save_volume(grid: VolumeGrid, path):
     """Write a volume file; uint8 data is stored as u8, anything else as f32."""
     key = "u8" if grid.data.dtype == np.uint8 else "f32"
     arr = np.asarray(grid.data, dtype=_DTYPES[key])
-    header = (
-        ("dims", " ".join(str(d) for d in grid.dims)),
-        ("spacing", " ".join(repr(s) for s in grid.spacing)),
-        ("origin", " ".join(repr(o) for o in grid.origin)),
-        ("dtype", key),
-        ("encoding", "raw"),
-    )
-    with open(path, "wb") as fh:
-        for k, v in header:
-            fh.write(f"{k}: {v}\n".encode("ascii"))
-        fh.write(b"\n")
-        fh.write(arr.ravel(order="F").tobytes())
+    _save_raw_grid(grid, path, key, arr.ravel(order="F"))
 
 
 def load_mask(path) -> Mask:
@@ -328,13 +367,10 @@ def load_peaks(path) -> PeaksField:
     fields, payload, dims, spacing, origin = _load_raw_grid(path, _PEAKS_KEYS)
     if fields["dtype"] != "f32":
         raise FormatError(f"{path}: peaks files require dtype f32")
-    line = "peaks_per_voxel: " + fields["peaks_per_voxel"]
-    try:
-        k = int(fields["peaks_per_voxel"])
-    except ValueError:
-        raise FormatError(f"{path}: bad number in header line {line!r}") from None
+    (k,) = _numbers(fields["peaks_per_voxel"], "peaks_per_voxel", path, 1, int)
     if k < 1:
-        raise FormatError(f"{path}: values must be positive in header line {line!r}")
+        raise FormatError(f"{path}: values must be positive in line "
+                          f"{_line('peaks_per_voxel', k)!r}")
     expected = dims[0] * dims[1] * dims[2] * k * 4 * 4
     if len(payload) != expected:
         raise TruncationError(
@@ -353,24 +389,12 @@ def load_peaks(path) -> PeaksField:
 
 
 def save_peaks(peaks: PeaksField, path):
-    k = peaks.peaks_per_voxel
     stacked = np.concatenate(
         [peaks.directions, peaks.amplitudes[..., None]], axis=-1
     )
     payload = np.ascontiguousarray(stacked.transpose(2, 1, 0, 3, 4), dtype="<f4")
-    header = (
-        ("dims", " ".join(str(d) for d in peaks.dims)),
-        ("spacing", " ".join(repr(s) for s in peaks.spacing)),
-        ("origin", " ".join(repr(o) for o in peaks.origin)),
-        ("dtype", "f32"),
-        ("encoding", "raw"),
-        ("peaks_per_voxel", str(k)),
-    )
-    with open(path, "wb") as fh:
-        for key, value in header:
-            fh.write(f"{key}: {value}\n".encode("ascii"))
-        fh.write(b"\n")
-        fh.write(payload.tobytes())
+    _save_raw_grid(peaks, path, "f32", payload,
+                   _line("peaks_per_voxel", peaks.peaks_per_voxel))
 
 
 def _write_points_text(path, groups, header_items):
@@ -380,8 +404,7 @@ def _write_points_text(path, groups, header_items):
         if gi:
             lines.append("")
         lines.extend(" ".join(_fmt(c) for c in p) for p in np.asarray(pts, float))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, lines)
 
 
 def _read_points_text(path) -> tuple[list, list]:
@@ -389,10 +412,8 @@ def _read_points_text(path) -> tuple[list, list]:
 
     Returns (header items, list of (n, 3) point arrays).
     """
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
     headers, groups, current = [], [], []
-    for ln, line in enumerate(text.split("\n"), 1):
+    for ln, line in enumerate(_read_text(path).split("\n"), 1):
         s = line.strip()
         if s.startswith("#"):
             headers.append(s[1:].strip())
@@ -415,14 +436,13 @@ def _read_points_text(path) -> tuple[list, list]:
 
 
 def _step_from_headers(headers, path) -> float:
-    for h in headers:
-        if h.startswith("step"):
-            parts = h.split()
-            try:
-                return float(parts[1])
-            except (IndexError, ValueError):
-                raise FormatError(f"{path}: bad step header {h!r}") from None
-    raise FormatError(f"{path}: missing '# step' header")
+    steps = [h[len("step"):].strip() for h in headers if h.split()[:1] == ["step"]]
+    if len(steps) != 1:
+        raise FormatError(f"{path}: expected one '# step' header, found {len(steps)}")
+    (step,) = _numbers(steps[0], "step", path, 1)
+    if step <= 0:
+        raise FormatError(f"{path}: step must be positive in line {f'step: {step}'!r}")
+    return step
 
 
 def load_tract(path) -> Tract:

@@ -17,7 +17,19 @@ from scipy.spatial import cKDTree
 
 from .centerline import RESAMPLE_STEP, Centerline
 from .errors import FormatError, GeometryError
-from .grids import Mask, PeaksField, Tract, VolumeGrid, _fmt, nearest_indices
+from .grids import (
+    Mask,
+    PeaksField,
+    Tract,
+    VolumeGrid,
+    _line,
+    _numbers,
+    _parse_fields,
+    _read_text,
+    _require_keys,
+    _write_text,
+    nearest_indices,
+)
 from .polyfield import PolyField, monomial_exponents, term_count
 
 KINDS = ("straight-tube", "quarter-torus", "helix", "fanning")
@@ -180,10 +192,16 @@ class PhantomSpec:
         object.__setattr__(self, "spacing", tuple(float(v) for v in spacing))
         if len(self.spacing) != 3:
             raise ValueError("spacing must be a scalar or three values")
-        for name in _SPEC_FLOATS + ("spacing", "distractor_band", "origin"):
+        for name, (conv, _) in _SPEC_KEYS.items():
             value = getattr(self, name)
-            if value is not None and not np.all(np.isfinite(value)):
+            if conv is float and value is not None and not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} must be finite")
+        if np.shape(self.distractor_band) != (2,):
+            raise ValueError("distractor_band must hold two values")
+        if self.dims is not None and not (
+            np.shape(self.dims) == (3,) and min(self.dims) > 0
+        ):
+            raise ValueError("dims must be three positive integers")
         # Written as "not (ok)" so that NaN fails every check too.
         if not self.radius > 0:
             raise ValueError("radius must be positive")
@@ -196,8 +214,9 @@ class PhantomSpec:
             raise ValueError("noise_deg must be >= 0")
         if not 0 <= self.distractor_amp <= 1:
             raise ValueError("distractor_amp must be in [0, 1]")
-        if self.distractor_count < 0:
-            raise ValueError("distractor_count must be >= 0")
+        for name in ("distractor_count", "margin"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -453,114 +472,74 @@ def completion_rate(tract: Tract, desc: FieldDescriptor, frac: float = 0.05) -> 
     return done / len(tract.streamlines)
 
 
-_SPEC_FLOATS = (
-    "radius",
-    "length",
-    "major_radius",
-    "helix_radius",
-    "pitch",
-    "turns",
-    "fan_rate",
-    "noise_deg",
-    "distractor_amp",
-)
-_SPEC_INTS = ("distractor_count", "margin")
+# Every spec key in file order: (converter, value count).  A count of 1
+# reads a scalar.
+_SPEC_KEYS = {
+    "kind": (str, 1),
+    "spacing": (float, 3),
+    **dict.fromkeys(
+        ("radius", "length", "major_radius", "helix_radius", "pitch", "turns",
+         "fan_rate", "noise_deg", "distractor_amp"),
+        (float, 1),
+    ),
+    "distractor_count": (int, 1),
+    "margin": (int, 1),
+    "distractor_band": (float, 2),
+    "dims": (int, 3),
+    "origin": (float, 3),
+}
 
 
 def save_phantom_spec(spec: PhantomSpec, path):
     """Write a phantom spec as a key: value text file."""
-    lines = [f"kind: {spec.kind}"]
-    lines.append("spacing: " + " ".join(_fmt(v) for v in spec.spacing))
-    for name in _SPEC_FLOATS:
-        lines.append(f"{name}: {_fmt(getattr(spec, name))}")
-    for name in _SPEC_INTS:
-        lines.append(f"{name}: {getattr(spec, name)}")
-    lines.append(
-        "distractor_band: " + " ".join(_fmt(v) for v in spec.distractor_band)
-    )
-    if spec.dims is not None:
-        lines.append("dims: " + " ".join(str(int(v)) for v in spec.dims))
-    if spec.origin is not None:
-        lines.append("origin: " + " ".join(_fmt(v) for v in spec.origin))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    values = ((key, getattr(spec, key)) for key in _SPEC_KEYS)
+    _write_text(path, [_line(key, v) for key, v in values if v is not None])
 
 
 def load_phantom_spec(path) -> PhantomSpec:
     """Read a phantom spec text file; omitted keys keep their defaults."""
     kwargs = {}
-    with open(path, "r", encoding="ascii", newline="\n") as fh:
-        for lineno, line in enumerate(fh.read().splitlines(), start=1):
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            key, sep, value = line.partition(": ")
-            key = key.strip()
-            if not sep or not value.strip():
-                raise FormatError(f"{path}:{lineno}: malformed spec line {line!r}")
-            if key in kwargs:
-                raise FormatError(f"{path}:{lineno}: duplicate key {key!r}")
-            value = value.strip()
-            try:
-                if key == "kind":
-                    kwargs[key] = value
-                elif key in _SPEC_FLOATS:
-                    kwargs[key] = float(value)
-                elif key in _SPEC_INTS:
-                    kwargs[key] = int(value)
-                elif key == "spacing":
-                    parts = [float(v) for v in value.split()]
-                    kwargs[key] = tuple(parts * 3) if len(parts) == 1 else tuple(parts)
-                elif key == "distractor_band":
-                    kwargs[key] = tuple(float(v) for v in value.split())
-                elif key == "dims":
-                    kwargs[key] = tuple(int(v) for v in value.split())
-                elif key == "origin":
-                    kwargs[key] = tuple(float(v) for v in value.split())
-                else:
-                    raise FormatError(f"{path}:{lineno}: unknown spec key {key!r}")
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from exc
+    for key, text in _parse_fields(_read_text(path).splitlines(), path).items():
+        if key not in _SPEC_KEYS:
+            raise FormatError(f"{path}: unknown spec key {key!r}")
+        conv, count = _SPEC_KEYS[key]
+        if conv is str:
+            kwargs[key] = text
+            continue
+        if key == "spacing" and len(text.split()) == 1:
+            count = 1  # one spacing for all three axes
+        values = _numbers(text, key, path, count, conv)
+        kwargs[key] = values[0] if count == 1 else tuple(values)
     try:
         return PhantomSpec(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 
 def save_descriptor(desc: FieldDescriptor, path):
     """Write a field descriptor as a small key: value text file."""
     lines = [
-        f"kind: {desc.kind}",
-        "constant: " + " ".join(_fmt(v) for v in desc.constant),
-        "linear: " + " ".join(_fmt(v) for v in desc.linear.ravel()),
+        _line("kind", desc.kind),
+        _line("constant", desc.constant),
+        _line("linear", desc.linear),
     ]
-    for name in sorted(desc.params):
-        lines.append(f"param.{name}: {_fmt(desc.params[name])}")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines += [_line(f"param.{name}", desc.params[name]) for name in sorted(desc.params)]
+    _write_text(path, lines)
 
 
 def load_descriptor(path) -> FieldDescriptor:
     """Read a field descriptor written by ``save_descriptor``."""
-    fields = {}
-    with open(path, "r", encoding="ascii", newline="\n") as fh:
-        for line in fh.read().splitlines():
-            if not line.strip():
-                continue
-            key, sep, value = line.partition(": ")
-            if not sep or key in fields:
-                raise FormatError(f"{path}: malformed descriptor line {line!r}")
-            fields[key] = value
-    for key in ("kind", "constant", "linear"):
-        if key not in fields:
-            raise FormatError(f"{path}: missing descriptor key {key!r}")
+    fields = _parse_fields(_read_text(path).splitlines(), path)
+    kind = fields.get("kind")
+    if kind not in KINDS:
+        raise FormatError(f"{path}: kind must be one of {KINDS}, got {kind!r}")
+    # The param.* keys are exactly the ones the generator writes for the kind.
+    params = [f"param.{name}" for name in _descriptor(PhantomSpec(kind)).params]
+    _require_keys(fields, ["kind", "constant", "linear"] + params, path)
+    constant = _numbers(fields["constant"], "constant", path, 3)
+    linear = _numbers(fields["linear"], "linear", path, 9)
+    values = {key[len("param."):]: _numbers(fields[key], key, path, 1)[0] for key in params}
     try:
-        constant = np.array([float(v) for v in fields["constant"].split()])
-        linear = np.array([float(v) for v in fields["linear"].split()]).reshape(3, 3)
-        params = {
-            key[len("param."):]: float(value)
-            for key, value in fields.items()
-            if key.startswith("param.")
-        }
-        return FieldDescriptor(fields["kind"], constant, linear, params)
+        return FieldDescriptor(kind, constant, linear, values)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc

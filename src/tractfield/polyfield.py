@@ -20,7 +20,17 @@ from .errors import (
     FormatError,
     UnderdeterminedError,
 )
-from .grids import Mask, _fmt, same_geometry
+from .grids import (
+    Mask,
+    _fmt,
+    _line,
+    _numbers,
+    _parse_fields,
+    _read_text,
+    _require_keys,
+    _write_text,
+    same_geometry,
+)
 
 _RCOND_MAX = 1e12
 
@@ -216,8 +226,8 @@ def fit_field(
     if pts.shape != tgt.shape or pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("points and targets must both be (n, 3) arrays")
     ridge = float(ridge)
-    if ridge < 0:
-        raise ValueError("ridge must be >= 0")
+    if not 0 <= ridge < np.inf:
+        raise ValueError("ridge must be finite and >= 0")
     probe = PolyField(order, np.zeros((3, term_count(order))), offset, scale)
     cons = divergence_constraints(order)
     null = linalg.null_space(cons) if len(cons) else np.eye(3 * term_count(order))
@@ -300,56 +310,39 @@ def fit_bundle_field(prior, mask: Mask, order: int = 4, ridge=None) -> PolyField
 
 def save_field(field_: PolyField, path):
     """Write a field as a small ASCII text file."""
-    m = term_count(field_.order)
     lines = [
-        f"order: {field_.order}",
-        f"terms: {m}",
-        "offset: " + " ".join(_fmt(v) for v in field_.offset),
-        "scale: " + " ".join(_fmt(v) for v in field_.scale),
+        _line("order", field_.order),
+        _line("terms", term_count(field_.order)),
+        _line("offset", field_.offset),
+        _line("scale", field_.scale),
         "",
     ]
-    for row in field_.coeffs:
-        lines.append(" ".join(_fmt(v) for v in row))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines += [" ".join(_fmt(v) for v in row) for row in field_.coeffs]
+    _write_text(path, lines)
 
 
 def load_field(path) -> PolyField:
     """Read a field written by ``save_field``."""
-    with open(path, "r", encoding="ascii", newline="\n") as fh:
-        text = fh.read()
-    parts = text.split("\n\n", 1)
-    if len(parts) != 2:
+    head, sep, body = _read_text(path).partition("\n\n")
+    if not sep:
         raise FormatError(f"{path}: missing blank line after the header")
-    fields = {}
-    for line in parts[0].splitlines():
-        key, sep, value = line.partition(": ")
-        if not sep or key in fields:
-            raise FormatError(f"{path}: malformed header line {line!r}")
-        fields[key] = value
-    for key in ("order", "terms", "offset", "scale"):
-        if key not in fields:
-            raise FormatError(f"{path}: missing header key {key!r}")
-    try:
-        order = int(fields["order"])
-        terms = int(fields["terms"])
-        offset = np.array([float(v) for v in fields["offset"].split()])
-        scale = np.array([float(v) for v in fields["scale"].split()])
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    fields = _parse_fields(head.split("\n"), path)
+    _require_keys(fields, ("order", "terms", "offset", "scale"), path)
+    (order,) = _numbers(fields["order"], "order", path, 1, int)
+    (terms,) = _numbers(fields["terms"], "terms", path, 1, int)
+    offset = _numbers(fields["offset"], "offset", path, 3)
+    scale = _numbers(fields["scale"], "scale", path, 3)
     if order < 0 or terms != term_count(order):
         raise FormatError(
             f"{path}: terms {terms} does not match order {order}"
         )
-    rows = [line for line in parts[1].splitlines() if line.strip()]
+    rows = [line for line in body.splitlines() if line.strip()]
     if len(rows) != 3:
         raise FormatError(f"{path}: expected 3 coefficient rows, found {len(rows)}")
-    try:
-        coeffs = np.array([[float(v) for v in row.split()] for row in rows])
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-    if coeffs.shape != (3, terms):
-        raise FormatError(f"{path}: coefficient rows must hold {terms} values")
+    coeffs = [
+        _numbers(row, f"coefficient row {i}", path, terms)
+        for i, row in enumerate(rows, 1)
+    ]
     try:
         return PolyField(order, coeffs, offset, scale)
     except ValueError as exc:

@@ -48,18 +48,18 @@ class TrackParams:
     def __post_init__(self):
         # Written as "not (ok)" so that NaN, which fails every comparison,
         # is rejected too.
-        if not self.step > 0:
-            raise ValueError("step must be positive")
-        if not self.sigma >= 0:
-            raise ValueError("sigma must be >= 0")
+        if not 0 < self.step < math.inf:
+            raise ValueError("step must be positive and finite")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be finite and >= 0")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         if self.seed_count < 1:
             raise ValueError("seed_count must be >= 1")
         if self.min_len is None:
             object.__setattr__(self, "min_len", 3.0 * self.step)
-        elif not self.min_len >= 0:
-            raise ValueError("min_len must be >= 0")
+        elif not 0 <= self.min_len < math.inf:
+            raise ValueError("min_len must be finite and >= 0")
         object.__setattr__(self, "min_len", float(self.min_len))
 
 

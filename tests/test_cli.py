@@ -220,6 +220,7 @@ class TestExitCodes:
         bad = tmp_path / "bad.spec"
         for key, value in [
             ("kind", "moebius-strip"), ("radius", "nan"), ("noise_deg", "nan"),
+            ("distractor_band", "0.5"), ("margin", "-5"),
         ]:
             bad.write_text(f"{key}: {value}\n")
             assert main(["phantom", "--spec", str(bad), "--out", str(tmp_path)]) == 2
@@ -228,12 +229,18 @@ class TestExitCodes:
 
     def test_malformed_endpoints_is_data_error(self, tmp_path, stages_dir, capsys):
         bad = tmp_path / "endpoints.txt"
-        bad.write_text("p1 is somewhere\n")
-        code = main([
-            "centerline", "--mask", f"{stages_dir}/mask.rvf",
-            "--endpoints", str(bad), "--out", str(tmp_path),
-        ])
-        assert code == 2
+        for text in [
+            "p1 is somewhere\n",
+            "p1: a b c\np2: 1 0 0\n",
+            "p1: 0 0\np2: 1 0 0\n",
+        ]:
+            bad.write_text(text)
+            code = main([
+                "centerline", "--mask", f"{stages_dir}/mask.rvf",
+                "--endpoints", str(bad), "--out", str(tmp_path),
+            ])
+            assert code == 2, text
+            assert str(bad) in capsys.readouterr().err
 
     def test_centerline_needs_endpoints(self, tmp_path, stages_dir, capsys):
         code = main([
@@ -248,10 +255,17 @@ class TestExitCodes:
         prior = ["prior", "--peaks", f"{stages_dir}/peaks.rvf",
                  "--centerline", f"{stages_dir}/centerline.tract"]
         centerline = ["centerline", "--endpoints", f"{stages_dir}/endpoints.txt"]
+        fit = ["fit", "--prior", f"{stages_dir}/prior.rvf"]
         for stage, flag, value in [
             (track, "--step", "0"),
             (track, "--step", "nan"),
+            (track, "--step", "inf"),
+            (baseline, "--step", "inf"),
+            (fit, "--ridge", "nan"),
+            (fit, "--ridge", "inf"),
             (track, "--sigma", "nan"),
+            (track, "--sigma", "inf"),
+            (baseline, "--min-len", "inf"),
             (baseline, "--min-len", "nan"),
             (prior, "--cutoff", "nan"),
             (prior, "--cutoff", "inf"),
@@ -281,6 +295,19 @@ class TestExitCodes:
         ])
         assert code == 2
         assert "does not match" in capsys.readouterr().err
+
+    def test_linalg_failure_is_numerical_error(self, tmp_path, stages_dir, capsys,
+                                               monkeypatch):
+        def diverge(*args):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(cli, "fit_bundle_field", diverge)
+        code = main([
+            "fit", "--prior", f"{stages_dir}/prior.rvf",
+            "--mask", f"{stages_dir}/mask.rvf", "--out", str(tmp_path),
+        ])
+        assert code == 3
+        assert "numerical failure" in capsys.readouterr().err
 
     def test_underdetermined_fit_is_numerical_error(self, tmp_path, capsys):
         spec = PhantomSpec(kind="straight-tube", radius=1.0, length=4.0)

@@ -120,6 +120,16 @@ class TestTypeValidation:
             Tract([line], step=0.3)
         Tract([line], step=0.31)
 
+    def test_streamline_rejects_non_finite_points_and_step(self):
+        line = np.array([(0, 0, 0), (0.1, 0, 0), (0.2, 0, 0)], dtype=float)
+        for bad in (np.nan, np.inf):
+            broken = line.copy()
+            broken[1, 2] = bad
+            with pytest.raises(ValueError, match="finite"):
+                Tract([broken], step=0.3)
+            with pytest.raises(ValueError, match="step"):
+                Tract([line], step=bad)
+
     def test_peaks_validate_catches_non_unit(self):
         for x, amp in [(0.5, 1.0), (np.nan, 1.0), (1.0, np.nan)]:
             dirs = np.zeros((1, 1, 1, 1, 3))

@@ -228,6 +228,9 @@ class TestSpecValidation:
             (dict(spacing=(1.0, float("nan"), 1.0)), "spacing"),
             (dict(distractor_band=(0.4, float("nan"))), "distractor_band"),
             (dict(dims=(5, 5, 5), origin=(0.0, float("nan"), 0.0)), "origin"),
+            (dict(distractor_band=(0.5,)), "distractor_band"),
+            (dict(dims=(5, 5), origin=(0.0, 0.0, 0.0)), "dims"),
+            (dict(dims=(5, 0, 5), origin=(0.0, 0.0, 0.0)), "dims"),
         ],
     )
     def test_rejects_non_finite_fields(self, kwargs, match):
