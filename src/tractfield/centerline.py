@@ -21,9 +21,8 @@ from .errors import ConnectivityError, DomainError, FormatError
 from .grids import (
     Mask,
     VolumeGrid,
-    _fmt,
+    _format_block,
     _read_points_text,
-    _step_from_headers,
     _write_points_text,
     inside_many,
     nearest_indices,
@@ -270,16 +269,13 @@ def cross_section_normals(cl: Centerline, pts) -> np.ndarray:
 
 def save_centerline(cl: Centerline, path):
     """Write a centerline in the tract text format with a 'centerline' marker."""
-    _write_points_text(path, [cl.points], [f"step {_fmt(cl.delta)}", "centerline"])
+    _write_points_text(path, [cl.points], [f"step {_format_block(cl.delta)}", "centerline"])
 
 
 def load_centerline(path) -> Centerline:
     """Read a centerline file; tangents are recomputed from the points."""
-    headers, groups = _read_points_text(path)
+    delta, groups = _read_points_text(path)
     if len(groups) != 1:
         raise FormatError(f"{path}: centerline file must hold exactly one polyline")
-    delta = _step_from_headers(headers, path)
     pts = groups[0]
-    if not np.isfinite(pts).all():
-        raise FormatError(f"{path}: centerline points must be finite")
     return Centerline(pts, _unit_tangents(pts), delta)

@@ -67,10 +67,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _triple(text: str) -> np.ndarray:
-    parts = [float(v) for v in text.replace(",", " ").split()]
-    if len(parts) != 3:
-        raise ValueError(f"expected three comma-separated values, got {text!r}")
-    return np.array(parts)
+    parts = np.array(text.replace(",", " ").split(), dtype=float)
+    if parts.shape != (3,) or not np.isfinite(parts).all():
+        raise argparse.ArgumentTypeError(
+            f"invalid parameter: expected three finite comma-separated values, got {text!r}")
+    return parts
 
 
 def _write_manifest(out_dir, name, parameters, inputs, outputs):

@@ -21,11 +21,6 @@ _VOLUME_KEYS = ("dims", "spacing", "origin", "dtype", "encoding")
 _PEAKS_KEYS = _VOLUME_KEYS + ("peaks_per_voxel",)
 
 
-def _fmt(x: float) -> str:
-    # 17 significant digits round-trip float64 exactly through text.
-    return format(float(x), ".17g")
-
-
 @dataclass(frozen=True, eq=False)
 class VolumeGrid:
     """Regular 3-D lattice of per-voxel scalars."""
@@ -253,13 +248,14 @@ def _require_keys(fields: dict, expected, path):
             raise FormatError(f"{path}: unexpected line {f'{key}: {value}'!r}")
 
 
-def _numbers(text: str, what: str, path, count: int, conv=float) -> list:
-    """The ``count`` finite numbers in ``text``, the value of key ``what``.
+def _numbers(text: str, what: str | None, path, count: int, conv=float) -> list:
+    """The ``count`` finite numbers in ``text``, the value of key ``what``
+    (or, with ``what`` None, a whole row).
 
     A FormatError names the file and quotes the line.
     """
     parts = text.split()
-    line = f"{what}: {text}"
+    line = text if what is None else f"{what}: {text}"
     if len(parts) != count:
         raise FormatError(f"{path}: expected {count} values in line {line!r}")
     try:
@@ -272,11 +268,34 @@ def _numbers(text: str, what: str, path, count: int, conv=float) -> list:
     return out
 
 
+def _parse_block(rows, width: int, path) -> np.ndarray:
+    """Numbered rows ``(line number, line)`` of ``width`` numbers each as one
+    finite (n, width) array, converted in one call; only when that fails are
+    the rows read one by one, so that the error names the first bad line."""
+    try:
+        block = np.array([line.split() for _, line in rows], dtype=float)
+    except ValueError:
+        pass
+    else:
+        if block.shape[1:] == (width,) and np.isfinite(block).all():
+            return block
+    return np.array([_numbers(line, None, f"{path}:{ln}", width) for ln, line in rows])
+
+
+def _format_block(values) -> str:
+    """A scalar or 1-D array as one row of text, a 2-D array as one row per
+    line. ``%.17g`` on Python floats writes the bytes of ``format(x, ".17g")``,
+    and 17 significant digits round-trip float64 exactly through text."""
+    block = np.atleast_2d(np.asarray(values, dtype=float))
+    row = " ".join(["%.17g"] * block.shape[1])
+    return "\n".join([row] * len(block)) % tuple(block.ravel().tolist())
+
+
 def _line(key: str, values) -> str:
-    """One ``key: value`` line; numbers are written with ``_fmt``."""
+    """One ``key: value`` line; numbers are written with ``_format_block``."""
     if isinstance(values, str):
         return f"{key}: {values}"
-    return f"{key}: " + " ".join(_fmt(v) for v in np.ravel(values))
+    return f"{key}: " + _format_block(np.ravel(values))
 
 
 def _write_text(path, lines):
@@ -403,53 +422,40 @@ def _write_points_text(path, groups, header_items):
     for gi, pts in enumerate(groups):
         if gi:
             lines.append("")
-        lines.extend(" ".join(_fmt(c) for c in p) for p in np.asarray(pts, float))
+        lines.append(_format_block(pts))
     _write_text(path, lines)
 
 
-def _read_points_text(path) -> tuple[list, list]:
+def _read_points_text(path) -> tuple[float, list]:
     """Shared reader for the streamline text format.
 
-    Returns (header items, list of (n, 3) point arrays).
+    ``#`` lines anywhere are headers, exactly one of them ``# step <mm>``;
+    blank lines end a streamline. Returns (step, list of (n, 3) point arrays).
     """
-    headers, groups, current = [], [], []
-    for ln, line in enumerate(_read_text(path).split("\n"), 1):
+    headers, groups, rows = [], [], []
+    # The appended newline makes a last blank line, which ends the last streamline.
+    for ln, line in enumerate((_read_text(path) + "\n").split("\n"), 1):
         s = line.strip()
         if s.startswith("#"):
             headers.append(s[1:].strip())
-            continue
-        if not s:
-            if current:
-                groups.append(np.array(current, dtype=float))
-                current = []
-            continue
-        parts = s.split()
-        if len(parts) != 3:
-            raise FormatError(f"{path}:{ln}: expected 'x y z', got {line!r}")
-        try:
-            current.append([float(p) for p in parts])
-        except ValueError:
-            raise FormatError(f"{path}:{ln}: bad number in {line!r}") from None
-    if current:
-        groups.append(np.array(current, dtype=float))
-    return headers, groups
-
-
-def _step_from_headers(headers, path) -> float:
+        elif s:
+            rows.append((ln, line))
+        elif rows:
+            groups.append(_parse_block(rows, 3, path))
+            rows = []
     steps = [h[len("step"):].strip() for h in headers if h.split()[:1] == ["step"]]
     if len(steps) != 1:
         raise FormatError(f"{path}: expected one '# step' header, found {len(steps)}")
     (step,) = _numbers(steps[0], "step", path, 1)
     if step <= 0:
         raise FormatError(f"{path}: step must be positive in line {f'step: {step}'!r}")
-    return step
+    return step, groups
 
 
 def load_tract(path) -> Tract:
     """Read a tract text file: '# step' header, one point per line,
     streamlines separated by single blank lines."""
-    headers, groups = _read_points_text(path)
-    step = _step_from_headers(headers, path)
+    step, groups = _read_points_text(path)
     try:
         return Tract(groups, step)
     except ValueError as exc:
@@ -458,4 +464,4 @@ def load_tract(path) -> Tract:
 
 def save_tract(tract: Tract, path):
     """Write a tract text file with a '# step' header."""
-    _write_points_text(path, tract.streamlines, [f"step {_fmt(tract.step)}"])
+    _write_points_text(path, tract.streamlines, [f"step {_format_block(tract.step)}"])

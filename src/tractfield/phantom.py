@@ -29,6 +29,7 @@ from .grids import (
     _require_keys,
     _write_text,
     nearest_indices,
+    pooled_points,
 )
 from .polyfield import PolyField, monomial_exponents, term_count
 
@@ -198,6 +199,8 @@ class PhantomSpec:
                 raise ValueError(f"{name} must be finite")
         if np.shape(self.distractor_band) != (2,):
             raise ValueError("distractor_band must hold two values")
+        if not self.distractor_band[0] <= self.distractor_band[1]:
+            raise ValueError("distractor_band must be (low, high) with low <= high")
         if self.dims is not None and not (
             np.shape(self.dims) == (3,) and min(self.dims) > 0
         ):
@@ -464,12 +467,10 @@ def completion_rate(tract: Tract, desc: FieldDescriptor, frac: float = 0.05) -> 
         return 0.0
     t0, t1 = desc.axis_range
     pad = frac * (t1 - t0)
-    done = 0
-    for line in tract.streamlines:
-        t = desc.axis_params(line)
-        if t.min() <= t0 + pad and t.max() >= t1 - pad:
-            done += 1
-    return done / len(tract.streamlines)
+    t = desc.axis_params(pooled_points(tract))
+    starts = np.cumsum([0] + [len(line) for line in tract.streamlines[:-1]])
+    lo, hi = np.minimum.reduceat(t, starts), np.maximum.reduceat(t, starts)
+    return float(np.mean((lo <= t0 + pad) & (hi >= t1 - pad)))
 
 
 # Every spec key in file order: (converter, value count).  A count of 1

@@ -22,9 +22,10 @@ from .errors import (
 )
 from .grids import (
     Mask,
-    _fmt,
+    _format_block,
     _line,
     _numbers,
+    _parse_block,
     _parse_fields,
     _read_text,
     _require_keys,
@@ -316,8 +317,8 @@ def save_field(field_: PolyField, path):
         _line("offset", field_.offset),
         _line("scale", field_.scale),
         "",
+        _format_block(field_.coeffs),
     ]
-    lines += [" ".join(_fmt(v) for v in row) for row in field_.coeffs]
     _write_text(path, lines)
 
 
@@ -336,13 +337,12 @@ def load_field(path) -> PolyField:
         raise FormatError(
             f"{path}: terms {terms} does not match order {order}"
         )
-    rows = [line for line in body.splitlines() if line.strip()]
+    first = head.count("\n") + 3  # line number of the first body line
+    rows = [(ln, line) for ln, line in enumerate(body.split("\n"), first)
+            if line.strip()]
     if len(rows) != 3:
         raise FormatError(f"{path}: expected 3 coefficient rows, found {len(rows)}")
-    coeffs = [
-        _numbers(row, f"coefficient row {i}", path, terms)
-        for i, row in enumerate(rows, 1)
-    ]
+    coeffs = _parse_block(rows, terms, path)
     try:
         return PolyField(order, coeffs, offset, scale)
     except ValueError as exc:

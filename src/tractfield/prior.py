@@ -110,21 +110,14 @@ def build_prior(
     valid = np.zeros(dims, dtype=bool)
     if centerline_only:
         idx, inb = nearest_indices(mask.grid, cl.points)
-        seen = set()
-        for row, ok, tangent in zip(idx, inb, cl.tangents):
-            voxel = tuple(int(v) for v in row)
-            if not ok or voxel in seen or not mask.grid.data[voxel]:
-                continue
-            seen.add(voxel)
-            d = select_peak(*peaks.peaks_at(voxel), tangent, min_amp)
-            if d is not None:
-                directions[voxel] = d
-                valid[voxel] = True
-        return PriorField(dims, mask.grid.spacing, mask.grid.origin, directions, valid)
-    fg = mask.foreground_indices()
-    normals = cross_section_normals(cl, mask.foreground_points())
-    for row, n in zip(fg, normals):
-        voxel = tuple(int(v) for v in row)
+        normals = {}
+        for row, ok, tangent in zip(idx.tolist(), inb, cl.tangents):
+            if ok and mask.grid.data[tuple(row)]:
+                normals.setdefault(tuple(row), tangent)
+    else:
+        normals = dict(zip(map(tuple, mask.foreground_indices().tolist()),
+                           cross_section_normals(cl, mask.foreground_points())))
+    for voxel, n in normals.items():
         d = select_peak(*peaks.peaks_at(voxel), n, min_amp)
         if d is not None:
             directions[voxel] = d

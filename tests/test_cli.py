@@ -220,7 +220,7 @@ class TestExitCodes:
         bad = tmp_path / "bad.spec"
         for key, value in [
             ("kind", "moebius-strip"), ("radius", "nan"), ("noise_deg", "nan"),
-            ("distractor_band", "0.5"), ("margin", "-5"),
+            ("distractor_band", "0.5"), ("margin", "-5"), ("distractor_band", "0.6 0.4"),
         ]:
             bad.write_text(f"{key}: {value}\n")
             assert main(["phantom", "--spec", str(bad), "--out", str(tmp_path)]) == 2
@@ -277,6 +277,8 @@ class TestExitCodes:
             (centerline, "--delta", "-1"),
             (centerline, "--delta", "nan"),
             (centerline, "--delta", "inf"),
+            (centerline, "--p1", "nan,0,0"),
+            (centerline, "--p2", "0,inf,0"),
         ]:
             code = main(stage + [
                 "--mask", f"{stages_dir}/mask.rvf", flag, value,

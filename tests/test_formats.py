@@ -155,3 +155,58 @@ def test_broken_line_is_format_error(tmp_path_factory, name, data):
     path.write_bytes("\n".join(lines).encode("utf-8") + sep + payload)
     with pytest.raises(FormatError):
         load(path)
+
+
+# Edge values of float64 text output: signed zero, the smallest subnormal, a
+# value near the top of the range, and two fractions with no short decimal.
+EDGE = [-0.0, 5e-324, 1e308, 0.1, 1 / 3]
+
+
+def _rows(block):
+    """Point or coefficient rows as the per-coordinate writer built them."""
+    return [" ".join(format(float(x), ".17g") for x in row) for row in block]
+
+
+def _edge_text(name):
+    """(object to save, expected file lines) holding every EDGE value."""
+    a = np.array([[-0.0, 5e-324, 1e308], [0.1, 1 / 3, 1e308]])
+    b = np.array([[1 / 3, 0.1, -0.0], [5e-324, 0.1, -0.0]])
+    if name == "tract":
+        lines = [f"# step {_rows([[1 / 3]])[0]}", *_rows(a), "", *_rows(b)]
+        return Tract([a, b], step=1 / 3), lines
+    if name == "centerline":
+        lines = [f"# step {_rows([[0.1]])[0]}", "# centerline", *_rows(a)]
+        return Centerline(a, np.zeros_like(a), 0.1), lines
+    coeffs = np.array([EDGE[:4], EDGE[1:], EDGE[::-1][:4]])
+    offset, scale = (0.1, -0.0, 1 / 3), (1 / 3, 0.1, 1e308)
+    lines = ["order: 1", "terms: 4", "offset: " + _rows([offset])[0],
+             "scale: " + _rows([scale])[0], "", *_rows(coeffs)]
+    return PolyField(1, coeffs, offset, scale), lines
+
+
+@pytest.mark.parametrize("name", ["tract", "centerline", "field"])
+def test_block_writer_matches_per_coordinate_format(tmp_path, name):
+    save = {"tract": save_tract, "centerline": save_centerline, "field": save_field}[name]
+    obj, lines = _edge_text(name)
+    path = tmp_path / name
+    save(obj, path)
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
+
+
+@pytest.mark.parametrize("name", ["tract", "centerline", "field"])
+@pytest.mark.parametrize("row", [0, -1])
+@pytest.mark.parametrize("bad", ["nan", "1x", None])
+def test_bad_row_names_file_and_line(tmp_path, name, row, bad):
+    write, load, _ = LOADERS[name]
+    path = tmp_path / name
+    write(path)
+    lines = path.read_text().split("\n")
+    rows = [i for i, line in enumerate(lines) if (s := _split(line)) and not s[2]]
+    i = rows[row]
+    words = lines[i].split()
+    lines[i] = " ".join(words[:-1] + ([] if bad is None else [bad]))
+    path.write_text("\n".join(lines))
+    with pytest.raises(FormatError) as exc:
+        load(path)
+    assert f"{path}:{i + 1}: " in str(exc.value)
+    assert repr(lines[i]) in str(exc.value)

@@ -214,6 +214,24 @@ class TestCompletionRate:
         assert completion_rate(Tract([full], step=0.5), desc) == 1.0
         assert completion_rate(Tract([], step=0.5), desc) == 0.0
 
+    def test_helix_matches_per_line_oracle(self, rng):
+        desc = helix_descriptor()
+        t0, t1 = desc.axis_range
+        pad = 0.05 * (t1 - t0)
+        lines = []
+        for _ in range(40):
+            lo, hi = rng.uniform(t0 - 0.1, t0 + 0.6), rng.uniform(t1 - 0.6, t1 + 0.1)
+            ts = np.arange(lo, hi, 0.02)
+            lines.append(desc.axis_point(ts) + rng.normal(0.0, 0.2, (len(ts), 3)))
+        rates = set()
+        for count in (1, 2, 7, 40):
+            tract = Tract(lines[:count], step=1.0)
+            params = [desc.axis_params(line) for line in tract.streamlines]
+            want = sum(t.min() <= t0 + pad and t.max() >= t1 - pad for t in params) / count
+            assert completion_rate(tract, desc) == want
+            rates.add(want)
+        assert len(rates) > 1
+
 
 class TestSpecValidation:
     @pytest.mark.parametrize(
@@ -231,6 +249,7 @@ class TestSpecValidation:
             (dict(distractor_band=(0.5,)), "distractor_band"),
             (dict(dims=(5, 5), origin=(0.0, 0.0, 0.0)), "dims"),
             (dict(dims=(5, 0, 5), origin=(0.0, 0.0, 0.0)), "dims"),
+            (dict(distractor_band=(0.6, 0.4)), "distractor_band"),
         ],
     )
     def test_rejects_non_finite_fields(self, kwargs, match):
