@@ -9,7 +9,6 @@ metrics suite make every stage checkable against closed-form ground truth.
 
 from .centerline import (
     Centerline,
-    cross_section_normal,
     cross_section_normals,
     distance_transform,
     extract_centerline,
@@ -47,7 +46,6 @@ from .grids import (
     save_tract,
     save_volume,
     voxel_centers,
-    world_from_index,
 )
 from .metrics import hausdorff, spatial_overlap, voxelize
 from .phantom import (

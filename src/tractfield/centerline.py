@@ -253,17 +253,12 @@ def _nearest_centerline_index(cl: Centerline, pts) -> np.ndarray:
     return out
 
 
-def cross_section_normal(cl: Centerline, p) -> np.ndarray:
-    """Tangent of the centerline at its point nearest to p.
+def cross_section_normals(cl: Centerline, pts) -> np.ndarray:
+    """Tangent of the centerline at its point nearest to each of ``pts``.
 
     The cross-section plane's normal is the local centerline tangent; when
     two centerline points are equidistant the earlier one wins.
     """
-    return cl.tangents[_nearest_centerline_index(cl, [p])[0]]
-
-
-def cross_section_normals(cl: Centerline, pts) -> np.ndarray:
-    """Vectorized ``cross_section_normal`` over an (n, 3) point array."""
     return cl.tangents[_nearest_centerline_index(cl, pts)]
 
 

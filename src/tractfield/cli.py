@@ -134,9 +134,6 @@ _FLAGS = {
         _flag("--peaks", "peaks volume file", PEAKS_FILE, required=True),
         _flag("--centerline", "centerline file", CENTERLINE_FILE, required=True),
         _flag("--cutoff", "peak amplitude floor", type=float, default=MIN_AMP_DEFAULT),
-        _flag("--centerline-only",
-              "select only at voxels the centerline passes through",
-              action="store_true"),
         _flag("--prior", "prior volume file", PRIOR_FILE, required=True),
         _flag("--order", "polynomial order", type=int, default=4),
         _flag("--ridge", "coefficient shrinkage weight (default 1e-8 per sample)",
@@ -209,14 +206,12 @@ def _centerline(args):
 
 
 def _prior(args):
-    prior = build_prior(
-        load_peaks(args.peaks), load_centerline(args.centerline),
-        load_mask(args.mask), args.cutoff, args.centerline_only,
-    )
+    prior = build_prior(load_peaks(args.peaks), load_centerline(args.centerline),
+                        load_mask(args.mask), args.cutoff)
     path = _out(args, PRIOR_FILE)
     save_peaks(prior_to_peaks(prior), path)
     return (
-        {"cutoff": float(args.cutoff), "centerline_only": bool(args.centerline_only)},
+        {"cutoff": float(args.cutoff)},
         {"peaks": args.peaks, "centerline": args.centerline, "mask": args.mask},
         {"prior": path},
     )
@@ -332,8 +327,7 @@ STAGES = (
     _Stage("centerline", "extract a mask centerline",
            ("--mask", "--p1", "--p2", "--endpoints"), ("--delta",), _centerline),
     _Stage("prior", "select one peak per voxel",
-           ("--peaks", "--centerline", "--mask"), ("--cutoff", "--centerline-only"),
-           _prior),
+           ("--peaks", "--centerline", "--mask"), ("--cutoff",), _prior),
     _Stage("fit", "fit the divergence-free polynomial field",
            ("--prior", "--mask"), ("--order", "--ridge"), _fit),
     _Stage("track", "trace streamlines through a fitted field",

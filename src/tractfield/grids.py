@@ -155,16 +155,6 @@ def pooled_points(tract: Tract) -> np.ndarray:
     return np.vstack(tract.streamlines)
 
 
-def world_from_index(grid, ijk) -> np.ndarray:
-    """World position (mm) of the voxel center at integer index ijk."""
-    idx = np.asarray(ijk)
-    if idx.shape != (3,):
-        raise IndexError(f"index must have three components, got {ijk!r}")
-    if np.any(idx < 0) or np.any(idx >= np.asarray(grid.dims)):
-        raise IndexError(f"index {tuple(int(v) for v in idx)} outside grid dims {grid.dims}")
-    return np.asarray(grid.origin) + idx * np.asarray(grid.spacing)
-
-
 def voxel_centers(grid, indices) -> np.ndarray:
     """World positions (mm) of integer voxel indices, shape (n, 3). No bounds check."""
     idx = np.atleast_2d(np.asarray(indices))

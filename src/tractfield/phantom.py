@@ -213,6 +213,11 @@ class PhantomSpec:
         for name in ("length", "major_radius", "helix_radius", "pitch", "turns"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        # Adjacent turns closer than one voxel merge into one mask column.
+        if (self.kind == "helix" and self.turns > 1
+                and not self.pitch - 2 * self.radius >= self.spacing[2]):
+            raise ValueError("helix turns touch: pitch - 2 * radius must be at "
+                             "least spacing[2] when turns > 1")
         if not self.noise_deg >= 0:
             raise ValueError("noise_deg must be >= 0")
         if not 0 <= self.distractor_amp <= 1:

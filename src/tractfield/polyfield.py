@@ -171,11 +171,6 @@ class PolyField:
         per_term = cons @ cvec
         return np.einsum("sm,m->s", low, per_term, optimize=False)
 
-    def divergence_coefficients(self) -> np.ndarray:
-        """Coefficients of the divergence polynomial in the order-1 basis."""
-        cvec = np.concatenate([self.coeffs[0], self.coeffs[1], self.coeffs[2]])
-        return divergence_constraints(self.order) @ cvec
-
 
 def domain_from_mask(mask: Mask) -> tuple:
     """Offset (bounding-box center) and scale (half-extent, floored at half a

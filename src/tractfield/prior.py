@@ -52,10 +52,6 @@ class PriorField:
         object.__setattr__(self, "directions", directions)
         object.__setattr__(self, "valid", valid)
 
-    @property
-    def valid_count(self) -> int:
-        return int(self.valid.sum())
-
     def samples(self) -> tuple[np.ndarray, np.ndarray]:
         """World points and directions of the valid voxels, fit-ready."""
         idx = np.argwhere(self.valid)
@@ -63,65 +59,56 @@ class PriorField:
         return pts, self.directions[idx[:, 0], idx[:, 1], idx[:, 2]]
 
 
-def select_peak(directions, amplitudes, normal, min_amp=MIN_AMP_DEFAULT):
-    """Pick the admissible peak with the smallest axial angle to ``normal``.
+def select_peak(peaks: PeaksField, pts, normals, min_amp=MIN_AMP_DEFAULT):
+    """At each point's nearest voxel, the admissible peak closest in axial
+    angle to that point's normal.
 
-    Peaks are sign-ambiguous, so the angle is arccos(|d.n|); the winner is
+    Peaks are sign-ambiguous, so the angle is arccos(|d.n|); each winner is
     flipped if needed so its dot product with the normal is nonnegative.
-    Ties on angle go to the larger amplitude, then to storage order.
-    Returns None when no peak reaches ``min_amp``.
+    Ties on angle go to the larger amplitude, then to storage order.  A slot
+    is admissible when its amplitude is positive (not padding) and reaches
+    ``min_amp``.  Returns ``(directions (n, 3), ok (n,))``; rows without an
+    admissible peak are zero with ok False.
     """
-    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-    amps = np.atleast_1d(np.asarray(amplitudes, dtype=float))
-    n = np.asarray(normal, dtype=float)
-    best = None
-    for d, a in zip(dirs, amps):
-        if a < min_amp:
-            continue
-        score = abs(float(np.dot(d, n)))
-        if best is None or score > best[0] or (score == best[0] and a > best[1]):
-            best = (score, a, d)
-    if best is None:
-        return None
-    d = best[2]
-    return d if float(np.dot(d, n)) >= 0 else -d
+    idx, _ = nearest_indices(peaks, pts)
+    i, j, k = idx.T
+    dirs = peaks.directions[i, j, k]
+    amps = peaks.amplitudes[i, j, k]
+    normals = np.asarray(normals, dtype=float)
+    # One (1, 3) @ (3, 1) product per slot is bitwise equal to np.dot; a
+    # (k, 3) @ (3, 1) product per row is not, and that can flip near-ties.
+    dots = (dirs[:, :, None, :] @ normals[:, None, :, None])[..., 0, 0]
+    admissible = (amps > 0) & (amps >= min_amp)
+    score = np.where(admissible, np.abs(dots), -1.0)
+    best = admissible & (score == score.max(axis=1, keepdims=True))
+    slot = np.argmax(np.where(best, amps, -1.0), axis=1)[:, None]
+    d = np.take_along_axis(dirs, slot[..., None], axis=1)[:, 0]
+    d = np.where(np.take_along_axis(dots, slot, axis=1) >= 0, d, -d)
+    ok = admissible.any(axis=1)
+    return np.where(ok[:, None], d, 0.0), ok
 
 
 def build_prior(
-    peaks: PeaksField,
-    cl: Centerline,
-    mask: Mask,
-    min_amp=MIN_AMP_DEFAULT,
-    centerline_only=False,
+    peaks: PeaksField, cl: Centerline, mask: Mask, min_amp=MIN_AMP_DEFAULT
 ) -> PriorField:
     """Select one direction per foreground voxel using centerline normals.
 
     Each foreground voxel center takes the tangent of the nearest
     centerline point as its cross-section normal and keeps the peak closest
-    in axial angle.  With ``centerline_only`` the selection runs only at the
-    voxels the centerline itself passes through (first visit wins).
+    in axial angle.
     """
     if not math.isfinite(min_amp):
         raise ValueError("min_amp must be finite")
     if not same_geometry(peaks, mask.grid):
         raise DomainError("peaks grid does not match the mask grid")
     dims = mask.grid.dims
+    i, j, k = mask.foreground_indices().T
+    pts = mask.foreground_points()
     directions = np.zeros(dims + (3,))
     valid = np.zeros(dims, dtype=bool)
-    if centerline_only:
-        idx, inb = nearest_indices(mask.grid, cl.points)
-        normals = {}
-        for row, ok, tangent in zip(idx.tolist(), inb, cl.tangents):
-            if ok and mask.grid.data[tuple(row)]:
-                normals.setdefault(tuple(row), tangent)
-    else:
-        normals = dict(zip(map(tuple, mask.foreground_indices().tolist()),
-                           cross_section_normals(cl, mask.foreground_points())))
-    for voxel, n in normals.items():
-        d = select_peak(*peaks.peaks_at(voxel), n, min_amp)
-        if d is not None:
-            directions[voxel] = d
-            valid[voxel] = True
+    directions[i, j, k], valid[i, j, k] = select_peak(
+        peaks, pts, cross_section_normals(cl, pts), min_amp
+    )
     return PriorField(dims, mask.grid.spacing, mask.grid.origin, directions, valid)
 
 

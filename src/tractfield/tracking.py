@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyTractError
-from .grids import Mask, PeaksField, Tract, inside_many, nearest_indices
+from .errors import DomainError, EmptyTractError
+from .grids import Mask, PeaksField, Tract, inside_many, nearest_indices, same_geometry
 from .polyfield import PolyField
 from .prior import MIN_AMP_DEFAULT, select_peak
 
@@ -152,8 +152,8 @@ def _integrate_half(mask, start, d0, alive0, advance, turn, params):
 
     ``advance(eta, d)`` gives the rows' next points and ok flags; a row
     stops when it fails or leaves the mask, and the exiting point is
-    dropped.  ``turn(rows, pts, prev)`` yields each accepted row's next
-    direction in row order, or None to stop that row there.
+    dropped.  ``turn(rows, pts, prev)`` gives the accepted rows' next
+    directions and ok flags; a row whose flag is False stops there.
     """
     n = len(start)
     points = [[] for _ in range(n)]
@@ -172,26 +172,23 @@ def _integrate_half(mask, start, d0, alive0, advance, turn, params):
             break
         accepted = new[good]
         eta[keep] = accepted
-        for i, p, nd in zip(keep, accepted, turn(keep, accepted, d[keep])):
+        for i, p in zip(keep, accepted):
             points[i].append(p)
-            if nd is None:
-                alive[i] = False
-            else:
-                d[i] = nd
+        nd, turned = turn(keep, accepted, d[keep])
+        d[keep[turned]] = nd[turned]
+        alive[keep[~turned]] = False
     return points
 
 
-def _trace(mask, starts, first, advance, turn, params) -> Tract:
+def _trace(mask, starts, first, alive, advance, turn, params) -> Tract:
     """Both halves from each start, spliced at it, kept when >= min_len.
 
-    ``first`` holds each start's initial direction, or None for a start
-    whose line is the start alone.
+    ``first`` holds each start's initial direction; a start whose ``alive``
+    flag is False has the start alone as its line.
     """
-    alive = np.array([d is not None for d in first], dtype=bool)
-    d0 = np.array([np.zeros(3) if d is None else d for d in first], dtype=float)
-    forward = _integrate_half(mask, starts, d0, alive, advance, turn, params)
+    forward = _integrate_half(mask, starts, first, alive, advance, turn, params)
     if params.bidirectional:
-        backward = _integrate_half(mask, starts, -d0, alive, advance, turn, params)
+        backward = _integrate_half(mask, starts, -first, alive, advance, turn, params)
     else:
         backward = [[] for _ in starts]
     streamlines = []
@@ -241,17 +238,16 @@ def track(field: PolyField, mask: Mask, seeds, params: TrackParams) -> Tract:
         return _rk4_many(field, eta, d, params.step)
 
     def turn(rows, pts, prev):
-        v = field.evaluate_many(pts)
-        return (
-            sample_direction(u, p, params.sigma, rngs[i])
-            for u, p, i in zip(v, prev, rows)
-        )
+        directions = np.zeros((len(rows), 3))
+        ok = np.zeros(len(rows), dtype=bool)
+        for r, (v, p, i) in enumerate(zip(field.evaluate_many(pts), prev, rows)):
+            d = sample_direction(v, p, params.sigma, rngs[i])
+            if d is not None:
+                directions[r], ok[r] = d, True
+        return directions, ok
 
-    first = [
-        sample_direction(v, None, params.sigma, rng)
-        for v, rng in zip(field.evaluate_many(starts), rngs)
-    ]
-    return _trace(mask, starts, first, advance, turn, params)
+    first, alive = turn(range(len(starts)), starts, [None] * len(starts))
+    return _trace(mask, starts, first, alive, advance, turn, params)
 
 
 def baseline_peak_track(
@@ -275,6 +271,8 @@ def baseline_peak_track(
         raise ValueError("min_amp must be finite")
     if not 0 <= angle_max <= 180:
         raise ValueError("angle_max must be in [0, 180] degrees")
+    if not same_geometry(peaks, mask.grid):
+        raise DomainError("peaks grid does not match the mask grid")
     kept_seeds = _valid_seeds(mask, seeds)
     cos_stop = math.cos(math.radians(angle_max)) - 1e-9
 
@@ -282,15 +280,13 @@ def baseline_peak_track(
         return eta + params.step * d, np.ones(len(eta), dtype=bool)
 
     def turn(rows, pts, prev):
-        idx, _ = nearest_indices(mask.grid, pts)
-        for ijk, p in zip(idx, prev):
-            nd = select_peak(*peaks.peaks_at(ijk), p, min_amp)
-            yield None if nd is None or float(np.dot(nd, p)) < cos_stop else nd
+        nd, ok = select_peak(peaks, pts, prev, min_amp)
+        return nd, ok & ((nd[:, None, :] @ prev[:, :, None])[:, 0, 0] >= cos_stop)
 
     # Each seed starts along its first admissible peak in storage order.
-    first = []
-    for ijk in nearest_indices(mask.grid, kept_seeds)[0]:
-        dirs, amps = peaks.peaks_at(ijk)
-        dirs = dirs[amps >= min_amp]
-        first.append(dirs[0] if len(dirs) else None)
-    return _trace(mask, kept_seeds, first, advance, turn, params)
+    i, j, k = nearest_indices(peaks, kept_seeds)[0].T
+    amps = peaks.amplitudes[i, j, k]
+    admissible = (amps > 0) & (amps >= min_amp)
+    first = peaks.directions[i, j, k, np.argmax(admissible, axis=1)]
+    alive = admissible.any(axis=1)
+    return _trace(mask, kept_seeds, first, alive, advance, turn, params)

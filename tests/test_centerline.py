@@ -11,7 +11,7 @@ from tractfield import (
     DomainError,
     FormatError,
     PhantomSpec,
-    cross_section_normal,
+    cross_section_normals,
     distance_transform,
     extract_centerline,
     generate,
@@ -144,13 +144,13 @@ class TestCrossSectionNormal:
         pts = np.stack([np.linspace(0, 10, 21), np.zeros(21), np.zeros(21)], axis=1)
         tans = np.tile([1.0, 0, 0], (21, 1))
         cl = Centerline(pts, tans, delta=0.5)
-        assert np.allclose(cross_section_normal(cl, (3.7, 4.0, -2.0)), [1, 0, 0])
+        assert np.allclose(cross_section_normals(cl, [(3.7, 4.0, -2.0)])[0], [1, 0, 0])
 
     def test_tie_takes_earlier_point(self):
         pts = np.array([[0.0, 0, 0], [1.0, 0, 0]])
         tans = np.array([[1.0, 0, 0], [0.0, 1.0, 0]])
         cl = Centerline(pts, tans, delta=1.0)
-        assert np.allclose(cross_section_normal(cl, (0.5, 0, 0)), [1, 0, 0])
+        assert np.allclose(cross_section_normals(cl, [(0.5, 0, 0)])[0], [1, 0, 0])
 
     def test_helix_tangent(self):
         t = np.linspace(0, 4 * np.pi, 12000)
@@ -163,7 +163,7 @@ class TestCrossSectionNormal:
         p = (r * np.cos(q), r * np.sin(q), c * q)
         want = np.array([-r * np.sin(q), r * np.cos(q), c])
         want /= np.linalg.norm(want)
-        assert np.linalg.norm(cross_section_normal(cl, p) - want) < 1e-3
+        assert np.linalg.norm(cross_section_normals(cl, [p])[0] - want) < 1e-3
 
 
 class TestCenterlineIO:

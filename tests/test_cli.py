@@ -71,7 +71,6 @@ CLI_SURFACE = {
         "--centerline": (None, None, True),
         "--mask": (None, None, True),
         "--cutoff": (float, 0.05, False),
-        "--centerline-only": (None, False, False),
         "--out": (None, None, True),
     },
     "fit": {
@@ -109,7 +108,6 @@ CLI_SURFACE = {
         "--order": (int, 4, False),
         "--ridge": (float, None, False),
         "--cutoff": (float, 0.05, False),
-        "--centerline-only": (None, False, False),
         "--delta": (float, 0.5, False),
         "--angle-max": (float, 40.0, False),
         **TRACK_SURFACE,
@@ -218,14 +216,17 @@ class TestExitCodes:
 
     def test_malformed_spec_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.spec"
-        for key, value in [
-            ("kind", "moebius-strip"), ("radius", "nan"), ("noise_deg", "nan"),
-            ("distractor_band", "0.5"), ("margin", "-5"), ("distractor_band", "0.6 0.4"),
+        for text, key in [
+            ("kind: moebius-strip", "kind"), ("radius: nan", "radius"),
+            ("noise_deg: nan", "noise_deg"), ("distractor_band: 0.5", "distractor_band"),
+            ("margin: -5", "margin"), ("distractor_band: 0.6 0.4", "distractor_band"),
+            # adjacent turns touch: pitch - 2 * radius is 0
+            ("kind: helix\nradius: 4\npitch: 8\nturns: 2", "pitch"),
         ]:
-            bad.write_text(f"{key}: {value}\n")
+            bad.write_text(f"{text}\n")
             assert main(["phantom", "--spec", str(bad), "--out", str(tmp_path)]) == 2
             err = capsys.readouterr().err
-            assert str(bad) in err and key in err, (key, value)
+            assert str(bad) in err and key in err, text
 
     def test_malformed_endpoints_is_data_error(self, tmp_path, stages_dir, capsys):
         bad = tmp_path / "endpoints.txt"
@@ -291,12 +292,14 @@ class TestExitCodes:
         small = tmp_path / "small.rvf"
         save_mask(Mask(VolumeGrid((2, 2, 2), (1, 1, 1), (0, 0, 0),
                                   np.ones((2, 2, 2), np.uint8))), small)
-        code = main([
-            "fit", "--prior", f"{stages_dir}/prior.rvf", "--mask", str(small),
-            "--out", str(tmp_path),
-        ])
-        assert code == 2
-        assert "does not match" in capsys.readouterr().err
+        for stage, flag, name in [("fit", "--prior", "prior.rvf"),
+                                  ("baseline", "--peaks", "peaks.rvf")]:
+            code = main([
+                stage, flag, f"{stages_dir}/{name}", "--mask", str(small),
+                "--out", str(tmp_path),
+            ])
+            assert code == 2, stage
+            assert "does not match" in capsys.readouterr().err
 
     def test_linalg_failure_is_numerical_error(self, tmp_path, stages_dir, capsys,
                                                monkeypatch):

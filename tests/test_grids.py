@@ -26,7 +26,7 @@ from tractfield import (
     save_peaks,
     save_tract,
     save_volume,
-    world_from_index,
+    voxel_centers,
 )
 
 from conftest import make_grid, make_mask
@@ -39,31 +39,24 @@ def single_voxel_mask():
 
 
 class TestWorldFromIndex:
+    """``voxel_centers``: world positions (mm) of integer voxel indices."""
+
     def test_identity_at_origin(self):
         grid = make_grid(np.zeros((3, 3, 3)))
-        assert np.array_equal(world_from_index(grid, (0, 0, 0)), [0, 0, 0])
+        assert np.array_equal(voxel_centers(grid, [(0, 0, 0)]), [[0, 0, 0]])
 
     def test_anisotropic_spacing(self):
         grid = make_grid(np.zeros((3, 3, 3)), spacing=(1.25, 1.25, 1.25))
-        assert np.allclose(world_from_index(grid, (2, 0, 0)), [2.5, 0, 0])
+        assert np.allclose(voxel_centers(grid, [(2, 0, 0)]), [[2.5, 0, 0]])
 
     def test_negative_origin_cancels(self):
         grid = make_grid(np.zeros((3, 3, 3)), origin=(-1, -1, -1))
-        assert np.array_equal(world_from_index(grid, (1, 1, 1)), [0, 0, 0])
-
-    def test_out_of_range_raises(self):
-        grid = make_grid(np.zeros((2, 2, 2)))
-        with pytest.raises(IndexError):
-            world_from_index(grid, (2, 0, 0))
-        with pytest.raises(IndexError):
-            world_from_index(grid, (0, -1, 0))
+        assert np.array_equal(voxel_centers(grid, [(1, 1, 1)]), [[0, 0, 0]])
 
     def test_injective_over_grid(self):
         grid = make_grid(np.zeros((4, 3, 5)), spacing=(0.7, 1.1, 0.4))
-        seen = set()
-        for ijk in np.ndindex(grid.dims):
-            seen.add(tuple(world_from_index(grid, ijk)))
-        assert len(seen) == 4 * 3 * 5
+        centers = voxel_centers(grid, list(np.ndindex(grid.dims)))
+        assert len(set(map(tuple, centers))) == 4 * 3 * 5
 
 
 class TestInside:
@@ -80,7 +73,7 @@ class TestInside:
         data = rng.integers(0, 2, size=(4, 5, 3)).astype(np.uint8)
         mask = make_mask(data, spacing=(0.9, 1.3, 1.0), origin=(-2, 0, 1))
         for ijk in np.ndindex(mask.grid.dims):
-            p = world_from_index(mask.grid, ijk)
+            p = voxel_centers(mask.grid, [ijk])[0]
             assert inside(mask, p) == bool(data[ijk])
 
     def test_inside_many_matches_scalar(self, rng):

@@ -19,7 +19,6 @@ from tractfield import (
     load_phantom_spec,
     save_descriptor,
     save_phantom_spec,
-    world_from_index,
 )
 
 
@@ -250,6 +249,7 @@ class TestSpecValidation:
             (dict(dims=(5, 5), origin=(0.0, 0.0, 0.0)), "dims"),
             (dict(dims=(5, 0, 5), origin=(0.0, 0.0, 0.0)), "dims"),
             (dict(distractor_band=(0.6, 0.4)), "distractor_band"),
+            (dict(kind="helix", radius=4.0, pitch=8.0, turns=2.0), r"pitch - 2 \* radius"),
         ],
     )
     def test_rejects_non_finite_fields(self, kwargs, match):

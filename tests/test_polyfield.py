@@ -33,9 +33,8 @@ from conftest import make_mask, random_divfree_field
 _XYZ = sp.symbols("x y z")
 
 
-def sympy_divergence_coeffs(order: int, coeffs: np.ndarray) -> np.ndarray:
-    """Coefficients of div(v) in canonical degree-(order-1) monomial order,
-    computed by symbolic differentiation."""
+def sympy_divergence(order: int, coeffs: np.ndarray):
+    """div(v) as a polynomial in x, y, z, by symbolic differentiation."""
     x, y, z = _XYZ
     exps = monomial_exponents(order)
     comps = []
@@ -46,7 +45,13 @@ def sympy_divergence_coeffs(order: int, coeffs: np.ndarray) -> np.ndarray:
                 for t, (i, j, k) in enumerate(exps)
             )
         )
-    div = sp.expand(sp.diff(comps[0], x) + sp.diff(comps[1], y) + sp.diff(comps[2], z))
+    return sp.expand(sp.diff(comps[0], x) + sp.diff(comps[1], y) + sp.diff(comps[2], z))
+
+
+def sympy_divergence_coeffs(order: int, coeffs: np.ndarray) -> np.ndarray:
+    """Coefficients of div(v) in canonical degree-(order-1) monomial order."""
+    x, y, z = _XYZ
+    div = sympy_divergence(order, coeffs)
     out = []
     for i, j, k in monomial_exponents(order - 1):
         out.append(float(div.coeff(x, i).coeff(y, j).coeff(z, k)) if div != 0 else 0.0)
@@ -176,11 +181,13 @@ class TestDivergence:
             got = field.divergence_many([p])[0]
             assert abs(got - fd) < 1e-5
 
-    def test_divergence_coefficients_match_oracle(self, rng):
+    def test_divergence_matches_symbolic_oracle(self, rng):
         coeffs = rng.normal(size=(3, term_count(3)))
         field = PolyField(3, coeffs)
-        want = sympy_divergence_coeffs(3, coeffs)
-        assert np.allclose(field.divergence_coefficients(), want, atol=1e-12)
+        pts = rng.uniform(-1, 1, size=(20, 3))
+        div = sympy_divergence(3, coeffs)
+        want = [float(div.subs(dict(zip(_XYZ, map(float, p))))) for p in pts]
+        assert np.allclose(field.divergence_many(pts), want, atol=1e-12)
 
 
 class TestFitField:

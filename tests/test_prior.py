@@ -13,6 +13,7 @@ from tractfield import (
     PeaksField,
     PhantomSpec,
     build_prior,
+    cross_section_normals,
     extract_centerline,
     generate,
     prior_from_peaks,
@@ -33,29 +34,82 @@ def normed(v):
     return v / np.linalg.norm(v)
 
 
+def scalar_select_peak(directions, amplitudes, normal, min_amp):
+    """One voxel's selection, peak by peak: the oracle for ``select_peak``.
+
+    Takes the padding-free peaks of ``PeaksField.peaks_at``; returns the
+    sign-aligned winner, or None when no peak reaches ``min_amp``.
+    """
+    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
+    amps = np.atleast_1d(np.asarray(amplitudes, dtype=float))
+    n = np.asarray(normal, dtype=float)
+    best = None
+    for d, a in zip(dirs, amps):
+        if a < min_amp:
+            continue
+        score = abs(float(np.dot(d, n)))
+        if best is None or score > best[0] or (score == best[0] and a > best[1]):
+            best = (score, a, d)
+    if best is None:
+        return None
+    d = best[2]
+    return d if float(np.dot(d, n)) >= 0 else -d
+
+
+def row_peaks(directions, amplitudes):
+    """A (n, 1, 1) peaks field holding row r's slots at voxel (r, 0, 0)."""
+    dirs = np.asarray(directions, dtype=float)
+    amps = np.asarray(amplitudes, dtype=float)
+    n, k = amps.shape
+    return PeaksField((n, 1, 1), (1, 1, 1), (0, 0, 0),
+                      dirs.reshape(n, 1, 1, k, 3), amps.reshape(n, 1, 1, k))
+
+
+def pick(directions, amplitudes, normal, min_amp=0.05):
+    """The batched selection at one voxel, None when nothing is admissible."""
+    peaks = row_peaks([directions], [amplitudes])
+    d, ok = select_peak(peaks, [(0.0, 0.0, 0.0)], [normal], min_amp)
+    return d[0] if ok[0] else None
+
+
+def matches_oracle(peaks, normals, min_amp):
+    """True when ``select_peak`` equals the oracle at every voxel of a row field."""
+    pts = np.zeros((peaks.dims[0], 3))
+    pts[:, 0] = np.arange(peaks.dims[0])
+    got, ok = select_peak(peaks, pts, normals, min_amp)
+    for r, n in enumerate(normals):
+        want = scalar_select_peak(*peaks.peaks_at((r, 0, 0)), n, min_amp)
+        if ok[r] != (want is not None):
+            return False
+        if not np.array_equal(got[r], np.zeros(3) if want is None else want):
+            return False
+    return True
+
+
 class TestSelectPeak:
     def test_smaller_axial_angle_wins(self):
         dirs = np.array([[1.0, 0, 0], [0.0, 1.0, 0]])
         amps = np.array([1.0, 0.9])
-        got = select_peak(dirs, amps, normed((0.98, 0.2, 0)), 0.05)
+        got = pick(dirs, amps, normed((0.98, 0.2, 0)))
         assert np.allclose(got, [1, 0, 0])
 
     def test_sign_aligned_to_normal(self):
-        got = select_peak(np.array([[-1.0, 0, 0]]), np.array([1.0]), (1.0, 0, 0), 0.05)
+        got = pick(np.array([[-1.0, 0, 0]]), np.array([1.0]), (1.0, 0, 0))
         assert np.allclose(got, [1, 0, 0])
 
     def test_below_cutoff_returns_none(self):
-        got = select_peak(np.array([[1.0, 0, 0]]), np.array([0.03]), (1.0, 0, 0), 0.05)
+        got = pick(np.array([[1.0, 0, 0]]), np.array([0.03]), (1.0, 0, 0))
         assert got is None
 
     def test_empty_list_returns_none(self):
-        assert select_peak(np.empty((0, 3)), np.empty(0), (1.0, 0, 0), 0.05) is None
+        # A voxel holding only padding, even under a cutoff that admits 0.
+        assert pick(np.array([[1.0, 0, 0]]), np.array([0.0]), (1.0, 0, 0), -1.0) is None
 
     def test_tie_broken_by_amplitude(self):
         d = normed((1, 1, 0))
         dirs = np.array([d, -d])
         amps = np.array([0.4, 0.9])
-        got = select_peak(dirs, amps, (1.0, 0, 0), 0.05)
+        got = pick(dirs, amps, (1.0, 0, 0))
         # the larger-amplitude peak wins and is sign-flipped toward n
         assert np.allclose(got, d)
 
@@ -64,14 +118,14 @@ class TestSelectPeak:
         e = normed((1, -1, 0))
         dirs = np.array([d, e])
         amps = np.array([0.7, 0.7])
-        got = select_peak(dirs, amps, (1.0, 0, 0), 0.05)
+        got = pick(dirs, amps, (1.0, 0, 0))
         assert np.allclose(got, d)
 
     @given(d=unit3, n=unit3)
     @settings(max_examples=100, deadline=None)
     def test_output_has_nonnegative_dot_with_normal(self, d, n):
         dirs = np.array([normed(d)])
-        got = select_peak(dirs, np.array([1.0]), normed(n), 0.05)
+        got = pick(dirs, np.array([1.0]), normed(n))
         assert got is not None
         assert float(np.dot(got, normed(n))) >= 0
 
@@ -79,9 +133,26 @@ class TestSelectPeak:
     @settings(max_examples=100, deadline=None)
     def test_antipodal_input_invariance(self, d, n):
         amps = np.array([1.0])
-        a = select_peak(np.array([normed(d)]), amps, normed(n), 0.05)
-        b = select_peak(np.array([-normed(d)]), amps, normed(n), 0.05)
+        a = pick(np.array([normed(d)]), amps, normed(n))
+        b = pick(np.array([-normed(d)]), amps, normed(n))
         assert np.allclose(a, b)
+
+    @given(data=st.data(), k=st.integers(1, 4), rows=st.integers(1, 6),
+           min_amp=st.sampled_from([-1.0, 0.0, 0.05, 0.5]))
+    @settings(max_examples=300, deadline=None)
+    def test_batched_equals_oracle_bit_for_bit(self, data, k, rows, min_amp):
+        # A small pool makes repeated and antipodal directions, equal
+        # amplitudes (ties), zero padding and zero normals common.
+        pool = [normed(v) for v in [(1, 0, 0), (1, 1, 0), (1, -1, 0), (0.3, 0.4, 1.2)]]
+        direction = st.one_of(st.sampled_from(pool + [-v for v in pool]),
+                              unit3.map(normed))
+        amplitude = st.one_of(st.sampled_from([0.0, 0.03, 0.5, 1.0]),
+                              st.floats(0, 1, allow_nan=False))
+        normal = st.one_of(st.sampled_from(pool + [np.zeros(3)]), unit3.map(normed))
+        dirs = [[data.draw(direction) for _ in range(k)] for _ in range(rows)]
+        amps = [[data.draw(amplitude) for _ in range(k)] for _ in range(rows)]
+        normals = np.array([data.draw(normal) for _ in range(rows)])
+        assert matches_oracle(row_peaks(dirs, amps), normals, min_amp)
 
 
 def straight_phantom(length=20):
@@ -182,7 +253,7 @@ class TestBuildPrior:
         )
         prior = build_prior(weak, cl, ph.mask)
         assert not prior.valid[dead]
-        assert prior.valid_count == int(ph.mask.foreground.sum()) - 1
+        assert prior.valid.sum() == int(ph.mask.foreground.sum()) - 1
         pts, _ = prior.samples()
         dead_center = np.asarray(ph.mask.grid.origin) + np.asarray(dead)
         assert not (pts == dead_center).all(axis=1).any()
@@ -196,13 +267,25 @@ class TestBuildPrior:
         with pytest.raises(DomainError):
             build_prior(peaks2, cl, ph.mask)
 
-    def test_centerline_only_restricts_support(self):
-        ph, cl = straight_prior_inputs()
-        full = build_prior(ph.peaks, cl, ph.mask)
-        thin = build_prior(ph.peaks, cl, ph.mask, centerline_only=True)
-        assert 0 < thin.valid_count < full.valid_count
-        assert np.all(full.valid[thin.valid])
-        assert np.allclose(thin.directions[thin.valid], [1, 0, 0], atol=1e-9)
+    @pytest.mark.parametrize("min_amp", [0.05, 0.9, -1.0])
+    def test_readme_helix_equals_per_voxel_oracle(self, min_amp):
+        ph = generate(
+            PhantomSpec(kind="helix", radius=2.5, helix_radius=8.0, pitch=8.0,
+                        turns=1.0, noise_deg=10.0, distractor_amp=0.8),
+            rng_seed=42,
+        )
+        cl = extract_centerline(ph.mask, ph.p1, ph.p2)
+        prior = build_prior(ph.peaks, cl, ph.mask, min_amp)
+        directions = np.zeros(ph.mask.grid.dims + (3,))
+        valid = np.zeros(ph.mask.grid.dims, dtype=bool)
+        fg = ph.mask.foreground_indices()
+        normals = cross_section_normals(cl, ph.mask.foreground_points())
+        for voxel, n in zip(map(tuple, fg), normals):
+            d = scalar_select_peak(*ph.peaks.peaks_at(voxel), n, min_amp)
+            if d is not None:
+                directions[voxel], valid[voxel] = d, True
+        assert np.array_equal(prior.valid, valid)
+        assert np.array_equal(prior.directions, directions)
 
 
 class TestPriorPeaksRoundTrip:

@@ -14,6 +14,7 @@ from tractfield import (
     baseline_peak_track,
     generate,
     inside_many,
+    nearest_indices,
     pooled_points,
     rk4_step,
     sample_direction,
@@ -319,6 +320,24 @@ class TestBaselinePeakTrack:
             weak, straight.mask, [(30.0, 0, 0)], params, min_amp=0.03
         )
         assert abs(arc_length(tract.streamlines[0]) - 60.0) <= 0.02 * 60.0
+
+    @pytest.mark.parametrize("min_amp", [0.0, -1.0])
+    def test_padding_slots_never_followed(self, straight, min_amp):
+        # The far half of the tube keeps its directions but every amplitude
+        # there is zero, so only padding slots remain to follow.
+        amps = straight.peaks.amplitudes.copy()
+        amps[straight.peaks.dims[0] // 2:] = 0.0
+        padded = PeaksField(straight.peaks.dims, straight.peaks.spacing,
+                            straight.peaks.origin, straight.peaks.directions, amps)
+        params = TrackParams(step=0.3, sigma=0.0, seed_count=1, min_len=0.0)
+        tract = baseline_peak_track(padded, straight.mask,
+                                    straight.mask.foreground_points(), params,
+                                    min_amp=min_amp)
+        assert tract.streamlines
+        # Every point a line turned at, so all but its two ends, needs a peak.
+        for line in tract.streamlines:
+            i, j, k = nearest_indices(padded, line[1:-1])[0].T
+            assert (padded.amplitudes[i, j, k] > 0).any(axis=1).all()
 
     def test_rerun_is_bit_identical(self, torus):
         seed = torus.field.axis_point(math.pi / 3)
