@@ -8,9 +8,11 @@ direction rules plug into it:
 
 - ``track``: a Runge-Kutta step whose first slope is a Gaussian-perturbed
   unit field direction and whose later stages use the deterministic field;
-  it stops where the field vanishes.  Each streamline draws from its own
-  random substream keyed by the run seed, the seed coordinates and the
-  repetition index, so results do not depend on seed order or batching.
+  it stops where the field vanishes.  One ``sample_direction`` call per
+  step perturbs every live row, but each streamline still draws, in step
+  order, from its own random substream keyed by the run seed, the seed
+  coordinates and the repetition index, so results do not depend on seed
+  order or batching.
 - ``baseline_peak_track``: an Euler step, then a turn to the nearest
   voxel's admissible peak closest in axial angle; it stops when no peak is
   admissible or the turn exceeds ``angle_max``.
@@ -30,6 +32,8 @@ from .polyfield import PolyField
 from .prior import MIN_AMP_DEFAULT, select_peak
 
 ZERO_FIELD_TOL = 1e-12
+# Triples each streamline draws from its substream at a time.
+DRAW_BLOCK = 64
 ANGLE_MAX_DEFAULT = 40.0
 
 
@@ -63,29 +67,44 @@ class TrackParams:
         object.__setattr__(self, "min_len", float(self.min_len))
 
 
-def sample_direction(v, prev, sigma, rng):
-    """Unit direction from the field vector with Gaussian perturbation.
+def _dots(a, b):
+    """Row-wise dot products; bitwise equal to ``np.dot`` on each row pair."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
-    Normalizes v, adds independent zero-mean Gaussian noise of std sigma to
-    each component, renormalizes, and flips the sign to keep a nonnegative
-    dot product with ``prev`` when given.  Returns None when the field
-    vector is numerically zero; sigma=0 draws nothing from ``rng``.
+
+def sample_direction(v, prev, sigma, draw):
+    """Unit directions from field vectors with Gaussian perturbation.
+
+    Normalizes each row of v, adds the row's next ``draw`` triple (zero-mean
+    Gaussian noise of std sigma), renormalizes, and flips the sign to keep a
+    nonnegative dot product with the row of ``prev`` when given.  A row
+    whose perturbed vector is numerically zero draws again.  ``draw(rows)``
+    returns the next triple of each listed row.  Returns the directions and
+    ok flags; a row whose field vector is numerically zero is not ok, gets a
+    zero direction and draws nothing, and sigma=0 never calls ``draw``.
     """
     v = np.asarray(v, dtype=float)
-    norm = float(np.linalg.norm(v))
-    if norm < ZERO_FIELD_TOL:
-        return None
-    d = v / norm
-    if sigma > 0:
-        d = d + rng.normal(0.0, sigma, 3)
-        norm = float(np.linalg.norm(d))
-        while norm < ZERO_FIELD_TOL:
-            d = v / float(np.linalg.norm(v)) + rng.normal(0.0, sigma, 3)
-            norm = float(np.linalg.norm(d))
-        d = d / norm
-    if prev is not None and float(np.dot(d, np.asarray(prev, float))) < 0:
-        d = -d
-    return d
+    norm = np.sqrt(_dots(v, v))
+    # Written as "not (bad)" so that a NaN vector passes on, as NaN, to the
+    # caller's stopping rules.
+    ok = ~(norm < ZERO_FIELD_TOL)
+    d = np.zeros_like(v)
+    d[ok] = v[ok] / norm[ok, None]
+    if sigma > 0 and ok.any():
+        rows = np.flatnonzero(ok)
+        unit = d[rows]
+        p = unit + draw(rows)
+        pnorm = np.sqrt(_dots(p, p))
+        redo = np.flatnonzero(pnorm < ZERO_FIELD_TOL)
+        while len(redo):
+            p[redo] = unit[redo] + draw(rows[redo])
+            pnorm[redo] = np.sqrt(_dots(p[redo], p[redo]))
+            redo = redo[pnorm[redo] < ZERO_FIELD_TOL]
+        d[rows] = p / pnorm[:, None]
+    if prev is not None:
+        flip = _dots(d, np.asarray(prev, dtype=float)) < 0
+        d[flip] = -d[flip]
+    return d, ok
 
 
 def _rk4_many(field: PolyField, eta: np.ndarray, d0: np.ndarray, step: float):
@@ -119,8 +138,8 @@ def rk4_step(field: PolyField, eta, d0, step: float):
 
     Returns the new point, or None when the field vanishes at any stage.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not 0 < step < math.inf:
+        raise ValueError("step must be positive and finite")
     new, ok = _rk4_many(
         field,
         np.asarray([eta], dtype=float),
@@ -237,16 +256,26 @@ def track(field: PolyField, mask: Mask, seeds, params: TrackParams) -> Tract:
     def advance(eta, d):
         return _rk4_many(field, eta, d, params.step)
 
-    def turn(rows, pts, prev):
-        directions = np.zeros((len(rows), 3))
-        ok = np.zeros(len(rows), dtype=bool)
-        for r, (v, p, i) in enumerate(zip(field.evaluate_many(pts), prev, rows)):
-            d = sample_direction(v, p, params.sigma, rngs[i])
-            if d is not None:
-                directions[r], ok[r] = d, True
-        return directions, ok
+    # Each row draws from its own substream in blocks of DRAW_BLOCK triples,
+    # the same values as one triple at a time; a block is refilled when the
+    # row has used it up, and the two halves share it.
+    blocks = np.empty((len(starts), DRAW_BLOCK, 3))
+    used = np.full(len(starts), DRAW_BLOCK)
 
-    first, alive = turn(range(len(starts)), starts, [None] * len(starts))
+    def draw(rows):
+        for i in rows[used[rows] == DRAW_BLOCK]:
+            blocks[i] = rngs[i].normal(0.0, params.sigma, (DRAW_BLOCK, 3))
+            used[i] = 0
+        triples = blocks[rows, used[rows]]
+        used[rows] += 1
+        return triples
+
+    def turn(rows, pts, prev):
+        return sample_direction(
+            field.evaluate_many(pts), prev, params.sigma, lambda r: draw(rows[r])
+        )
+
+    first, alive = turn(np.arange(len(starts)), starts, None)
     return _trace(mask, starts, first, alive, advance, turn, params)
 
 
@@ -281,7 +310,7 @@ def baseline_peak_track(
 
     def turn(rows, pts, prev):
         nd, ok = select_peak(peaks, pts, prev, min_amp)
-        return nd, ok & ((nd[:, None, :] @ prev[:, :, None])[:, 0, 0] >= cos_stop)
+        return nd, ok & (_dots(nd, prev) >= cos_stop)
 
     # Each seed starts along its first admissible peak in storage order.
     i, j, k = nearest_indices(peaks, kept_seeds)[0].T

@@ -138,10 +138,10 @@ def test_3_rk4_endpoint_convergence_is_fourth_order():
     errors = []
     for lam in (0.4, 0.2, 0.1, 0.05):
         p = np.array([radius, 0.0, 0.0])
-        d = sample_direction(field.evaluate(p), None, 0.0, None)
+        d = sample_direction([field.evaluate(p)], None, 0.0, None)[0][0]
         for _ in range(round(arc / lam)):
             p = rk4_step(field, p, d, lam)
-            d = sample_direction(field.evaluate(p), d, 0.0, None)
+            d = sample_direction([field.evaluate(p)], [d], 0.0, None)[0][0]
         errors.append(float(np.linalg.norm(p - exact)))
     slopes = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
     ok = min(slopes) >= 3.8

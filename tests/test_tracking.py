@@ -1,9 +1,13 @@
 """Tracker behaviour: direction sampling, RK4 accuracy, stop rules, determinism."""
 
+import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tractfield import (
     EmptyTractError,
@@ -18,8 +22,101 @@ from tractfield import (
     pooled_points,
     rk4_step,
     sample_direction,
+    save_tract,
     track,
+    tracking,
 )
+from tractfield.tracking import DRAW_BLOCK, ZERO_FIELD_TOL
+
+
+def scalar_sample_direction(v, prev, sigma, rng):
+    """One row's sampling, draw by draw: the oracle for ``sample_direction``.
+
+    Returns the unit direction, or None when the field vector is
+    numerically zero; sigma=0 draws nothing from ``rng``.
+    """
+    v = np.asarray(v, dtype=float)
+    norm = float(np.linalg.norm(v))
+    if norm < ZERO_FIELD_TOL:
+        return None
+    d = v / norm
+    if sigma > 0:
+        d = d + rng.normal(0.0, sigma, 3)
+        norm = float(np.linalg.norm(d))
+        while norm < ZERO_FIELD_TOL:
+            d = v / float(np.linalg.norm(v)) + rng.normal(0.0, sigma, 3)
+            norm = float(np.linalg.norm(d))
+        d = d / norm
+    if prev is not None and float(np.dot(d, np.asarray(prev, float))) < 0:
+        d = -d
+    return d
+
+
+class Triples:
+    """Fixed per-row noise triples, served to both samplers in row order."""
+
+    def __init__(self, triples, sigma):
+        self.triples = [[np.asarray(t, dtype=float) for t in row] for row in triples]
+        self.sigma = sigma
+        self.used = [0] * len(triples)
+        self.calls = []
+
+    def next(self, r):
+        self.used[r] += 1
+        return self.triples[r][self.used[r] - 1]
+
+    def draw(self, rows):
+        """The batched sampler's ``draw``."""
+        self.calls.append([int(r) for r in rows])
+        return np.array([self.next(r) for r in rows]).reshape(len(rows), 3)
+
+    def rng(self, r):
+        """Row r's stream as the generator the oracle calls."""
+
+        def normal(loc, scale, size):
+            assert (loc, scale, size) == (0.0, self.sigma, 3)
+            return self.next(r)
+
+        return SimpleNamespace(normal=normal)
+
+
+def oracle_rows(v, prev, sigma, triples):
+    """The oracle's directions (None where not ok) and triples used per row."""
+    stream = Triples(triples, sigma)
+    out = [
+        scalar_sample_direction(v[r], None if prev is None else prev[r], sigma,
+                                stream.rng(r))
+        for r in range(len(v))
+    ]
+    return out, stream.used
+
+
+def batched_rows(v, prev, sigma, triples):
+    stream = Triples(triples, sigma)
+    d, ok = sample_direction(v, prev, sigma, stream.draw)
+    return d, ok, stream
+
+
+def matches(d, ok, want):
+    return len(d) == len(want) and all(
+        bool(k) == (w is not None) and np.array_equal(row, np.zeros(3) if w is None else w)
+        for row, k, w in zip(d, ok, want)
+    )
+
+
+def no_draw(rows):
+    raise AssertionError("draw called")
+
+
+def one_row(v, prev=None, sigma=0.0, draw=no_draw):
+    """``sample_direction`` on one row; None where the row is not ok."""
+    d, ok = sample_direction(
+        np.array([v], dtype=float),
+        None if prev is None else np.array([prev], dtype=float),
+        sigma,
+        draw,
+    )
+    return d[0] if ok[0] else None
 
 
 def rotational_field():
@@ -87,44 +184,116 @@ class TestTrackParams:
 
 class TestSampleDirection:
     def test_normalizes_field_vector(self):
-        d = sample_direction((2.0, 0.0, 0.0), None, 0.0, None)
-        assert np.array_equal(d, [1.0, 0.0, 0.0])
+        assert np.array_equal(one_row((2.0, 0.0, 0.0)), [1.0, 0.0, 0.0])
 
     def test_sign_aligned_to_previous(self):
-        d = sample_direction((-1.0, 0.0, 0.0), (1.0, 0.0, 0.0), 0.0, None)
+        d = one_row((-1.0, 0.0, 0.0), (1.0, 0.0, 0.0))
         assert np.array_equal(d, [1.0, 0.0, 0.0])
 
     def test_no_flip_without_previous(self):
-        d = sample_direction((-1.0, 0.0, 0.0), None, 0.0, None)
-        assert np.array_equal(d, [-1.0, 0.0, 0.0])
+        assert np.array_equal(one_row((-1.0, 0.0, 0.0)), [-1.0, 0.0, 0.0])
 
-    def test_zero_field_returns_none(self):
-        assert sample_direction((0.0, 0.0, 0.0), None, 0.1, np.random.default_rng(0)) is None
+    def test_zero_field_is_not_ok_and_draws_nothing(self):
+        d, ok = sample_direction(np.zeros((1, 3)), None, 0.1, no_draw)
+        assert not ok[0] and np.array_equal(d, np.zeros((1, 3)))
 
     def test_sigma_zero_draws_nothing(self):
-        rng = np.random.default_rng(7)
-        state = rng.bit_generator.state
-        sample_direction((0.0, 3.0, 0.0), (0.0, 1.0, 0.0), 0.0, rng)
-        assert rng.bit_generator.state == state
+        d = one_row((0.0, 3.0, 0.0), (0.0, 1.0, 0.0), 0.0, no_draw)
+        assert np.array_equal(d, [0.0, 1.0, 0.0])
 
     def test_result_is_unit_length(self):
         rng = np.random.default_rng(11)
-        for _ in range(50):
-            d = sample_direction((1.0, 2.0, -0.5), None, 0.5, rng)
-            assert np.linalg.norm(d) == pytest.approx(1.0, abs=1e-12)
+        d, ok = sample_direction(np.tile([1.0, 2.0, -0.5], (50, 1)), None, 0.5,
+                                 lambda rows: rng.normal(0.0, 0.5, (len(rows), 3)))
+        assert ok.all()
+        assert np.allclose(np.linalg.norm(d, axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_perturbation_statistics(self):
         # 1e5 draws at sigma=0.1 around +x: mean direction within 1 degree
         # of the field axis, transverse spread within 5% of sigma.
         rng = np.random.default_rng(1234)
-        draws = np.array(
-            [sample_direction((1.0, 0.0, 0.0), None, 0.1, rng) for _ in range(100_000)]
+        draws, ok = sample_direction(
+            np.tile([1.0, 0.0, 0.0], (100_000, 1)), None, 0.1,
+            lambda rows: rng.normal(0.0, 0.1, (len(rows), 3)),
         )
+        assert ok.all()
         mean = draws.mean(axis=0)
         mean /= np.linalg.norm(mean)
         angle = math.degrees(math.acos(min(1.0, float(mean[0]))))
         assert angle < 1.0
         assert abs(draws[:, 1].std() - 0.1) < 0.005
+
+    def test_zero_perturbed_vector_redraws_from_its_own_stream(self):
+        v = np.array([[1.0, 2.0, -0.5], [0.0, 3.0, 4.0], [-2.0, 0.5, 1.0]])
+        rng = np.random.default_rng(5)
+        triples = [list(rng.normal(0.0, 0.1, (3, 3))) for _ in v]
+        triples[1][0] = -(v[1] / np.linalg.norm(v[1]))
+        d, ok, stream = batched_rows(v, None, 0.1, triples)
+        want, used = oracle_rows(v, None, 0.1, triples)
+        assert np.linalg.norm(triples[1][0] + v[1] / np.linalg.norm(v[1])) == 0
+        assert matches(d, ok, want)
+        assert stream.used == used == [1, 2, 1]
+        assert stream.calls == [[0, 1, 2], [1]]
+
+    @given(data=st.data(), rows=st.integers(1, 6),
+           sigma=st.sampled_from([0.0, 1e-3, 0.1, 2.0]),
+           prev_mode=st.sampled_from(["none", "rows"]))
+    @settings(max_examples=300, deadline=None)
+    def test_batched_equals_oracle_bit_for_bit(self, data, rows, sigma, prev_mode):
+        coord = st.floats(-10, 10, allow_nan=False)
+        direction = st.one_of(
+            st.sampled_from([(1.0, 0, 0), (0, -1.0, 0), (0.6, 0, 0.8)]),
+            st.tuples(coord, coord, coord).filter(lambda u: np.linalg.norm(u) > 1e-3),
+        )
+        # Field norms at, just under and just over the zero-field tolerance.
+        near_tol = st.sampled_from([0.5, np.nextafter(1.0, 0.0), 1.0,
+                                    np.nextafter(1.0, 2.0), 2.0])
+        v, prev, triples = [], [], []
+        for _ in range(rows):
+            u = np.array(data.draw(direction), dtype=float)
+            p = data.draw(st.sampled_from(["parallel", "antiparallel", "orthogonal", "any"]))
+            if p == "orthogonal":
+                # A zero component in v and in every triple, and prev along
+                # that axis: the dot is exactly 0 and the row must not flip.
+                axis = data.draw(st.integers(0, 2))
+                u[axis] = 0.0
+            kind = data.draw(st.sampled_from(["zero", "near_tol", "any"]))
+            norm = np.linalg.norm(u)
+            if kind == "zero" or norm == 0:
+                u = np.zeros(3)
+            elif kind == "near_tol":
+                u = u / norm * ZERO_FIELD_TOL * data.draw(near_tol)
+            noise = [np.array(data.draw(st.tuples(coord, coord, coord)), dtype=float)
+                     for _ in range(2)]
+            if u.any():
+                # Leading triples that cancel the unit vector force redraws.
+                cancel = -(u / np.linalg.norm(u))
+                noise = [cancel] * data.draw(st.integers(0, 2)) + noise
+            if p == "orthogonal":
+                for t in noise:
+                    t[axis] = 0.0
+                q = np.zeros(3)
+                q[axis] = data.draw(st.sampled_from([1.0, -1.0]))
+            elif p == "any":
+                q = np.array(data.draw(st.tuples(coord, coord, coord)), dtype=float)
+            else:
+                q = u if p == "parallel" else -u
+            v.append(u)
+            prev.append(q)
+            triples.append(noise)
+        v = np.array(v)
+        prev = None if prev_mode == "none" else np.array(prev)
+        d, ok, stream = batched_rows(v, prev, sigma, triples)
+        want, used = oracle_rows(v, prev, sigma, triples)
+        assert matches(d, ok, want)
+        assert stream.used == used
+        if sigma == 0:
+            assert not stream.calls
+        if prev is not None:
+            unflipped, _ = oracle_rows(v, None, sigma, triples)
+            for r in np.flatnonzero(ok):
+                if prev[r] @ d[r] == 0:
+                    assert np.array_equal(d[r], unflipped[r])
 
 
 class TestRk4Step:
@@ -134,6 +303,10 @@ class TestRk4Step:
             rk4_step(field, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 0.0)
         with pytest.raises(ValueError, match="step"):
             rk4_step(field, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), -0.3)
+        with pytest.raises(ValueError, match="step"):
+            rk4_step(field, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), float("nan"))
+        with pytest.raises(ValueError, match="step"):
+            rk4_step(field, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), math.inf)
 
     def test_constant_field_moves_one_step(self):
         out = rk4_step(constant_field(), (1.0, 2.0, 3.0), (1.0, 0.0, 0.0), 0.3)
@@ -147,10 +320,10 @@ class TestRk4Step:
         field = rotational_field()
         lam = 2.0 * math.pi / n
         p = np.array([1.0, 0.0, 0.0])
-        d = sample_direction(field.evaluate(p), None, 0.0, None)
+        d = sample_direction([field.evaluate(p)], None, 0.0, None)[0][0]
         for _ in range(n):
             p = rk4_step(field, p, d, lam)
-            d = sample_direction(field.evaluate(p), d, 0.0, None)
+            d = sample_direction([field.evaluate(p)], [d], 0.0, None)[0][0]
         return float(np.linalg.norm(p - [1.0, 0.0, 0.0]))
 
     def test_unit_circle_closes_to_1e5(self):
@@ -283,6 +456,38 @@ class TestTrack:
         assert len(tract.streamlines) == 4
         first = tract.streamlines[0]
         assert all(np.array_equal(line, first) for line in tract.streamlines[1:])
+
+    def test_sigma_zero_leaves_substreams_untouched(self, straight, monkeypatch):
+        made = []
+
+        def recorded(*key):
+            rng = substream(*key)
+            made.append((rng, rng.bit_generator.state))
+            return rng
+
+        substream = tracking._substream
+        monkeypatch.setattr(tracking, "_substream", recorded)
+        params = TrackParams(step=0.3, sigma=0.0, seed_count=3)
+        track(straight.field.to_polyfield(), straight.mask,
+              [(15.0, 0, 0), (30.0, 1.0, 0)], params)
+        assert len(made) == 6
+        assert all(rng.bit_generator.state == state for rng, state in made)
+
+    def test_golden_digest(self, tmp_path):
+        # sha256 of the tract written by the one-row-at-a-time sampler.
+        # Every voxel of a 40 mm tube is seeded, so the lines seeded near an
+        # end take more than DRAW_BLOCK turns in one half: the digest covers
+        # a block refill and the forward-to-backward handoff of a substream.
+        tube = generate(PhantomSpec(kind="straight-tube", radius=3.0, length=40.0))
+        params = TrackParams(step=0.3, sigma=0.1, seed_count=2, rng_seed=3)
+        tract = track(tube.field.to_polyfield(), tube.mask,
+                      tube.mask.foreground_points(), params)
+        assert max(len(line) for line in tract.streamlines) > 2 * DRAW_BLOCK + 1
+        path = tmp_path / "tube.tract"
+        save_tract(tract, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "571d766fc77dbe195667dc2e8fee7b884750978aaf517432091708676239176b"
+        )
 
 
 class TestBaselinePeakTrack:
