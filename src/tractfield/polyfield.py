@@ -10,6 +10,7 @@ least-squares problem in the constraint null space.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy import linalg
@@ -62,24 +63,33 @@ def monomial_exponents(order: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(len(rows), 3)
 
 
-def _power_table(vals: np.ndarray, order: int) -> np.ndarray:
-    out = np.ones((len(vals), order + 1))
-    for p in range(1, order + 1):
-        out[:, p] = out[:, p - 1] * vals
-    return out
+@lru_cache(maxsize=None)
+def _exponent_columns(order: int) -> tuple:
+    """Read-only x, y and z exponent columns of ``monomial_exponents``."""
+    columns = monomial_exponents(order).T.copy()
+    columns.flags.writeable = False
+    return tuple(columns)
 
 
 def basis_matrix(points: np.ndarray, order: int) -> np.ndarray:
-    """Monomial design matrix: row s holds every monomial of point s."""
+    """Monomial design matrix: row s holds every monomial of point s.
+
+    Each entry is ``(x**i * y**j) * z**k``, with every power built by
+    repeated multiplication.  The result is C-contiguous whatever the batch:
+    einsum sums in memory order, so this layout keeps each row's downstream
+    reductions, and hence ``PolyField.evaluate_many``, independent of the
+    batch it is computed in.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    exps = monomial_exponents(order)
-    px = _power_table(pts[:, 0], order)
-    py = _power_table(pts[:, 1], order)
-    pz = _power_table(pts[:, 2], order)
-    # fancy indexing along axis 1 can hand back an F-layout product, and
-    # einsum sums in memory order; a fixed C layout keeps every downstream
-    # reduction order independent of the batch shape
-    return np.ascontiguousarray(px[:, exps[:, 0]] * py[:, exps[:, 1]] * pz[:, exps[:, 2]])
+    n = int(order)
+    ix, iy, iz = _exponent_columns(n)
+    # powers[a, p] holds coordinate a of every point raised to p
+    powers = np.empty((3, n + 1, len(pts)))
+    powers[:, 0] = 1.0
+    for p in range(1, n + 1):
+        powers[:, p] = powers[:, p - 1] * pts.T
+    design = powers[0, ix] * powers[1, iy] * powers[2, iz]
+    return np.ascontiguousarray(design.T)
 
 
 def _term_index(order: int):
@@ -153,8 +163,11 @@ class PolyField:
     def evaluate_many(self, points) -> np.ndarray:
         """Field vectors at each world point, one row per point.
 
-        Uses a fixed-order einsum contraction so each output row depends
-        only on its own input row; results are invariant under batching.
+        Uses a fixed-order einsum contraction over the C-contiguous design
+        of ``basis_matrix``, so each output row is summed in the same order
+        from its own input row alone; results are bitwise invariant under
+        batching, which keeps the trackers' output independent of how many
+        rows are live in a step.
         """
         design = basis_matrix(self.normalize(points), self.order)
         return np.einsum("sm,cm->sc", design, self.coeffs, optimize=False)
@@ -162,10 +175,9 @@ class PolyField:
     def divergence_many(self, points) -> np.ndarray:
         """Divergence with respect to the normalized coordinates u."""
         u = self.normalize(points)
-        m = term_count(self.order)
-        cvec = np.concatenate([self.coeffs[0], self.coeffs[1], self.coeffs[2]])
         if self.order == 0:
             return np.zeros(len(u))
+        cvec = np.concatenate([self.coeffs[0], self.coeffs[1], self.coeffs[2]])
         low = basis_matrix(u, self.order - 1)
         cons = divergence_constraints(self.order)
         per_term = cons @ cvec

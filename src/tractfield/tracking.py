@@ -172,10 +172,12 @@ def _integrate_half(mask, start, d0, alive0, advance, turn, params):
     ``advance(eta, d)`` gives the rows' next points and ok flags; a row
     stops when it fails or leaves the mask, and the exiting point is
     dropped.  ``turn(rows, pts, prev)`` gives the accepted rows' next
-    directions and ok flags; a row whose flag is False stops there.
+    directions and ok flags; a row whose flag is False stops there.  Each
+    row's points come back as one (k, 3) array in step order.
     """
     n = len(start)
-    points = [[] for _ in range(n)]
+    rows = [np.empty(0, dtype=np.intp)]
+    points = [np.empty((0, 3))]
     eta = np.array(start, dtype=float)
     d = np.array(d0, dtype=float)
     alive = np.array(alive0, dtype=bool)
@@ -191,12 +193,15 @@ def _integrate_half(mask, start, d0, alive0, advance, turn, params):
             break
         accepted = new[good]
         eta[keep] = accepted
-        for i, p in zip(keep, accepted):
-            points[i].append(p)
+        rows.append(keep)
+        points.append(accepted)
         nd, turned = turn(keep, accepted, d[keep])
         d[keep[turned]] = nd[turned]
         alive[keep[~turned]] = False
-    return points
+    rows = np.concatenate(rows)
+    # a stable sort by row keeps each row's points in step order
+    by_row = np.concatenate(points)[np.argsort(rows, kind="stable")]
+    return np.split(by_row, np.cumsum(np.bincount(rows, minlength=n))[:-1])
 
 
 def _trace(mask, starts, first, alive, advance, turn, params) -> Tract:
@@ -209,12 +214,12 @@ def _trace(mask, starts, first, alive, advance, turn, params) -> Tract:
     if params.bidirectional:
         backward = _integrate_half(mask, starts, -first, alive, advance, turn, params)
     else:
-        backward = [[] for _ in starts]
+        backward = [np.empty((0, 3))] * len(starts)
     streamlines = []
     for b, s, f in zip(backward, starts, forward):
-        if not b and not f:
+        if not len(b) and not len(f):
             continue
-        line = np.asarray(b[::-1] + [s] + f, dtype=float)
+        line = np.concatenate([b[::-1], s[None], f])
         if np.linalg.norm(np.diff(line, axis=0), axis=1).sum() >= params.min_len:
             streamlines.append(line)
     if not streamlines:

@@ -7,6 +7,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.linalg import null_space
 
 from tractfield import (
@@ -27,10 +28,35 @@ from tractfield import (
     synthetic_prior,
     term_count,
 )
+from tractfield.polyfield import _exponent_columns
 
 from conftest import make_mask, random_divfree_field
 
 _XYZ = sp.symbols("x y z")
+
+# Coordinates whose powers zero, flip sign, underflow or grow large.
+_EDGE_COORDS = [0.0, -0.0, 1.0, -1.0, 5e-324, -2.2e-308, 1e3, -1e3]
+
+
+def direct_basis_matrix(points, order):
+    """Design matrix gathered column-wise from (n, order + 1) power tables.
+
+    The reference ``basis_matrix`` must equal bit for bit: the same powers
+    by repeated multiplication and the same products, built in the other
+    memory layout.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    exps = monomial_exponents(order)
+    tables = []
+    for vals in pts.T:
+        table = np.ones((len(vals), order + 1))
+        for p in range(1, order + 1):
+            table[:, p] = table[:, p - 1] * vals
+        tables.append(table)
+    px, py, pz = tables
+    return np.ascontiguousarray(
+        px[:, exps[:, 0]] * py[:, exps[:, 1]] * pz[:, exps[:, 2]]
+    )
 
 
 def sympy_divergence(order: int, coeffs: np.ndarray):
@@ -92,6 +118,33 @@ class TestBasis:
         want = [x**i * y**j * z**k for i, j, k in monomial_exponents(order)]
         assert np.allclose(row, want, rtol=1e-12, atol=1e-12)
 
+    @given(
+        data=st.data(),
+        order=st.integers(0, 8),
+        rows=st.integers(1, 700),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_basis_equals_direct_oracle_bit_for_bit(self, data, order, rows):
+        coords = st.one_of(st.sampled_from(_EDGE_COORDS), st.floats(-2, 2))
+        pts = data.draw(hnp.arrays(float, (rows, 3), elements=coords))
+        got = basis_matrix(pts, order)
+        want = direct_basis_matrix(pts, order)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, want)
+        # bitwise, so the sign of every zero matches too
+        assert got.tobytes() == want.tobytes()
+
+    def test_exponent_columns_cached_read_only(self):
+        pts = np.random.default_rng(4).uniform(-1, 1, (5, 3))
+        before = basis_matrix(pts, 4)
+        exps = monomial_exponents(4)
+        exps[:] = 0
+        assert basis_matrix(pts, 4).tobytes() == before.tobytes()
+        assert not np.array_equal(monomial_exponents(4), exps)
+        for col in _exponent_columns(4):
+            with pytest.raises(ValueError, match="read-only"):
+                col[0] = 1
+
 
 class TestDivergenceConstraints:
     def test_linear_single_row(self):
@@ -150,6 +203,17 @@ class TestEvaluate:
         many = field.evaluate_many(pts)
         for p, row in zip(pts, many):
             assert np.array_equal(field.evaluate(p), row)
+
+    @pytest.mark.parametrize("order", [4, 8])
+    def test_evaluate_many_invariant_under_uneven_batches(self, order, rng):
+        # The trackers evaluate whichever rows are live in a step, so their
+        # output is byte-stable only if a row's value ignores its batch.
+        coeffs = rng.normal(size=(3, term_count(order)))
+        field = PolyField(order, coeffs, offset=(1, -2, 0.5), scale=(4, 3, 2))
+        pts = rng.uniform(-5, 5, size=(700, 3))
+        parts = np.split(pts, [1, 2, 5, 64, 65, 300, 699])
+        batched = np.concatenate([field.evaluate_many(part) for part in parts])
+        assert batched.tobytes() == field.evaluate_many(pts).tobytes()
 
     def test_domain_normalization_applied(self, rng):
         coeffs = rng.normal(size=(3, 4))

@@ -16,9 +16,11 @@ from tractfield import (
     PolyField,
     TrackParams,
     baseline_peak_track,
+    domain_from_mask,
     generate,
     inside_many,
     nearest_indices,
+    polyfield,
     pooled_points,
     rk4_step,
     sample_direction,
@@ -27,6 +29,8 @@ from tractfield import (
     tracking,
 )
 from tractfield.tracking import DRAW_BLOCK, ZERO_FIELD_TOL
+
+from test_polyfield import direct_basis_matrix
 
 
 def scalar_sample_direction(v, prev, sigma, rng):
@@ -138,6 +142,20 @@ def arc_length(points):
 @pytest.fixture(scope="module")
 def straight():
     return generate(PhantomSpec(kind="straight-tube", radius=3.0, length=60.0))
+
+
+@pytest.fixture(scope="module")
+def tube40():
+    return generate(PhantomSpec(kind="straight-tube", radius=3.0, length=40.0))
+
+
+def tract_digest(tract, tmp_path):
+    path = tmp_path / "digest.tract"
+    save_tract(tract, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+GOLDEN_PARAMS = TrackParams(step=0.3, sigma=0.1, seed_count=2, rng_seed=3)
 
 
 @pytest.fixture(scope="module")
@@ -473,21 +491,45 @@ class TestTrack:
         assert len(made) == 6
         assert all(rng.bit_generator.state == state for rng, state in made)
 
-    def test_golden_digest(self, tmp_path):
+    def test_golden_digest(self, tube40, tmp_path):
         # sha256 of the tract written by the one-row-at-a-time sampler.
         # Every voxel of a 40 mm tube is seeded, so the lines seeded near an
         # end take more than DRAW_BLOCK turns in one half: the digest covers
         # a block refill and the forward-to-backward handoff of a substream.
-        tube = generate(PhantomSpec(kind="straight-tube", radius=3.0, length=40.0))
-        params = TrackParams(step=0.3, sigma=0.1, seed_count=2, rng_seed=3)
-        tract = track(tube.field.to_polyfield(), tube.mask,
-                      tube.mask.foreground_points(), params)
+        tract = track(tube40.field.to_polyfield(), tube40.mask,
+                      tube40.mask.foreground_points(), GOLDEN_PARAMS)
         assert max(len(line) for line in tract.streamlines) > 2 * DRAW_BLOCK + 1
-        path = tmp_path / "tube.tract"
-        save_tract(tract, path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        assert tract_digest(tract, tmp_path) == (
             "571d766fc77dbe195667dc2e8fee7b884750978aaf517432091708676239176b"
         )
+
+    def test_field_calls_on_golden_tube(self, tube40, monkeypatch):
+        # The benchmark's per-layer call and point counters read these.
+        sizes = []
+        evaluate_many = PolyField.evaluate_many
+
+        def counting(self, points):
+            sizes.append(len(points))
+            return evaluate_many(self, points)
+
+        monkeypatch.setattr(PolyField, "evaluate_many", counting)
+        track(tube40.field.to_polyfield(), tube40.mask,
+              tube40.mask.foreground_points(), GOLDEN_PARAMS)
+        assert (len(sizes), sum(sizes)) == (1087, 1310278)
+
+    def test_order_eight_tract_matches_direct_basis(self, tube40, tmp_path,
+                                                     monkeypatch):
+        # The golden digest's order-1 field never builds a power above 1;
+        # perturbing every coefficient makes each power up to 8 count.
+        offset, scale = domain_from_mask(tube40.mask)
+        exact = tube40.field.to_polyfield(order=8, offset=offset, scale=scale)
+        noise = 1e-3 * np.random.default_rng(8).normal(size=exact.coeffs.shape)
+        field = PolyField(8, exact.coeffs + noise, offset, scale)
+        seeds = tube40.mask.foreground_points()[::7]
+        fast = tract_digest(track(field, tube40.mask, seeds, GOLDEN_PARAMS), tmp_path)
+        monkeypatch.setattr(polyfield, "basis_matrix", direct_basis_matrix)
+        direct = track(field, tube40.mask, seeds, GOLDEN_PARAMS)
+        assert fast == tract_digest(direct, tmp_path)
 
 
 class TestBaselinePeakTrack:
@@ -566,6 +608,16 @@ class TestBaselinePeakTrack:
         ]
         batch = baseline_peak_track(torus.peaks, torus.mask, seeds, params)
         assert alone == [line.tobytes() for line in batch.streamlines]
+
+    def test_golden_digest(self, tube40, tmp_path):
+        # Every voxel of the 40 mm tube is seeded, so the digest covers the
+        # point buffers and the splice that both trackers share.
+        params = TrackParams(step=0.3, sigma=0.0, seed_count=1)
+        tract = baseline_peak_track(tube40.peaks, tube40.mask,
+                                    tube40.mask.foreground_points(), params)
+        assert tract_digest(tract, tmp_path) == (
+            "cd5950471263bbf395bd2055f5d6f9b01a3325cc07d69f04f2e48fb2d078c083"
+        )
 
     def test_points_stay_inside_mask(self, torus):
         seed = torus.field.axis_point(math.pi / 4)
