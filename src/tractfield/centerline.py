@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy import ndimage, sparse
-from scipy.sparse import csgraph
-from scipy.spatial import cKDTree
+
+# scipy is imported inside the functions that call it: its first import
+# costs ~0.5 s, and `import tractfield` and most stages never call it.
 
 from .errors import ConnectivityError, DomainError, FormatError
 from .grids import (
@@ -82,6 +82,8 @@ def distance_transform(mask: Mask) -> VolumeGrid:
     nearest background voxel center; zero outside the foreground, and
     out-of-bounds counts as background.
     """
+    from scipy.ndimage import distance_transform_edt
+
     fg = mask.foreground
     if not fg.any():
         raise DomainError("mask has no foreground voxels")
@@ -89,7 +91,7 @@ def distance_transform(mask: Mask) -> VolumeGrid:
     padded[1:-1, 1:-1, 1:-1] = fg
     # One padding layer suffices: any deeper out-of-bounds voxel lies farther
     # along the same ray than the shell voxel it passes through.
-    dist = ndimage.distance_transform_edt(padded, sampling=mask.grid.spacing)
+    dist = distance_transform_edt(padded, sampling=mask.grid.spacing)
     data = np.where(fg, dist[1:-1, 1:-1, 1:-1], 0.0)
     g = mask.grid
     return VolumeGrid(g.dims, g.spacing, g.origin, data)
@@ -122,6 +124,8 @@ def path_energy(dt: VolumeGrid, voxels) -> float:
 
 
 def _min_energy_path(dt: VolumeGrid, start, goal) -> np.ndarray:
+    from scipy.sparse import csgraph, csr_matrix
+
     d = dt.data
     fg = d > 0
     fg_idx = np.argwhere(fg)
@@ -140,7 +144,7 @@ def _min_energy_path(dt: VolumeGrid, start, goal) -> np.ndarray:
         rows.append(ids[sa][both])
         cols.append(ids[sb][both])
         weights.append(length * 0.5 * (h[sa][both] + h[sb][both]))
-    graph = sparse.csr_matrix(
+    graph = csr_matrix(
         (np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n),
     )
@@ -168,6 +172,8 @@ def _smooth(pts: np.ndarray, passes=_SMOOTH_PASSES) -> np.ndarray:
 
 def _pull_inside(pts: np.ndarray, mask: Mask) -> np.ndarray:
     """Replace any point outside the mask by the nearest foreground center."""
+    from scipy.spatial import cKDTree
+
     ok = inside_many(mask, pts)
     if ok.all():
         return pts

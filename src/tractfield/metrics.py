@@ -10,7 +10,9 @@ distances, both in mm.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
+
+# scipy is imported inside the functions that call it: its first import
+# costs ~0.5 s, and `import tractfield` and most stages never call it.
 
 from .errors import DomainError
 from .grids import Mask, Tract, VolumeGrid, nearest_indices, pooled_points, same_geometry
@@ -70,6 +72,8 @@ def hausdorff(a: Tract, b: Tract) -> tuple:
     the larger of the two directed maxima, AHD the mean of the two directed
     averages.
     """
+    from scipy.spatial import cKDTree
+
     pa = pooled_points(a)
     pb = pooled_points(b)
     if not len(pa) or not len(pb):

@@ -13,7 +13,9 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.spatial import cKDTree
+
+# scipy is imported inside the functions that call it: its first import
+# costs ~0.5 s, and `import tractfield` and most stages never call it.
 
 from .centerline import RESAMPLE_STEP, Centerline
 from .errors import FormatError, GeometryError
@@ -133,6 +135,8 @@ class FieldDescriptor:
         if self.kind == "quarter-torus":
             return np.arctan2(pts[:, 1], pts[:, 0])
         if self.kind == "helix":
+            from scipy.spatial import cKDTree
+
             ts, samples = self.axis_samples()
             _, idx = cKDTree(samples).query(pts)
             return ts[idx]
@@ -213,11 +217,7 @@ class PhantomSpec:
         for name in ("length", "major_radius", "helix_radius", "pitch", "turns"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        # Adjacent turns closer than one voxel merge into one mask column.
-        if (self.kind == "helix" and self.turns > 1
-                and not self.pitch - 2 * self.radius >= self.spacing[2]):
-            raise ValueError("helix turns touch: pitch - 2 * radius must be at "
-                             "least spacing[2] when turns > 1")
+        self._check_tube_geometry()
         if not self.noise_deg >= 0:
             raise ValueError("noise_deg must be >= 0")
         if not 0 <= self.distractor_amp <= 1:
@@ -225,6 +225,47 @@ class PhantomSpec:
         for name in ("distractor_count", "margin"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+
+    def _check_tube_geometry(self):
+        """Reject a curved tube whose voxels need not form one chain along
+        its axis.
+
+        A straight axis runs along a row of the default grid's voxel centers.
+        A curved tube at least one voxel diagonal wide holds the voxel nearest
+        every axis point, and those voxels are 26-connected.  Two 26-neighbours lie at
+        most one diagonal apart, so the tube widened by half a diagonal must
+        still leave the axis it winds around free and must not touch another
+        turn; otherwise the minimal path cuts through the filled core or
+        steps across to the next turn.
+        """
+        if self.kind not in ("quarter-torus", "helix"):
+            return
+        diag = math.hypot(*self.spacing)
+        if not 2 * self.radius >= diag:
+            raise ValueError(f"radius must be at least half the voxel diagonal "
+                             f"({diag / 2:.4g} mm)")
+        around = "major_radius" if self.kind == "quarter-torus" else "helix_radius"
+        if not self.radius + diag / 2 <= getattr(self, around):
+            raise ValueError(
+                f"radius + half the voxel diagonal must not exceed {around}: the "
+                "tube's voxels would fill the axis it winds around")
+        if self.kind != "helix":
+            return
+        rise = self.pitch / (2 * math.pi)
+        # Axis points an angle s apart lie d(s) apart; d grows until the next
+        # turn draws near, and the least d past that first maximum is the
+        # closest approach of two turns (or of the ends of a near-full turn).
+        # It lies within one turn, because later minima of d are farther.
+        span = 2 * math.pi * min(self.turns, 1.0)
+        s = np.append(np.arange(0.0, span, 0.01), span)
+        d = np.hypot(2 * self.helix_radius * np.sin(s / 2), rise * s)
+        falls = np.flatnonzero(np.diff(d) < 0)
+        gap = d[falls[0]:].min() - 2 * self.radius if len(falls) else math.inf
+        if not gap >= diag:
+            raise ValueError(
+                f"helix turns touch: pitch - 2 * radius, measured between the "
+                f"tilted turns, is {gap:.4g} mm, less than the voxel diagonal "
+                f"({diag:.4g} mm)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,6 +359,8 @@ def _foreground(spec: PhantomSpec, desc: FieldDescriptor, centers: np.ndarray):
         ring = np.hypot(x, y) - spec.major_radius
         return (x >= 0) & (y >= 0) & (ring * ring + z * z <= r * r)
     if spec.kind == "helix":
+        from scipy.spatial import cKDTree
+
         t0, t1 = desc.axis_range
         _, samples = desc.axis_samples()
         dist, _ = cKDTree(samples).query(centers)
@@ -364,6 +407,8 @@ def _snap_endpoint(mask: Mask, point: np.ndarray) -> np.ndarray:
     idx, inb = nearest_indices(mask.grid, [point])
     if inb[0] and mask.grid.data[tuple(idx[0])]:
         return np.asarray(point, dtype=float)
+    from scipy.spatial import cKDTree
+
     centers = mask.foreground_points()
     _, nn = cKDTree(centers).query(np.asarray(point, float))
     return centers[int(nn)]

@@ -13,7 +13,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import linalg
+
+# scipy is imported inside the functions that call it: its first import
+# costs ~0.5 s, and `import tractfield` and most stages never call it.
 
 from .errors import (
     ConditioningError,
@@ -229,6 +231,8 @@ def fit_field(
     UnderdeterminedError when there are fewer samples than free parameters
     and ConditioningError when the reduced system is numerically singular.
     """
+    from scipy.linalg import null_space
+
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     tgt = np.atleast_2d(np.asarray(targets, dtype=float))
     if pts.shape != tgt.shape or pts.ndim != 2 or pts.shape[1] != 3:
@@ -238,7 +242,7 @@ def fit_field(
         raise ValueError("ridge must be finite and >= 0")
     probe = PolyField(order, np.zeros((3, term_count(order))), offset, scale)
     cons = divergence_constraints(order)
-    null = linalg.null_space(cons) if len(cons) else np.eye(3 * term_count(order))
+    null = null_space(cons) if len(cons) else np.eye(3 * term_count(order))
     free = null.shape[1]
     if 3 * len(pts) < free:
         raise UnderdeterminedError(

@@ -2,7 +2,11 @@
 
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -479,3 +483,40 @@ class TestPipelineCommand:
         ]) == 0
         record = capsys.readouterr().out.splitlines()[0]
         assert record == "overlap=100.0000 hd=0.0000 ahd=0.0000"
+
+
+# A fresh interpreter runs argv (a JSON list; empty means import only) and
+# prints which scipy modules it loaded.  The test process cannot check this
+# itself: conftest.py imports scipy.linalg.
+COLD_START = """
+import json, sys
+import tractfield, tractfield.cli
+argv = json.loads(sys.argv[1])
+code = tractfield.cli.main(argv) if argv else 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv, artifact", [
+    ([], None),
+    (["prior", "--peaks", "{s}/peaks.rvf", "--centerline", "{s}/centerline.tract",
+      "--mask", "{s}/mask.rvf", "--out", "{out}"], "prior.rvf"),
+    (["track", "--field", "{s}/field.txt", "--mask", "{s}/mask.rvf", "--out", "{out}"]
+     + TRACK_FLAGS, "streamlines.tract"),
+    (["baseline", "--peaks", "{s}/peaks.rvf", "--mask", "{s}/mask.rvf", "--out", "{out}"],
+     "baseline.tract"),
+], ids=["import", "prior", "track", "baseline"])
+def test_stage_starts_without_scipy(tmp_path, stages_dir, argv, artifact):
+    src = str(Path(tractfield.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    argv = [a.format(s=stages_dir, out=tmp_path) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, json.dumps(argv)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    if artifact:
+        assert read_bytes(tmp_path / artifact) == read_bytes(stages_dir / artifact)

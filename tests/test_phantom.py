@@ -256,6 +256,32 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=match):
             PhantomSpec(**kwargs)
 
+    # Each spec was accepted before these rules, and its extracted centerline
+    # strays more than two voxels from the axis, or its peaks hold NaN.
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            # the quarter circle runs between 2 mm voxel centers
+            (dict(kind="quarter-torus", radius=0.55, major_radius=7.1, spacing=2.0),
+             "radius must be at least half the voxel diagonal"),
+            # the tube covers the z axis, where the torus flow vanishes
+            (dict(kind="quarter-torus", radius=3.0, major_radius=2.5), "major_radius"),
+            # the voxels fill the helix core and the path cuts through it
+            (dict(kind="helix", radius=3.71, helix_radius=4.79, pitch=14.16, turns=1.39,
+                  spacing=1.5), "helix_radius"),
+            # pitch - 2 * radius is one z spacing, but the tilted turns come
+            # within 0.96 mm and a diagonal voxel step skips a turn
+            (dict(kind="helix", radius=3.25, helix_radius=4.8, pitch=7.7, turns=1.8,
+                  spacing=1.2), "helix turns touch"),
+            # the ends of a near-full turn overlap
+            (dict(kind="helix", radius=1.16, helix_radius=9.32, pitch=2.16, turns=0.996,
+                  spacing=1.25), "helix turns touch"),
+        ],
+    )
+    def test_rejects_tube_whose_voxels_shortcut_the_axis(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            PhantomSpec(**kwargs)
+
 
 class TestSpecIO:
     def test_round_trip(self, tmp_path):
