@@ -2,10 +2,12 @@
 metrics, and the full pipeline.
 
 Every subcommand writes its outputs plus a ``manifest-<name>.json`` into the
-``--out`` directory; ``pipeline`` chains the stages through those files, so
-running it equals running the stages by hand with the same flags.  Exit
-codes: 0 success, 1 usage or parameter error, 2 data or format error,
-3 numerical failure.
+``--out`` directory.  ``STAGES`` is the one description of a stage's files:
+its input flags and the outputs it writes, which are also its manifest's
+``inputs`` and ``outputs``.  ``pipeline`` chains the stages through those
+files, so running it equals running the stages by hand with the same
+flags.  Exit codes: 0 success, 1 usage or parameter error, 2 data or
+format error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -66,28 +68,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _triple(text: str) -> np.ndarray:
-    parts = np.array(text.replace(",", " ").split(), dtype=float)
-    if parts.shape != (3,) or not np.isfinite(parts).all():
-        raise argparse.ArgumentTypeError(
-            f"invalid parameter: expected three finite comma-separated values, got {text!r}")
-    return parts
-
-
-def _write_manifest(out_dir, name, parameters, inputs, outputs):
-    payload = {
-        "subcommand": name,
-        "version": __version__,
-        "parameters": parameters,
-        "inputs": inputs,
-        "outputs": outputs,
-    }
-    path = os.path.join(out_dir, f"manifest-{name}.json")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _save_endpoints(path, p1, p2):
     _write_text(path, [_line("p1", p1), _line("p2", p2)])
 
@@ -101,8 +81,8 @@ def _load_endpoints(path):
 class _Flag(NamedTuple):
     """One command-line flag, written once and shared by every stage taking it.
 
-    ``file`` marks an input flag: ``pipeline`` sets it to that file in the
-    run directory instead of declaring it.
+    ``file`` is the run-directory file that feeds an input flag: ``pipeline``
+    sets the flag to that file instead of declaring it.
     """
 
     name: str
@@ -125,10 +105,8 @@ _FLAGS = {
         _flag("--spec", "phantom spec text file", required=True),
         _flag("--rng-seed", "random seed", type=int, default=0),
         _flag("--mask", "mask volume file", MASK_FILE, required=True),
-        _flag("--p1", "first endpoint x,y,z", type=_triple, default=None),
-        _flag("--p2", "second endpoint x,y,z", type=_triple, default=None),
-        _flag("--endpoints", "endpoint file (as written by phantom)",
-              ENDPOINTS_FILE, default=None),
+        _flag("--endpoints", "endpoint file with p1 and p2 lines (as written by phantom)",
+              ENDPOINTS_FILE, required=True),
         _flag("--delta", "centerline resampling step, mm",
               type=float, default=RESAMPLE_STEP),
         _flag("--peaks", "peaks volume file", PEAKS_FILE, required=True),
@@ -161,73 +139,45 @@ _TRACK_FLAGS = ("--step", "--max-steps", "--min-len", "--unidirectional")
 _SEEDING = "all foreground voxel centers"
 
 
-def _out(args, name):
-    return os.path.join(args.out, name)
+# Each stage function takes the parsed flags and ``out``, its stage's
+# ``outputs`` keys mapped to paths in --out; it writes those files and
+# returns the manifest's parameters.  Library calls go through this module's
+# globals at call time, so a profiler can wrap them here.
 
 
-# Each stage function takes the parsed flags, writes the stage's outputs
-# into --out and returns the manifest's (parameters, inputs, outputs).
-# Library calls go through this module's globals at call time, so a
-# profiler can wrap them here.
-
-
-def _phantom(args):
+def _phantom(args, out):
     result = generate(load_phantom_spec(args.spec), args.rng_seed)
-    outputs = {
-        "mask": _out(args, MASK_FILE),
-        "peaks": _out(args, PEAKS_FILE),
-        "axis": _out(args, AXIS_FILE),
-        "descriptor": _out(args, DESCRIPTOR_FILE),
-        "endpoints": _out(args, ENDPOINTS_FILE),
-    }
-    save_mask(result.mask, outputs["mask"])
-    save_peaks(result.peaks, outputs["peaks"])
-    save_centerline(result.centerline, outputs["axis"])
-    save_descriptor(result.field, outputs["descriptor"])
-    _save_endpoints(outputs["endpoints"], result.p1, result.p2)
-    return {"rng_seed": int(args.rng_seed)}, {"spec": args.spec}, outputs
+    save_mask(result.mask, out["mask"])
+    save_peaks(result.peaks, out["peaks"])
+    save_centerline(result.centerline, out["axis"])
+    save_descriptor(result.field, out["descriptor"])
+    _save_endpoints(out["endpoints"], result.p1, result.p2)
+    return {"rng_seed": int(args.rng_seed)}
 
 
-def _centerline(args):
-    if args.endpoints is not None:
-        p1, p2 = _load_endpoints(args.endpoints)
-    elif args.p1 is None or args.p2 is None:
-        raise ValueError("give either --endpoints or both --p1 and --p2")
-    else:
-        p1, p2 = args.p1, args.p2
-    path = _out(args, CENTERLINE_FILE)
-    save_centerline(extract_centerline(load_mask(args.mask), p1, p2, args.delta), path)
-    parameters = {
+def _centerline(args, out):
+    p1, p2 = _load_endpoints(args.endpoints)
+    save_centerline(extract_centerline(load_mask(args.mask), p1, p2, args.delta),
+                    out["centerline"])
+    return {
         "p1": [float(v) for v in p1],
         "p2": [float(v) for v in p2],
         "delta": float(args.delta),
     }
-    return parameters, {"mask": args.mask}, {"centerline": path}
 
 
-def _prior(args):
+def _prior(args, out):
     prior = build_prior(load_peaks(args.peaks), load_centerline(args.centerline),
                         load_mask(args.mask), args.cutoff)
-    path = _out(args, PRIOR_FILE)
-    save_peaks(prior_to_peaks(prior), path)
-    return (
-        {"cutoff": float(args.cutoff)},
-        {"peaks": args.peaks, "centerline": args.centerline, "mask": args.mask},
-        {"prior": path},
-    )
+    save_peaks(prior_to_peaks(prior), out["prior"])
+    return {"cutoff": float(args.cutoff)}
 
 
-def _fit(args):
+def _fit(args, out):
     prior = prior_from_peaks(load_peaks(args.prior))
     mask = load_mask(args.mask)
-    field = fit_bundle_field(prior, mask, args.order, args.ridge)
-    path = _out(args, FIELD_FILE)
-    save_field(field, path)
-    return (
-        {"order": int(args.order), "ridge": float(bundle_ridge(prior, mask, args.ridge))},
-        {"prior": args.prior, "mask": args.mask},
-        {"field": path},
-    )
+    save_field(fit_bundle_field(prior, mask, args.order, args.ridge), out["field"])
+    return {"order": int(args.order), "ridge": float(bundle_ridge(prior, mask, args.ridge))}
 
 
 def _track_params(args, sigma=0.0, seed_count=1, rng_seed=0) -> TrackParams:
@@ -243,29 +193,23 @@ def _track_params(args, sigma=0.0, seed_count=1, rng_seed=0) -> TrackParams:
     )
 
 
-def _track(args):
+def _track(args, out):
     params = _track_params(args, args.sigma, args.seed_count, args.rng_seed)
     field = load_field(args.field)
     mask = load_mask(args.mask)
-    path = _out(args, TRACT_FILE)
-    save_tract(track(field, mask, mask.foreground_points(), params), path)
-    return (
-        dict(asdict(params), seeding=_SEEDING),
-        {"field": args.field, "mask": args.mask},
-        {"tract": path},
-    )
+    save_tract(track(field, mask, mask.foreground_points(), params), out["tract"])
+    return dict(asdict(params), seeding=_SEEDING)
 
 
-def _baseline(args):
+def _baseline(args, out):
     params = _track_params(args)
     peaks = load_peaks(args.peaks)
     mask = load_mask(args.mask)
     tract = baseline_peak_track(
         peaks, mask, mask.foreground_points(), params, args.angle_max, args.cutoff
     )
-    path = _out(args, BASELINE_FILE)
-    save_tract(tract, path)
-    parameters = {
+    save_tract(tract, out["tract"])
+    return {
         "step": params.step,
         "max_steps": params.max_steps,
         "min_len": params.min_len,
@@ -274,10 +218,9 @@ def _baseline(args):
         "cutoff": float(args.cutoff),
         "seeding": _SEEDING,
     }
-    return parameters, {"peaks": args.peaks, "mask": args.mask}, {"tract": path}
 
 
-def _metrics(args):
+def _metrics(args, out):
     tract = load_tract(args.tract)
     ref_tract = load_tract(args.ref_tract)
     grid = load_volume(args.grid)
@@ -298,64 +241,78 @@ def _metrics(args):
         f"hausdorff        {hd:8.2f}  mm, pooled points vs reference tract",
         f"avg hausdorff    {ahd:8.2f}  mm, pooled points vs reference tract",
     ]
-    path = _out(args, METRICS_FILE)
-    _write_text(path, table)
+    _write_text(out["metrics"], table)
     print("\n".join(table))
-    inputs = {
-        "tract": args.tract,
-        "ref_tract": args.ref_tract,
-        "grid": args.grid,
-        "ref_mask": args.ref_mask,
-    }
-    return {"overlap": overlap, "hd": hd, "ahd": ahd}, inputs, {"metrics": path}
+    return {"overlap": overlap, "hd": hd, "ahd": ahd}
 
 
 class _Stage(NamedTuple):
-    """One subcommand: its input and parameter flags and its stage function."""
+    """One subcommand: its input and parameter flags, the files it writes
+    into --out (manifest key -> file name) and its stage function."""
 
     name: str
     help: str
     inputs: tuple
     params: tuple
+    outputs: dict
     run: Callable
 
 
 # The stages in pipeline order.
 STAGES = (
     _Stage("phantom", "generate a synthetic tube phantom",
-           ("--spec",), ("--rng-seed",), _phantom),
+           ("--spec",), ("--rng-seed",),
+           {"mask": MASK_FILE, "peaks": PEAKS_FILE, "axis": AXIS_FILE,
+            "descriptor": DESCRIPTOR_FILE, "endpoints": ENDPOINTS_FILE},
+           _phantom),
     _Stage("centerline", "extract a mask centerline",
-           ("--mask", "--p1", "--p2", "--endpoints"), ("--delta",), _centerline),
+           ("--mask", "--endpoints"), ("--delta",),
+           {"centerline": CENTERLINE_FILE}, _centerline),
     _Stage("prior", "select one peak per voxel",
-           ("--peaks", "--centerline", "--mask"), ("--cutoff",), _prior),
+           ("--peaks", "--centerline", "--mask"), ("--cutoff",),
+           {"prior": PRIOR_FILE}, _prior),
     _Stage("fit", "fit the divergence-free polynomial field",
-           ("--prior", "--mask"), ("--order", "--ridge"), _fit),
+           ("--prior", "--mask"), ("--order", "--ridge"),
+           {"field": FIELD_FILE}, _fit),
     _Stage("track", "trace streamlines through a fitted field",
            ("--field", "--mask"),
-           _TRACK_FLAGS + ("--sigma", "--seed-count", "--rng-seed"), _track),
+           _TRACK_FLAGS + ("--sigma", "--seed-count", "--rng-seed"),
+           {"tract": TRACT_FILE}, _track),
     _Stage("baseline", "deterministic peak-following tracker",
            ("--peaks", "--mask"), _TRACK_FLAGS + ("--angle-max", "--cutoff"),
-           _baseline),
+           {"tract": BASELINE_FILE}, _baseline),
     _Stage("metrics", "compare a tract against a reference",
-           ("--tract", "--ref-tract", "--grid", "--ref-mask"), (), _metrics),
+           ("--tract", "--ref-tract", "--grid", "--ref-mask"), (),
+           {"metrics": METRICS_FILE}, _metrics),
 )
 
 
 def _run_stage(stage, args):
     os.makedirs(args.out, exist_ok=True)
-    parameters, inputs, outputs = stage.run(args)
-    _write_manifest(args.out, stage.name, parameters, inputs, outputs)
+    outputs = {key: os.path.join(args.out, name) for key, name in stage.outputs.items()}
+    payload = {
+        "subcommand": stage.name,
+        "version": __version__,
+        "parameters": stage.run(args, outputs),
+        "inputs": {_FLAGS[name].dest: getattr(args, _FLAGS[name].dest)
+                   for name in stage.inputs},
+        "outputs": outputs,
+    }
+    path = os.path.join(args.out, f"manifest-{stage.name}.json")
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return 0
 
 
 def _run_pipeline(args):
-    # Inputs without a run-directory file are --spec, which pipeline
-    # declares itself, and --p1/--p2, which --endpoints overrides.
+    # Every input flag but --spec, which pipeline declares itself, reads a
+    # file an earlier stage wrote into the run directory.
     for stage in STAGES:
         for name in stage.inputs:
             flag = _FLAGS[name]
             if flag.file:
-                setattr(args, flag.dest, _out(args, flag.file))
+                setattr(args, flag.dest, os.path.join(args.out, flag.file))
         _run_stage(stage, args)
     return 0
 

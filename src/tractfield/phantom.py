@@ -209,6 +209,10 @@ class PhantomSpec:
             np.shape(self.dims) == (3,) and min(self.dims) > 0
         ):
             raise ValueError("dims must be three positive integers")
+        if (self.dims is None) != (self.origin is None):
+            raise ValueError("dims and origin must be given together")
+        if self.origin is not None and np.shape(self.origin) != (3,):
+            raise ValueError("origin must hold three values")
         # Written as "not (ok)" so that NaN fails every check too.
         if not self.radius > 0:
             raise ValueError("radius must be positive")
@@ -334,9 +338,7 @@ def _tube_bounds(spec: PhantomSpec) -> tuple:
 def _grid_layout(spec: PhantomSpec) -> tuple:
     lo, hi = _tube_bounds(spec)
     s = np.asarray(spec.spacing)
-    if spec.dims is not None or spec.origin is not None:
-        if spec.dims is None or spec.origin is None:
-            raise ValueError("dims and origin must be given together")
+    if spec.dims is not None:
         dims = tuple(int(v) for v in spec.dims)
         origin = np.asarray(spec.origin, dtype=float)
         top = origin + (np.asarray(dims) - 1) * s

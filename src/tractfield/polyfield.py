@@ -14,9 +14,6 @@ from functools import lru_cache
 
 import numpy as np
 
-# scipy is imported inside the functions that call it: its first import
-# costs ~0.5 s, and `import tractfield` and most stages never call it.
-
 from .errors import (
     ConditioningError,
     DomainError,
@@ -216,6 +213,18 @@ def fit_objective_gradient(
     return 2.0 * (res.T @ design + float(ridge) * field_.coeffs)
 
 
+def _null_space(a) -> np.ndarray:
+    """Orthonormal null-space basis of ``a``: scipy.linalg.null_space's rank
+    rule, values and memory layout, without scipy's ~0.5 s import.
+
+    The layout matters: ``fit_field``'s products with this basis, and so the
+    fitted coefficients, depend on it in the last bit.
+    """
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    rank = np.count_nonzero(s > s.max() * max(a.shape) * np.finfo(float).eps)
+    return np.asfortranarray(vh)[rank:].T
+
+
 def fit_field(
     points,
     targets,
@@ -231,8 +240,6 @@ def fit_field(
     UnderdeterminedError when there are fewer samples than free parameters
     and ConditioningError when the reduced system is numerically singular.
     """
-    from scipy.linalg import null_space
-
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     tgt = np.atleast_2d(np.asarray(targets, dtype=float))
     if pts.shape != tgt.shape or pts.ndim != 2 or pts.shape[1] != 3:
@@ -242,7 +249,7 @@ def fit_field(
         raise ValueError("ridge must be finite and >= 0")
     probe = PolyField(order, np.zeros((3, term_count(order))), offset, scale)
     cons = divergence_constraints(order)
-    null = null_space(cons) if len(cons) else np.eye(3 * term_count(order))
+    null = _null_space(cons) if len(cons) else np.eye(3 * term_count(order))
     free = null.shape[1]
     if 3 * len(pts) < free:
         raise UnderdeterminedError(

@@ -64,9 +64,7 @@ CLI_SURFACE = {
     },
     "centerline": {
         "--mask": (None, None, True),
-        "--p1": (cli._triple, None, False),
-        "--p2": (cli._triple, None, False),
-        "--endpoints": (None, None, False),
+        "--endpoints": (None, None, True),
         "--delta": (float, 0.5, False),
         "--out": (None, None, True),
     },
@@ -213,7 +211,7 @@ class TestExitCodes:
     def test_missing_input_file_is_data_error(self, tmp_path, capsys):
         code = main([
             "centerline", "--mask", str(tmp_path / "nope.rvf"),
-            "--p1", "0,0,0", "--p2", "1,0,0", "--out", str(tmp_path),
+            "--endpoints", str(tmp_path / "nope.txt"), "--out", str(tmp_path),
         ])
         assert code == 2
         assert capsys.readouterr().err.startswith("tractfield:")
@@ -226,6 +224,8 @@ class TestExitCodes:
             ("margin: -5", "margin"), ("distractor_band: 0.6 0.4", "distractor_band"),
             # adjacent turns touch: pitch - 2 * radius is 0
             ("kind: helix\nradius: 4\npitch: 8\nturns: 2", "pitch"),
+            ("kind: straight-tube\nlength: 10\ndims: 20 10 10", "origin"),
+            ("origin: 0 0 0", "dims"),
         ]:
             bad.write_text(f"{text}\n")
             assert main(["phantom", "--spec", str(bad), "--out", str(tmp_path)]) == 2
@@ -252,7 +252,7 @@ class TestExitCodes:
             "centerline", "--mask", f"{stages_dir}/mask.rvf", "--out", str(tmp_path)
         ])
         assert code == 1
-        assert "invalid parameter" in capsys.readouterr().err
+        assert "the following arguments are required: --endpoints" in capsys.readouterr().err
 
     def test_bad_track_step_is_parameter_error(self, tmp_path, stages_dir, capsys):
         track = ["track", "--field", f"{stages_dir}/field.txt"]
@@ -282,8 +282,6 @@ class TestExitCodes:
             (centerline, "--delta", "-1"),
             (centerline, "--delta", "nan"),
             (centerline, "--delta", "inf"),
-            (centerline, "--p1", "nan,0,0"),
-            (centerline, "--p2", "0,inf,0"),
         ]:
             code = main(stage + [
                 "--mask", f"{stages_dir}/mask.rvf", flag, value,
@@ -440,6 +438,26 @@ class TestStageArtifacts:
             }
 
 
+class TestStageTable:
+    def test_manifests_follow_the_table(self, stages_dir):
+        for stage in cli.STAGES:
+            manifest = json.loads((stages_dir / f"manifest-{stage.name}.json").read_text())
+            assert set(manifest["inputs"]) == {cli._FLAGS[n].dest for n in stage.inputs}
+            assert manifest["outputs"] == {
+                key: os.path.join(stages_dir, name) for key, name in stage.outputs.items()
+            }, stage.name
+            for path in manifest["outputs"].values():
+                assert os.path.isfile(path), path
+
+    def test_every_run_file_is_written_by_an_earlier_stage(self):
+        written = set()
+        for stage in cli.STAGES:
+            for name in stage.inputs:
+                file = cli._FLAGS[name].file
+                assert file is None or file in written, (stage.name, name)
+            written.update(stage.outputs.values())
+
+
 class TestPipelineCommand:
     def test_writes_all_artifacts(self, pipeline_dir):
         for name in DATA_ARTIFACTS:
@@ -502,11 +520,13 @@ sys.exit(code)
     ([], None),
     (["prior", "--peaks", "{s}/peaks.rvf", "--centerline", "{s}/centerline.tract",
       "--mask", "{s}/mask.rvf", "--out", "{out}"], "prior.rvf"),
+    (["fit", "--prior", "{s}/prior.rvf", "--mask", "{s}/mask.rvf", "--out", "{out}"],
+     "field.txt"),
     (["track", "--field", "{s}/field.txt", "--mask", "{s}/mask.rvf", "--out", "{out}"]
      + TRACK_FLAGS, "streamlines.tract"),
     (["baseline", "--peaks", "{s}/peaks.rvf", "--mask", "{s}/mask.rvf", "--out", "{out}"],
      "baseline.tract"),
-], ids=["import", "prior", "track", "baseline"])
+], ids=["import", "prior", "fit", "track", "baseline"])
 def test_stage_starts_without_scipy(tmp_path, stages_dir, argv, artifact):
     src = str(Path(tractfield.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")

@@ -13,21 +13,25 @@ from scipy.linalg import null_space
 from tractfield import (
     ConditioningError,
     DomainError,
+    PhantomSpec,
     PolyField,
     UnderdeterminedError,
     basis_matrix,
+    build_prior,
     divergence_constraints,
     domain_from_mask,
     fit_bundle_field,
     fit_field,
     fit_objective,
     fit_objective_gradient,
+    generate,
     load_field,
     monomial_exponents,
     save_field,
     synthetic_prior,
     term_count,
 )
+from tractfield import polyfield
 from tractfield.polyfield import _exponent_columns
 
 from conftest import make_mask, random_divfree_field
@@ -381,6 +385,16 @@ class TestFitBundleField:
         prior = synthetic_prior(mask, truth.evaluate_many)
         with pytest.raises(UnderdeterminedError, match="lower the order"):
             fit_bundle_field(prior, mask, order=4, ridge=0.0)
+
+    @pytest.mark.parametrize("order", [4, 8])
+    def test_null_space_matches_scipy_byte_for_byte(self, order, tmp_path, monkeypatch):
+        ph = generate(PhantomSpec(kind="fanning", radius=3.0, length=30.0,
+                                  noise_deg=10.0, distractor_amp=0.8), 42)
+        prior = build_prior(ph.peaks, ph.centerline, ph.mask)
+        save_field(fit_bundle_field(prior, ph.mask, order), tmp_path / "numpy.txt")
+        monkeypatch.setattr(polyfield, "_null_space", null_space)
+        save_field(fit_bundle_field(prior, ph.mask, order), tmp_path / "scipy.txt")
+        assert (tmp_path / "numpy.txt").read_bytes() == (tmp_path / "scipy.txt").read_bytes()
 
     def test_grid_mismatch(self, rng):
         mask = make_mask(np.ones((4, 4, 4)))
