@@ -21,9 +21,8 @@ from .errors import ConnectivityError, DomainError, FormatError
 from .grids import (
     Mask,
     VolumeGrid,
-    _format_block,
-    _read_points_text,
-    _write_points_text,
+    _load_lines,
+    _save_lines,
     inside_many,
     nearest_indices,
     voxel_centers,
@@ -269,14 +268,15 @@ def cross_section_normals(cl: Centerline, pts) -> np.ndarray:
 
 
 def save_centerline(cl: Centerline, path):
-    """Write a centerline in the tract text format with a 'centerline' marker."""
-    _write_points_text(path, [cl.points], [f"step {_format_block(cl.delta)}", "centerline"])
+    """Write a centerline as a one-line tract file with ``step`` = delta."""
+    _save_lines(path, cl.delta, [cl.points])
 
 
 def load_centerline(path) -> Centerline:
     """Read a centerline file; tangents are recomputed from the points."""
-    delta, groups = _read_points_text(path)
-    if len(groups) != 1:
-        raise FormatError(f"{path}: centerline file must hold exactly one polyline")
-    pts = groups[0]
+    delta, lines = _load_lines(path)
+    if len(lines) != 1 or not len(lines[0]):
+        raise FormatError(f"{path}: centerline file must hold exactly one "
+                          "polyline with at least one point")
+    pts = lines[0]
     return Centerline(pts, _unit_tangents(pts), delta)

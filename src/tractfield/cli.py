@@ -121,8 +121,6 @@ _FLAGS = {
         _flag("--max-steps", "step budget per direction", type=int, default=2000),
         _flag("--min-len", "minimum streamline length, mm (default 3x step)",
               type=float, default=None),
-        _flag("--unidirectional", "integrate forward from seeds only",
-              action="store_true"),
         _flag("--sigma", "direction perturbation std", type=float, default=0.1),
         _flag("--seed-count", "streamline repetitions per seed", type=int, default=10),
         _flag("--angle-max", "turning angle stop, degrees",
@@ -135,7 +133,7 @@ _FLAGS = {
               "voxelized reference tract", MASK_FILE, default=None),
     )
 }
-_TRACK_FLAGS = ("--step", "--max-steps", "--min-len", "--unidirectional")
+_TRACK_FLAGS = ("--step", "--max-steps", "--min-len")
 _SEEDING = "all foreground voxel centers"
 
 
@@ -189,7 +187,6 @@ def _track_params(args, sigma=0.0, seed_count=1, rng_seed=0) -> TrackParams:
         seed_count=seed_count,
         rng_seed=rng_seed,
         min_len=args.min_len,
-        bidirectional=not args.unidirectional,
     )
 
 
@@ -213,7 +210,6 @@ def _baseline(args, out):
         "step": params.step,
         "max_steps": params.max_steps,
         "min_len": params.min_len,
-        "bidirectional": params.bidirectional,
         "angle_max": float(args.angle_max),
         "cutoff": float(args.cutoff),
         "seeding": _SEEDING,

@@ -19,6 +19,7 @@ UNIT_TOL = 1e-6
 _DTYPES = {"f32": np.dtype("<f4"), "u8": np.dtype("u1")}
 _VOLUME_KEYS = ("dims", "spacing", "origin", "dtype", "encoding")
 _PEAKS_KEYS = _VOLUME_KEYS + ("peaks_per_voxel",)
+_LINES_KEYS = ("step", "lines", "points", "dtype", "encoding")
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,20 +259,6 @@ def _numbers(text: str, what: str | None, path, count: int, conv=float) -> list:
     return out
 
 
-def _parse_block(rows, width: int, path) -> np.ndarray:
-    """Numbered rows ``(line number, line)`` of ``width`` numbers each as one
-    finite (n, width) array, converted in one call; only when that fails are
-    the rows read one by one, so that the error names the first bad line."""
-    try:
-        block = np.array([line.split() for _, line in rows], dtype=float)
-    except ValueError:
-        pass
-    else:
-        if block.shape[1:] == (width,) and np.isfinite(block).all():
-            return block
-    return np.array([_numbers(line, None, f"{path}:{ln}", width) for ln, line in rows])
-
-
 def _format_block(values) -> str:
     """A scalar or 1-D array as one row of text, a 2-D array as one row per
     line. ``%.17g`` on Python floats writes the bytes of ``format(x, ".17g")``,
@@ -293,7 +280,10 @@ def _write_text(path, lines):
         fh.write("\n".join(lines) + "\n")
 
 
-def _load_raw_grid(path, expected_keys):
+def _load_raw(path, expected_keys, dtypes) -> tuple[dict, bytes]:
+    """Header fields and payload bytes of a raw file: ``key: value`` ASCII
+    lines ending in one blank line, then the payload, which every raw file
+    declares with ``encoding: raw`` and a ``dtype`` from ``dtypes``."""
     with open(path, "rb") as fh:
         raw = fh.read()
     end = raw.find(b"\n\n")
@@ -301,6 +291,29 @@ def _load_raw_grid(path, expected_keys):
         raise FormatError(f"{path}: header not terminated by a blank line")
     fields = _parse_fields(_ascii(raw[:end], path).split("\n"), path)
     _require_keys(fields, expected_keys, path)
+    for key, allowed in (("encoding", ("raw",)), ("dtype", dtypes)):
+        if fields[key] not in allowed:
+            raise FormatError(f"{path}: unsupported line {_line(key, fields[key])!r}")
+    return fields, raw[end + 2:]
+
+
+def _check_size(payload: bytes, expected: int, path):
+    if len(payload) != expected:
+        raise TruncationError(
+            f"{path}: payload holds {len(payload)} bytes, header implies {expected}"
+        )
+
+
+def _save_raw(path, lines, *payloads):
+    """Write the header lines, one blank line, then each payload's bytes."""
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(lines) + "\n\n").encode("ascii"))
+        for payload in payloads:
+            fh.write(payload.tobytes())
+
+
+def _load_raw_grid(path, expected_keys, dtypes):
+    fields, payload = _load_raw(path, expected_keys, dtypes)
     dims = tuple(_numbers(fields["dims"], "dims", path, 3, int))
     spacing = tuple(_numbers(fields["spacing"], "spacing", path, 3))
     origin = tuple(_numbers(fields["origin"], "origin", path, 3))
@@ -308,26 +321,20 @@ def _load_raw_grid(path, expected_keys):
         if min(values) <= 0:
             raise FormatError(f"{path}: values must be positive in line "
                               f"{_line(key, fields[key])!r}")
-    for key, allowed in (("encoding", ("raw",)), ("dtype", _DTYPES)):
-        if fields[key] not in allowed:
-            raise FormatError(f"{path}: unsupported line {_line(key, fields[key])!r}")
-    return fields, raw[end + 2:], dims, spacing, origin
+    return fields, payload, dims, spacing, origin
 
 
 def _save_raw_grid(grid, path, dtype: str, payload: np.ndarray, *extra):
     """Write the ``.rvf`` header (floats as ``repr``, which is lossless),
     one blank line, then the payload bytes."""
-    lines = [
+    _save_raw(path, [
         _line("dims", grid.dims),
         _line("spacing", " ".join(map(repr, grid.spacing))),
         _line("origin", " ".join(map(repr, grid.origin))),
         _line("dtype", dtype),
         _line("encoding", "raw"),
         *extra,
-    ]
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(lines) + "\n\n").encode("ascii"))
-        fh.write(payload.tobytes())
+    ], payload)
 
 
 def load_volume(path) -> VolumeGrid:
@@ -337,13 +344,9 @@ def load_volume(path) -> VolumeGrid:
     required keys are dims, spacing, origin, dtype (f32 or u8), and
     ``encoding: raw``. The payload stores one value per voxel, x fastest.
     """
-    fields, payload, dims, spacing, origin = _load_raw_grid(path, _VOLUME_KEYS)
+    fields, payload, dims, spacing, origin = _load_raw_grid(path, _VOLUME_KEYS, _DTYPES)
     dtype = _DTYPES[fields["dtype"]]
-    expected = dims[0] * dims[1] * dims[2] * dtype.itemsize
-    if len(payload) != expected:
-        raise TruncationError(
-            f"{path}: payload holds {len(payload)} bytes, header implies {expected}"
-        )
+    _check_size(payload, dims[0] * dims[1] * dims[2] * dtype.itemsize, path)
     data = np.frombuffer(payload, dtype=dtype).reshape(dims, order="F")
     return VolumeGrid(dims, spacing, origin, data)
 
@@ -373,18 +376,12 @@ def save_mask(mask: Mask, path):
 def load_peaks(path) -> PeaksField:
     """Read a peaks file: volume header plus ``peaks_per_voxel``, payload of
     (dir_x, dir_y, dir_z, amplitude) float32 quadruples per slot."""
-    fields, payload, dims, spacing, origin = _load_raw_grid(path, _PEAKS_KEYS)
-    if fields["dtype"] != "f32":
-        raise FormatError(f"{path}: peaks files require dtype f32")
+    fields, payload, dims, spacing, origin = _load_raw_grid(path, _PEAKS_KEYS, ("f32",))
     (k,) = _numbers(fields["peaks_per_voxel"], "peaks_per_voxel", path, 1, int)
     if k < 1:
         raise FormatError(f"{path}: values must be positive in line "
                           f"{_line('peaks_per_voxel', k)!r}")
-    expected = dims[0] * dims[1] * dims[2] * k * 4 * 4
-    if len(payload) != expected:
-        raise TruncationError(
-            f"{path}: payload holds {len(payload)} bytes, header implies {expected}"
-        )
+    _check_size(payload, dims[0] * dims[1] * dims[2] * k * 4 * 4, path)
     arr = np.frombuffer(payload, dtype="<f4")
     arr = arr.reshape((dims[2], dims[1], dims[0], k, 4)).transpose(2, 1, 0, 3, 4)
     directions = np.ascontiguousarray(arr[..., :3], dtype=float)
@@ -406,52 +403,54 @@ def save_peaks(peaks: PeaksField, path):
                    _line("peaks_per_voxel", peaks.peaks_per_voxel))
 
 
-def _write_points_text(path, groups, header_items):
-    """Shared writer for the streamline text format."""
-    lines = [f"# {h}" for h in header_items]
-    for gi, pts in enumerate(groups):
-        if gi:
-            lines.append("")
-        lines.append(_format_block(pts))
-    _write_text(path, lines)
+def _save_lines(path, step: float, lines):
+    """Write polylines in the raw layout: the header, then each line's point
+    count as ``<i8``, then every point as three ``<f8`` values."""
+    counts = np.array([len(line) for line in lines], dtype="<i8")
+    points = np.concatenate([np.empty((0, 3)), *lines]).astype("<f8", copy=False)
+    _save_raw(path, [
+        _line("step", repr(float(step))),
+        _line("lines", len(counts)),
+        _line("points", len(points)),
+        _line("dtype", "f64"),
+        _line("encoding", "raw"),
+    ], counts, points)
 
 
-def _read_points_text(path) -> tuple[float, list]:
-    """Shared reader for the streamline text format.
-
-    ``#`` lines anywhere are headers, exactly one of them ``# step <mm>``;
-    blank lines end a streamline. Returns (step, list of (n, 3) point arrays).
-    """
-    headers, groups, rows = [], [], []
-    # The appended newline makes a last blank line, which ends the last streamline.
-    for ln, line in enumerate((_read_text(path) + "\n").split("\n"), 1):
-        s = line.strip()
-        if s.startswith("#"):
-            headers.append(s[1:].strip())
-        elif s:
-            rows.append((ln, line))
-        elif rows:
-            groups.append(_parse_block(rows, 3, path))
-            rows = []
-    steps = [h[len("step"):].strip() for h in headers if h.split()[:1] == ["step"]]
-    if len(steps) != 1:
-        raise FormatError(f"{path}: expected one '# step' header, found {len(steps)}")
-    (step,) = _numbers(steps[0], "step", path, 1)
+def _load_lines(path) -> tuple[float, list]:
+    """Read polylines written by ``_save_lines``: (step, (n, 3) point arrays)."""
+    fields, payload = _load_raw(path, _LINES_KEYS, ("f64",))
+    (step,) = _numbers(fields["step"], "step", path, 1)
+    (n_lines,) = _numbers(fields["lines"], "lines", path, 1, int)
+    (n_points,) = _numbers(fields["points"], "points", path, 1, int)
     if step <= 0:
-        raise FormatError(f"{path}: step must be positive in line {f'step: {step}'!r}")
-    return step, groups
+        raise FormatError(f"{path}: values must be positive in line "
+                          f"{_line('step', fields['step'])!r}")
+    if min(n_lines, n_points) < 0:
+        raise FormatError(f"{path}: lines and points must be nonnegative")
+    _check_size(payload, 8 * n_lines + 24 * n_points, path)
+    counts = np.frombuffer(payload, "<i8", n_lines)
+    if np.any(counts < 0) or counts.sum() != n_points:
+        raise FormatError(f"{path}: point counts must be nonnegative and sum to "
+                          f"points ({n_points})")
+    points = np.frombuffer(payload, "<f8", offset=8 * n_lines).reshape(n_points, 3)
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if len(bad):
+        raise FormatError(f"{path}: point {bad[0]} is not finite")
+    # the last offset is n_points, so the last piece is empty
+    return step, np.split(points, np.cumsum(counts))[:-1]
 
 
 def load_tract(path) -> Tract:
-    """Read a tract text file: '# step' header, one point per line,
-    streamlines separated by single blank lines."""
-    step, groups = _read_points_text(path)
+    """Read a tract file (see ``save_tract``)."""
+    step, lines = _load_lines(path)
     try:
-        return Tract(groups, step)
+        return Tract(lines, step)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
 
 
 def save_tract(tract: Tract, path):
-    """Write a tract text file with a '# step' header."""
-    _write_points_text(path, tract.streamlines, [f"step {_format_block(tract.step)}"])
+    """Write a tract file: ``step``, ``lines`` and ``points`` header keys,
+    then the raw point counts and points (see ``_save_lines``)."""
+    _save_lines(path, tract.step, tract.streamlines)

@@ -25,7 +25,6 @@ from .grids import (
     _format_block,
     _line,
     _numbers,
-    _parse_block,
     _parse_fields,
     _read_text,
     _require_keys,
@@ -225,6 +224,16 @@ def _null_space(a) -> np.ndarray:
     return np.asfortranarray(vh)[rank:].T
 
 
+@lru_cache(maxsize=None)
+def _divergence_free_basis(order: int) -> np.ndarray:
+    """Read-only orthonormal basis of the order's divergence-free coefficient
+    vectors, in ``_null_space``'s layout."""
+    cons = divergence_constraints(order)
+    null = _null_space(cons) if len(cons) else np.eye(3 * term_count(order))
+    null.flags.writeable = False
+    return null
+
+
 def fit_field(
     points,
     targets,
@@ -248,8 +257,7 @@ def fit_field(
     if not 0 <= ridge < np.inf:
         raise ValueError("ridge must be finite and >= 0")
     probe = PolyField(order, np.zeros((3, term_count(order))), offset, scale)
-    cons = divergence_constraints(order)
-    null = _null_space(cons) if len(cons) else np.eye(3 * term_count(order))
+    null = _divergence_free_basis(int(order))
     free = null.shape[1]
     if 3 * len(pts) < free:
         raise UnderdeterminedError(
@@ -360,7 +368,7 @@ def load_field(path) -> PolyField:
             if line.strip()]
     if len(rows) != 3:
         raise FormatError(f"{path}: expected 3 coefficient rows, found {len(rows)}")
-    coeffs = _parse_block(rows, terms, path)
+    coeffs = np.array([_numbers(line, None, f"{path}:{ln}", terms) for ln, line in rows])
     try:
         return PolyField(order, coeffs, offset, scale)
     except ValueError as exc:

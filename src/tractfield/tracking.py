@@ -47,7 +47,6 @@ class TrackParams:
     seed_count: int = 10
     rng_seed: int = 0
     min_len: float = None
-    bidirectional: bool = True
 
     def __post_init__(self):
         # Written as "not (ok)" so that NaN, which fails every comparison,
@@ -211,10 +210,7 @@ def _trace(mask, starts, first, alive, advance, turn, params) -> Tract:
     flag is False has the start alone as its line.
     """
     forward = _integrate_half(mask, starts, first, alive, advance, turn, params)
-    if params.bidirectional:
-        backward = _integrate_half(mask, starts, -first, alive, advance, turn, params)
-    else:
-        backward = [np.empty((0, 3))] * len(starts)
+    backward = _integrate_half(mask, starts, -first, alive, advance, turn, params)
     streamlines = []
     for b, s, f in zip(backward, starts, forward):
         if not len(b) and not len(f):

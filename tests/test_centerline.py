@@ -13,6 +13,7 @@ from tractfield import (
     DomainError,
     FormatError,
     PhantomSpec,
+    Tract,
     cross_section_normals,
     distance_transform,
     extract_centerline,
@@ -21,6 +22,7 @@ from tractfield import (
     load_centerline,
     path_energy,
     save_centerline,
+    save_tract,
 )
 from tractfield.centerline import _min_energy_path
 from tractfield.phantom import KINDS
@@ -201,14 +203,21 @@ class TestCenterlineIO:
         cl = extract_centerline(ph.mask, ph.p1, ph.p2)
         path = tmp_path / "cl.tract"
         save_centerline(cl, path)
-        text = path.read_text()
-        assert "# centerline" in text
         back = load_centerline(path)
         assert np.array_equal(back.points, cl.points)
         assert np.allclose(back.tangents, cl.tangents, atol=1e-9)
 
     def test_rejects_multiple_polylines(self, tmp_path):
         path = tmp_path / "two.tract"
-        path.write_text("# step 0.5\n# centerline\n0 0 0\n0.5 0 0\n\n1 0 0\n1.5 0 0\n")
-        with pytest.raises(FormatError):
+        line = np.array([[0.0, 0, 0], [0.5, 0, 0]])
+        save_tract(Tract([line, line + 1], step=0.5), path)
+        with pytest.raises(FormatError, match="exactly one polyline"):
+            load_centerline(path)
+
+    def test_rejects_empty_polyline(self, tmp_path):
+        path = tmp_path / "empty.tract"
+        # one line of zero points: the header, then one <i8 count of 0
+        path.write_bytes(b"step: 0.5\nlines: 1\npoints: 0\ndtype: f64\nencoding: raw\n\n"
+                         + np.zeros(1, "<i8").tobytes())
+        with pytest.raises(FormatError, match="at least one point"):
             load_centerline(path)

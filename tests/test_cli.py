@@ -49,7 +49,6 @@ TRACK_SURFACE = {
     "--step": (float, 0.3, False),
     "--max-steps": (int, 2000, False),
     "--min-len": (float, None, False),
-    "--unidirectional": (None, False, False),
 }
 NOISE_SURFACE = {
     "--sigma": (float, 0.1, False),
@@ -246,6 +245,27 @@ class TestExitCodes:
             ])
             assert code == 2, text
             assert str(bad) in capsys.readouterr().err
+
+    def test_corrupt_tract_is_data_error(self, tmp_path, stages_dir, capsys):
+        bad = tmp_path / "streamlines.tract"
+        bad.write_bytes((stages_dir / "streamlines.tract").read_bytes()[:-1])
+        code = main([
+            "metrics", "--tract", str(bad), "--ref-tract", f"{stages_dir}/axis.tract",
+            "--grid", f"{stages_dir}/mask.rvf", "--out", str(tmp_path),
+        ])
+        assert code == 2
+        assert str(bad) in capsys.readouterr().err
+
+    def test_empty_centerline_is_data_error(self, tmp_path, stages_dir, capsys):
+        bad = tmp_path / "centerline.tract"
+        bad.write_bytes(b"step: 0.5\nlines: 1\npoints: 0\ndtype: f64\nencoding: raw\n\n"
+                        + bytes(8))
+        code = main([
+            "prior", "--peaks", f"{stages_dir}/peaks.rvf", "--centerline", str(bad),
+            "--mask", f"{stages_dir}/mask.rvf", "--out", str(tmp_path),
+        ])
+        assert code == 2
+        assert str(bad) in capsys.readouterr().err
 
     def test_centerline_needs_endpoints(self, tmp_path, stages_dir, capsys):
         code = main([

@@ -1,12 +1,17 @@
-"""Every text loader under one key-value rule: fuzzed malformed files.
+"""Every loader under one key-value rule: fuzzed malformed files.
 
 Each case writes a valid artifact with its real writer, breaks one line of
 it (drops a value or a required line, repeats a key, or puts a non-finite
 or garbled number in a value) and asserts that the loader raises
-FormatError, never another exception and never a result.
+FormatError, never another exception and never a result.  Raw files
+(volumes, peaks, tracts, centerlines) are fuzzed in their text header; the
+payload faults of tracts and centerlines have cases of their own.
 """
 
 from __future__ import annotations
+
+import math
+import struct
 
 import numpy as np
 import pytest
@@ -101,14 +106,14 @@ LOADERS = {
 }
 
 
+RAW = ("volume", "peaks", "tract", "centerline")
+
+
 def _split(line):
     """(prefix, value words, keyed) of a value line, or None for other lines.
 
-    Key lines and the ``# step`` header are keyed: one per key and file.
-    Point and coefficient rows are not.
+    Key lines are keyed: one per key and file.  Coefficient rows are not.
     """
-    if line.startswith("# step"):
-        return "# step ", line[len("# step"):].split(), True
     if not line.strip() or line.startswith("#"):
         return None
     key, sep, value = line.partition(":")
@@ -148,58 +153,114 @@ def test_broken_line_is_format_error(tmp_path_factory, name, data):
     write(path)
     load(path)
     raw = path.read_bytes()
-    # .rvf files: only the text header is fuzzed; the payload stays intact.
-    head, sep, payload = raw.partition(b"\n\n") if name in ("volume", "peaks") else (
-        raw, b"", b"")
+    # Raw files: only the text header is fuzzed; the payload stays intact.
+    head, sep, payload = raw.partition(b"\n\n") if name in RAW else (raw, b"", b"")
     lines = _break_one_line(data, head.decode("ascii").split("\n"), required)
     path.write_bytes("\n".join(lines).encode("utf-8") + sep + payload)
     with pytest.raises(FormatError):
         load(path)
 
 
-# Edge values of float64 text output: signed zero, the smallest subnormal, a
+# Edge values of float64 output: signed zero, the smallest subnormal, a
 # value near the top of the range, and two fractions with no short decimal.
 EDGE = [-0.0, 5e-324, 1e308, 0.1, 1 / 3]
+EDGE_A = np.array([[-0.0, 5e-324, 1e308], [0.1, 1 / 3, 1e308]])
+EDGE_B = np.array([[1 / 3, 0.1, -0.0], [5e-324, 0.1, -0.0]])
 
 
 def _rows(block):
-    """Point or coefficient rows as the per-coordinate writer built them."""
+    """Coefficient rows as the per-coordinate writer built them."""
     return [" ".join(format(float(x), ".17g") for x in row) for row in block]
 
 
-def _edge_text(name):
-    """(object to save, expected file lines) holding every EDGE value."""
-    a = np.array([[-0.0, 5e-324, 1e308], [0.1, 1 / 3, 1e308]])
-    b = np.array([[1 / 3, 0.1, -0.0], [5e-324, 0.1, -0.0]])
+def _packed(step, lines):
+    """A tract or centerline file as the raw layout describes it, packed one
+    number at a time."""
+    header = (f"step: {step!r}\nlines: {len(lines)}\npoints: {sum(map(len, lines))}\n"
+              "dtype: f64\nencoding: raw\n\n")
+    counts = b"".join(struct.pack("<q", len(line)) for line in lines)
+    coords = b"".join(struct.pack("<d", x) for line in lines for x in np.ravel(line))
+    return header.encode("ascii") + counts + coords
+
+
+def _edge_file(name):
+    """(object to save, expected file bytes) holding every EDGE value."""
     if name == "tract":
-        lines = [f"# step {_rows([[1 / 3]])[0]}", *_rows(a), "", *_rows(b)]
-        return Tract([a, b], step=1 / 3), lines
+        return Tract([EDGE_A, EDGE_B], step=1 / 3), _packed(1 / 3, [EDGE_A, EDGE_B])
     if name == "centerline":
-        lines = [f"# step {_rows([[0.1]])[0]}", "# centerline", *_rows(a)]
-        return Centerline(a, np.zeros_like(a), 0.1), lines
+        return Centerline(EDGE_A, np.zeros_like(EDGE_A), 0.1), _packed(0.1, [EDGE_A])
     coeffs = np.array([EDGE[:4], EDGE[1:], EDGE[::-1][:4]])
     offset, scale = (0.1, -0.0, 1 / 3), (1 / 3, 0.1, 1e308)
     lines = ["order: 1", "terms: 4", "offset: " + _rows([offset])[0],
              "scale: " + _rows([scale])[0], "", *_rows(coeffs)]
-    return PolyField(1, coeffs, offset, scale), lines
+    return PolyField(1, coeffs, offset, scale), ("\n".join(lines) + "\n").encode("ascii")
 
 
 @pytest.mark.parametrize("name", ["tract", "centerline", "field"])
 def test_block_writer_matches_per_coordinate_format(tmp_path, name):
     save = {"tract": save_tract, "centerline": save_centerline, "field": save_field}[name]
-    obj, lines = _edge_text(name)
+    obj, expected = _edge_file(name)
     path = tmp_path / name
     save(obj, path)
-    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
+    assert path.read_bytes() == expected
+
+
+def test_raw_round_trip_is_bitwise(tmp_path):
+    tract, _ = _edge_file("tract")
+    save_tract(tract, tmp_path / "t")
+    back = load_tract(tmp_path / "t")
+    assert back.step == tract.step
+    assert [line.tobytes() for line in back.streamlines] == [
+        EDGE_A.tobytes(), EDGE_B.tobytes()]
+    cl, _ = _edge_file("centerline")
+    save_centerline(cl, tmp_path / "c")
+    back = load_centerline(tmp_path / "c")
+    assert back.delta == cl.delta and back.points.tobytes() == EDGE_A.tobytes()
+
+
+def _raw_file(path):
+    """(header fields, point counts, points) of a raw tract or centerline file,
+    the arrays writable."""
+    head, _, payload = path.read_bytes().partition(b"\n\n")
+    fields = dict(line.split(": ") for line in head.decode("ascii").split("\n"))
+    n = int(fields["lines"])
+    counts = np.frombuffer(payload, "<i8", n).copy()
+    points = np.frombuffer(payload, "<f8", offset=8 * n).reshape(-1, 3).copy()
+    return fields, counts, points
+
+
+def _write_raw_file(path, fields, payload: bytes):
+    head = "".join(f"{key}: {value}\n" for key, value in fields.items()) + "\n"
+    path.write_bytes(head.encode("ascii") + payload)
+
+
+# A bad value replaces the last number of the first or last row: a word of
+# a text row, or the eight bytes of a raw point row's last coordinate.
+RAW_BAD = {"nan": struct.pack("<d", math.nan), "1x": b"1x", None: b""}
 
 
 @pytest.mark.parametrize("name", ["tract", "centerline", "field"])
 @pytest.mark.parametrize("row", [0, -1])
 @pytest.mark.parametrize("bad", ["nan", "1x", None])
 def test_bad_row_names_file_and_line(tmp_path, name, row, bad):
+    """Every loader names the file; a text loader also names and quotes the
+    line, and a raw loader names a non-finite point's index."""
     write, load, _ = LOADERS[name]
     path = tmp_path / name
     write(path)
+    if name in RAW:
+        fields, counts, points = _raw_file(path)
+        i = range(len(points))[row]
+        values = points.tobytes()
+        end = 24 * (i + 1)
+        _write_raw_file(path, fields, counts.tobytes() + values[:end - 8] + RAW_BAD[bad]
+                        + values[end:])
+        with pytest.raises(FormatError) as exc:
+            load(path)
+        assert str(exc.value).startswith(f"{path}: ")
+        if bad == "nan":
+            assert f"point {i} is not finite" in str(exc.value)
+        return
     lines = path.read_text().split("\n")
     rows = [i for i, line in enumerate(lines) if (s := _split(line)) and not s[2]]
     i = rows[row]
@@ -210,3 +271,67 @@ def test_bad_row_names_file_and_line(tmp_path, name, row, bad):
         load(path)
     assert f"{path}:{i + 1}: " in str(exc.value)
     assert repr(lines[i]) in str(exc.value)
+
+
+def _text_layout(path, step, lines, centerline):
+    """The earlier text layout: a '# step' header (and a '# centerline'
+    marker), then one point per row, streamlines separated by blank lines."""
+    rows = [f"# step {format(step, '.17g')}"] + ["# centerline"] * centerline
+    for i, line in enumerate(lines):
+        rows += [""] * bool(i) + _rows(line)
+    path.write_text("\n".join(rows) + "\n")
+
+
+def _corrupt(fault, path, name):
+    """Rewrite a valid raw tract or centerline file with one fault."""
+    raw = path.read_bytes()
+    if fault == "one byte short":
+        return path.write_bytes(raw[:-1])
+    if fault == "one byte extra":
+        return path.write_bytes(raw + b"\0")
+    fields, counts, points = _raw_file(path)
+    if fault == "text layout":
+        lines = np.split(points, np.cumsum(counts)[:-1])
+        return _text_layout(path, float(fields["step"]), lines, name == "centerline")
+    if fault == "negative count":
+        # A tract's counts still sum to points, and on these close points the
+        # lines they would cut out are valid, so only the sign gives it away.
+        counts[-1] += counts[0] + 2
+        counts[0] = -2
+        points = np.arange(points.size).reshape(-1, 3) * 0.01
+    elif fault == "counts sum to points + 1":
+        counts[-1] += 1
+    elif fault == "counts sum to points - 1":
+        counts[-1] -= 1
+    elif fault == "nan point":
+        points[1, 2] = math.nan
+    elif fault == "inf point":
+        points[1, 0] = -math.inf
+    elif fault == "dtype f32":
+        fields["dtype"] = "f32"
+    elif fault == "step 0":
+        fields["step"] = "0"
+    elif fault == "lines -1":
+        # a payload of the size such a header implies: 8 * -1 + 24 * 1 bytes
+        fields.update(lines="-1", points="1")
+        counts, points = np.array([0, 1], "<i8"), np.empty((0, 3))
+    _write_raw_file(path, fields, counts.tobytes() + points.tobytes())
+
+
+PAYLOAD_FAULTS = [
+    "one byte short", "one byte extra", "negative count", "counts sum to points + 1",
+    "counts sum to points - 1", "nan point", "inf point", "dtype f32", "step 0",
+    "lines -1", "text layout",
+]
+
+
+@pytest.mark.parametrize("name", ["tract", "centerline"])
+@pytest.mark.parametrize("fault", PAYLOAD_FAULTS)
+def test_bad_payload_names_file(tmp_path, name, fault):
+    write, load, _ = LOADERS[name]
+    path = tmp_path / name
+    write(path)
+    _corrupt(fault, path, name)
+    with pytest.raises(FormatError) as exc:
+        load(path)
+    assert str(exc.value).startswith(f"{path}: ")

@@ -237,15 +237,19 @@ class TestTractRoundTrip:
 
     def test_header_comments_skipped(self, tmp_path):
         path = tmp_path / "t.tract"
-        path.write_text("# step 0.5\n# extra note\n0 0 0\n0.5 0 0\n")
+        save_tract(Tract([[[0, 0, 0], [0.5, 0, 0]]], step=0.5), path)
+        path.write_bytes(b"# extra note\n" + path.read_bytes())
         back = load_tract(path)
         assert back.step == 0.5
         assert len(back.streamlines) == 1
 
     def test_missing_step_header(self, tmp_path):
         path = tmp_path / "t.tract"
-        path.write_text("0 0 0\n0.5 0 0\n")
-        with pytest.raises(FormatError):
+        save_tract(Tract([[[0, 0, 0], [0.5, 0, 0]]], step=0.5), path)
+        raw = path.read_bytes()
+        assert raw.startswith(b"step: 0.5\n")
+        path.write_bytes(raw[len(b"step: 0.5\n"):])
+        with pytest.raises(FormatError, match="missing key 'step'"):
             load_tract(path)
 
     def test_pooled_points_empty(self):

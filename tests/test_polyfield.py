@@ -32,7 +32,7 @@ from tractfield import (
     term_count,
 )
 from tractfield import polyfield
-from tractfield.polyfield import _exponent_columns
+from tractfield.polyfield import _divergence_free_basis, _exponent_columns, _null_space
 
 from conftest import make_mask, random_divfree_field
 
@@ -186,6 +186,14 @@ class TestDivergenceConstraints:
         field = random_divfree_field(order, rng)
         pts = rng.uniform(-1, 1, size=(200, 3))
         assert np.abs(field.divergence_many(pts)).max() < 1e-12
+
+    def test_divergence_free_basis_cached_read_only(self):
+        basis = _divergence_free_basis(4)
+        fresh = _null_space(divergence_constraints(4))
+        assert _divergence_free_basis(4) is basis
+        assert basis.tobytes() == fresh.tobytes() and basis.strides == fresh.strides
+        with pytest.raises(ValueError, match="read-only"):
+            basis[0, 0] = 1
 
 
 class TestEvaluate:
@@ -392,8 +400,21 @@ class TestFitBundleField:
                                   noise_deg=10.0, distractor_amp=0.8), 42)
         prior = build_prior(ph.peaks, ph.centerline, ph.mask)
         save_field(fit_bundle_field(prior, ph.mask, order), tmp_path / "numpy.txt")
-        monkeypatch.setattr(polyfield, "_null_space", null_space)
-        save_field(fit_bundle_field(prior, ph.mask, order), tmp_path / "scipy.txt")
+        shapes = []
+
+        def scipy_null_space(a):
+            shapes.append(a.shape)
+            return null_space(a)
+
+        # The basis is cached per order: clear the cache so that the fit
+        # below calls scipy, and again so that no later fit reuses its basis.
+        monkeypatch.setattr(polyfield, "_null_space", scipy_null_space)
+        _divergence_free_basis.cache_clear()
+        try:
+            save_field(fit_bundle_field(prior, ph.mask, order), tmp_path / "scipy.txt")
+        finally:
+            _divergence_free_basis.cache_clear()
+        assert shapes == [divergence_constraints(order).shape]
         assert (tmp_path / "numpy.txt").read_bytes() == (tmp_path / "scipy.txt").read_bytes()
 
     def test_grid_mismatch(self, rng):

@@ -171,7 +171,6 @@ class TestTrackParams:
         assert params.max_steps == 2000
         assert params.seed_count == 10
         assert params.rng_seed == 0
-        assert params.bidirectional is True
 
     def test_min_len_defaults_to_three_steps(self):
         assert TrackParams().min_len == pytest.approx(0.9)
@@ -413,14 +412,6 @@ class TestTrack:
         with pytest.raises(EmptyTractError, match="shorter than min_len"):
             track(dead, straight.mask, [(30.0, 0, 0)], params)
 
-    def test_unidirectional_starts_at_seed(self, straight):
-        field = straight.field.to_polyfield()
-        params = TrackParams(
-            step=0.3, sigma=0.0, seed_count=1, bidirectional=False
-        )
-        tract = track(field, straight.mask, [(30.0, 0, 0)], params)
-        assert np.array_equal(tract.streamlines[0][0], [30.0, 0.0, 0.0])
-
     def test_bidirectional_contains_seed_mid_line(self, straight):
         field = straight.field.to_polyfield()
         params = TrackParams(step=0.3, sigma=0.0, seed_count=1)
@@ -500,7 +491,7 @@ class TestTrack:
                       tube40.mask.foreground_points(), GOLDEN_PARAMS)
         assert max(len(line) for line in tract.streamlines) > 2 * DRAW_BLOCK + 1
         assert tract_digest(tract, tmp_path) == (
-            "571d766fc77dbe195667dc2e8fee7b884750978aaf517432091708676239176b"
+            "01c3542eefd5013260fb16d062f1c5b1b6597e6ba31813ab154037f70e8e4aa5"
         )
 
     def test_field_calls_on_golden_tube(self, tube40, monkeypatch):
@@ -616,7 +607,7 @@ class TestBaselinePeakTrack:
         tract = baseline_peak_track(tube40.peaks, tube40.mask,
                                     tube40.mask.foreground_points(), params)
         assert tract_digest(tract, tmp_path) == (
-            "cd5950471263bbf395bd2055f5d6f9b01a3325cc07d69f04f2e48fb2d078c083"
+            "6d1a4294913394fd4e5b3d2b878e3b39d69d7bdef75a001d41f8126e38397f83"
         )
 
     def test_points_stay_inside_mask(self, torus):
