@@ -32,7 +32,6 @@ from .grids import (
     PeaksField,
     Tract,
     VolumeGrid,
-    inside,
     inside_many,
     load_mask,
     load_peaks,
@@ -86,7 +85,6 @@ from .prior import (
 from .tracking import (
     TrackParams,
     baseline_peak_track,
-    rk4_step,
     sample_direction,
     track,
 )

@@ -67,14 +67,6 @@ class Centerline:
             return 0.0
         return float(np.linalg.norm(np.diff(self.points, axis=0), axis=1).sum())
 
-    @property
-    def p1(self) -> np.ndarray:
-        return self.points[0]
-
-    @property
-    def p2(self) -> np.ndarray:
-        return self.points[-1]
-
 
 def distance_transform(mask: Mask) -> VolumeGrid:
     """Exact Euclidean distance (mm) from each foreground voxel center to the
@@ -160,9 +152,9 @@ def _min_energy_path(dt: VolumeGrid, start, goal) -> np.ndarray:
     return fg_idx[np.array(chain[::-1])]
 
 
-def _smooth(pts: np.ndarray, passes=_SMOOTH_PASSES) -> np.ndarray:
+def _smooth(pts: np.ndarray) -> np.ndarray:
     out = np.array(pts, dtype=float)
-    for _ in range(passes):
+    for _ in range(_SMOOTH_PASSES):
         if len(out) < 3:
             break
         out[1:-1] = (out[:-2] + out[1:-1] + out[2:]) / 3.0

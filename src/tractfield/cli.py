@@ -42,7 +42,7 @@ from .grids import (
 )
 from .metrics import hausdorff, spatial_overlap, voxelize
 from .phantom import generate, load_phantom_spec, save_descriptor
-from .polyfield import bundle_ridge, fit_bundle_field, load_field, save_field
+from .polyfield import ORDER_DEFAULT, bundle_ridge, fit_bundle_field, load_field, save_field
 from .prior import MIN_AMP_DEFAULT, build_prior, prior_from_peaks, prior_to_peaks
 from .tracking import ANGLE_MAX_DEFAULT, TrackParams, baseline_peak_track, track
 
@@ -103,7 +103,7 @@ _FLAGS = {
     for flag in (
         _flag("--out", "output directory", required=True),
         _flag("--spec", "phantom spec text file", required=True),
-        _flag("--rng-seed", "random seed", type=int, default=0),
+        _flag("--rng-seed", "random seed", type=int, default=TrackParams.rng_seed),
         _flag("--mask", "mask volume file", MASK_FILE, required=True),
         _flag("--endpoints", "endpoint file with p1 and p2 lines (as written by phantom)",
               ENDPOINTS_FILE, required=True),
@@ -113,16 +113,18 @@ _FLAGS = {
         _flag("--centerline", "centerline file", CENTERLINE_FILE, required=True),
         _flag("--cutoff", "peak amplitude floor", type=float, default=MIN_AMP_DEFAULT),
         _flag("--prior", "prior volume file", PRIOR_FILE, required=True),
-        _flag("--order", "polynomial order", type=int, default=4),
+        _flag("--order", "polynomial order", type=int, default=ORDER_DEFAULT),
         _flag("--ridge", "coefficient shrinkage weight (default 1e-8 per sample)",
               type=float, default=None),
         _flag("--field", "fitted field file", FIELD_FILE, required=True),
-        _flag("--step", "integration step, mm", type=float, default=0.3),
-        _flag("--max-steps", "step budget per direction", type=int, default=2000),
+        _flag("--step", "integration step, mm", type=float, default=TrackParams.step),
+        _flag("--max-steps", "step budget per direction", type=int,
+              default=TrackParams.max_steps),
         _flag("--min-len", "minimum streamline length, mm (default 3x step)",
               type=float, default=None),
-        _flag("--sigma", "direction perturbation std", type=float, default=0.1),
-        _flag("--seed-count", "streamline repetitions per seed", type=int, default=10),
+        _flag("--sigma", "direction perturbation std", type=float, default=TrackParams.sigma),
+        _flag("--seed-count", "streamline repetitions per seed", type=int,
+              default=TrackParams.seed_count),
         _flag("--angle-max", "turning angle stop, degrees",
               type=float, default=ANGLE_MAX_DEFAULT),
         _flag("--tract", "tract file to score", TRACT_FILE, required=True),

@@ -175,16 +175,9 @@ def nearest_indices(grid, pts) -> tuple[np.ndarray, np.ndarray]:
     return idx, inb
 
 
-def inside(mask: Mask, p) -> bool:
-    """True when the nearest voxel center to p is in bounds and foreground."""
-    idx, inb = nearest_indices(mask.grid, [p])
-    if not inb[0]:
-        return False
-    return bool(mask.grid.data[tuple(idx[0])])
-
-
 def inside_many(mask: Mask, pts) -> np.ndarray:
-    """Vectorized ``inside`` over an (n, 3) point array."""
+    """Per point of an (n, 3) array: True when its nearest voxel center is
+    in bounds and foreground."""
     idx, inb = nearest_indices(mask.grid, pts)
     out = np.zeros(len(idx), bool)
     sel = idx[inb]

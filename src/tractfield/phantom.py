@@ -33,10 +33,11 @@ from .grids import (
     nearest_indices,
     pooled_points,
 )
-from .polyfield import PolyField, monomial_exponents, term_count
+from .polyfield import PolyField, _term_index, term_count
 
 KINDS = ("straight-tube", "quarter-torus", "helix", "fanning")
 _AXIS_SAMPLE_STEP = 0.02  # arc spacing of helix axis samples for the mask
+_COMPLETION_MARGIN = 0.05  # axis-end margin of completion_rate, share of the range
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,10 +118,10 @@ class FieldDescriptor:
         ones = np.ones_like(t)
         return np.stack([ones, np.zeros_like(t), np.zeros_like(t)], axis=-1)
 
-    def axis_samples(self, step: float = _AXIS_SAMPLE_STEP) -> tuple:
-        """Axis parameters and positions sampled at about ``step`` arc spacing."""
+    def axis_samples(self) -> tuple:
+        """Axis parameters and positions at about ``_AXIS_SAMPLE_STEP`` arc spacing."""
         t0, t1 = self.axis_range
-        count = max(2, int(math.ceil(self.axis_length / step)) + 1)
+        count = max(2, int(math.ceil(self.axis_length / _AXIS_SAMPLE_STEP)) + 1)
         ts = np.linspace(t0, t1, count)
         return ts, self.axis_point(ts)
 
@@ -156,10 +157,8 @@ class FieldDescriptor:
         scale = np.ones(3) if scale is None else np.broadcast_to(
             np.asarray(scale, float), (3,)
         )
-        m = term_count(order)
-        exps = monomial_exponents(order)
-        slot = {tuple(e): i for i, e in enumerate(exps)}
-        coeffs = np.zeros((3, m))
+        slot = _term_index(order)
+        coeffs = np.zeros((3, term_count(order)))
         coeffs[:, slot[(0, 0, 0)]] = self.constant + self.linear @ offset
         coeffs[:, slot[(1, 0, 0)]] = self.linear[:, 0] * scale[0]
         coeffs[:, slot[(0, 1, 0)]] = self.linear[:, 1] * scale[1]
@@ -276,7 +275,6 @@ class PhantomSpec:
 class Phantom:
     """Generated phantom bundle: mask, peaks, analytic axis, flow field."""
 
-    spec: PhantomSpec
     mask: Mask
     peaks: PeaksField
     centerline: Centerline
@@ -476,7 +474,7 @@ def generate(spec: PhantomSpec, rng_seed: int = 0) -> Phantom:
     cl = _analytic_centerline(desc)
     p1 = _snap_endpoint(mask, cl.points[0])
     p2 = _snap_endpoint(mask, cl.points[-1])
-    return Phantom(spec, mask, peaks, cl, desc, p1, p2)
+    return Phantom(mask, peaks, cl, desc, p1, p2)
 
 
 def analytic_streamline(
@@ -509,16 +507,16 @@ def analytic_streamline(
     return np.array(points)
 
 
-def completion_rate(tract: Tract, desc: FieldDescriptor, frac: float = 0.05) -> float:
+def completion_rate(tract: Tract, desc: FieldDescriptor) -> float:
     """Fraction of streamlines whose axis-parameter span reaches both caps.
 
     A streamline completes when its points cover the axis range up to a
-    ``frac`` relative margin on each end.  Empty tracts rate 0.
+    ``_COMPLETION_MARGIN`` relative margin on each end.  Empty tracts rate 0.
     """
     if not tract.streamlines:
         return 0.0
     t0, t1 = desc.axis_range
-    pad = frac * (t1 - t0)
+    pad = _COMPLETION_MARGIN * (t1 - t0)
     t = desc.axis_params(pooled_points(tract))
     starts = np.cumsum([0] + [len(line) for line in tract.streamlines[:-1]])
     lo, hi = np.minimum.reduceat(t, starts), np.maximum.reduceat(t, starts)

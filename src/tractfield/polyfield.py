@@ -30,9 +30,11 @@ from .grids import (
     _require_keys,
     _write_text,
     same_geometry,
+    voxel_centers,
 )
 
 _RCOND_MAX = 1e12
+ORDER_DEFAULT = 4
 
 
 def term_count(order: int) -> int:
@@ -154,9 +156,6 @@ class PolyField:
     def normalize(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return (pts - self.offset) / self.scale
-
-    def evaluate(self, point) -> np.ndarray:
-        return self.evaluate_many([point])[0]
 
     def evaluate_many(self, points) -> np.ndarray:
         """Field vectors at each world point, one row per point.
@@ -310,7 +309,7 @@ def bundle_ridge(prior, mask: Mask, ridge=None) -> float:
     return RIDGE_PER_SAMPLE * int(usable.sum())
 
 
-def fit_bundle_field(prior, mask: Mask, order: int = 4, ridge=None) -> PolyField:
+def fit_bundle_field(prior, mask: Mask, order: int = ORDER_DEFAULT, ridge=None) -> PolyField:
     """Divergence-free fit of the selected voxel directions inside the mask.
 
     Samples are the voxel centers that are both mask foreground and valid in
@@ -329,7 +328,7 @@ def fit_bundle_field(prior, mask: Mask, order: int = 4, ridge=None) -> PolyField
             f"{order}; lower the order or widen the prior"
         )
     idx = np.argwhere(keep)
-    pts = np.asarray(mask.grid.origin) + idx * np.asarray(mask.grid.spacing)
+    pts = voxel_centers(mask.grid, idx)
     tgt = np.asarray(prior.directions, dtype=float)[idx[:, 0], idx[:, 1], idx[:, 2]]
     offset, scale = domain_from_mask(mask)
     return fit_field(pts, tgt, order, offset, scale, bundle_ridge(prior, mask, ridge))

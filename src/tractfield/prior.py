@@ -15,7 +15,7 @@ import numpy as np
 
 from .centerline import Centerline, cross_section_normals
 from .errors import DomainError
-from .grids import Mask, PeaksField, nearest_indices, same_geometry
+from .grids import Mask, PeaksField, nearest_indices, same_geometry, voxel_centers
 
 MIN_AMP_DEFAULT = 0.05
 
@@ -55,8 +55,7 @@ class PriorField:
     def samples(self) -> tuple[np.ndarray, np.ndarray]:
         """World points and directions of the valid voxels, fit-ready."""
         idx = np.argwhere(self.valid)
-        pts = np.asarray(self.origin) + idx * np.asarray(self.spacing)
-        return pts, self.directions[idx[:, 0], idx[:, 1], idx[:, 2]]
+        return voxel_centers(self, idx), self.directions[idx[:, 0], idx[:, 1], idx[:, 2]]
 
 
 def select_peak(peaks: PeaksField, pts, normals, min_amp=MIN_AMP_DEFAULT):

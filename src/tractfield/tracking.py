@@ -132,22 +132,6 @@ def _rk4_many(field: PolyField, eta: np.ndarray, d0: np.ndarray, step: float):
     return new, ok2 & ok3 & ok4
 
 
-def rk4_step(field: PolyField, eta, d0, step: float):
-    """One Runge-Kutta step from eta along initial slope d0.
-
-    Returns the new point, or None when the field vanishes at any stage.
-    """
-    if not 0 < step < math.inf:
-        raise ValueError("step must be positive and finite")
-    new, ok = _rk4_many(
-        field,
-        np.asarray([eta], dtype=float),
-        np.asarray([d0], dtype=float),
-        float(step),
-    )
-    return new[0] if ok[0] else None
-
-
 def _substream(rng_seed: int, seed_point: np.ndarray, rep: int):
     """Random generator owned by one streamline.
 

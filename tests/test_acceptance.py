@@ -16,6 +16,7 @@ from tractfield import (
     PhantomSpec,
     PolyField,
     Tract,
+    TrackParams,
     completion_rate,
     distance_transform,
     domain_from_mask,
@@ -26,11 +27,10 @@ from tractfield import (
     load_descriptor,
     load_mask,
     load_tract,
-    rk4_step,
-    sample_direction,
     save_phantom_spec,
     spatial_overlap,
     synthetic_prior,
+    track,
     voxelize,
 )
 from tractfield.cli import main
@@ -135,14 +135,15 @@ def test_3_rk4_endpoint_convergence_is_fourth_order():
     arc = 16.0
     angle = arc / radius
     exact = radius * np.array([math.cos(angle), math.sin(angle), 0.0])
+    # The forward half of one noise-free line from (radius, 0, 0) runs
+    # counterclockwise inside the box; its last point ends the arc.
+    mask = make_mask(np.ones((15, 15, 3)), origin=(-1.0, -1.0, -1.0))
     errors = []
     for lam in (0.4, 0.2, 0.1, 0.05):
-        p = np.array([radius, 0.0, 0.0])
-        d = sample_direction([field.evaluate(p)], None, 0.0, None)[0][0]
-        for _ in range(round(arc / lam)):
-            p = rk4_step(field, p, d, lam)
-            d = sample_direction([field.evaluate(p)], [d], 0.0, None)[0][0]
-        errors.append(float(np.linalg.norm(p - exact)))
+        params = TrackParams(step=lam, sigma=0.0, max_steps=round(arc / lam),
+                             seed_count=1)
+        end = track(field, mask, [(radius, 0.0, 0.0)], params).streamlines[0][-1]
+        errors.append(float(np.linalg.norm(end - exact)))
     slopes = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
     ok = min(slopes) >= 3.8
     report(

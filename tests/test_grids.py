@@ -14,7 +14,6 @@ from tractfield import (
     Tract,
     TruncationError,
     VolumeGrid,
-    inside,
     inside_many,
     load_mask,
     load_peaks,
@@ -59,29 +58,42 @@ class TestWorldFromIndex:
         assert len(set(map(tuple, centers))) == 4 * 3 * 5
 
 
+def brute_force_inside(mask, pts):
+    """Foreground flag of each point's nearest voxel center, found by
+    distance over every center of the grid padded by one ring of
+    background voxels."""
+    padded = np.pad(mask.grid.data, 1)
+    idx = np.argwhere(np.ones(padded.shape, dtype=bool))
+    centers = np.asarray(mask.grid.origin) + (idx - 1) * np.asarray(mask.grid.spacing)
+    nearest = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+    i, j, k = idx[nearest].T
+    return padded[i, j, k] != 0
+
+
 class TestInside:
     def test_rounds_to_foreground(self):
-        assert inside(single_voxel_mask(), (0.2, 0.1, -0.3))
+        assert inside_many(single_voxel_mask(), [(0.2, 0.1, -0.3)])[0]
 
     def test_rounds_to_background_neighbor(self):
-        assert not inside(single_voxel_mask(), (0.9, 0, 0))
+        assert not inside_many(single_voxel_mask(), [(0.9, 0, 0)])[0]
 
     def test_far_outside(self):
-        assert not inside(single_voxel_mask(), (50.0, 0, 0))
+        assert not inside_many(single_voxel_mask(), [(50.0, 0, 0)])[0]
 
     def test_matches_mask_value_at_voxel_centers(self, rng):
         data = rng.integers(0, 2, size=(4, 5, 3)).astype(np.uint8)
         mask = make_mask(data, spacing=(0.9, 1.3, 1.0), origin=(-2, 0, 1))
-        for ijk in np.ndindex(mask.grid.dims):
-            p = voxel_centers(mask.grid, [ijk])[0]
-            assert inside(mask, p) == bool(data[ijk])
+        ijk = list(np.ndindex(mask.grid.dims))
+        got = inside_many(mask, voxel_centers(mask.grid, ijk))
+        assert got.tolist() == [bool(data[v]) for v in ijk]
 
-    def test_inside_many_matches_scalar(self, rng):
+    def test_inside_many_matches_brute_force(self, rng):
         data = rng.integers(0, 2, size=(4, 4, 4)).astype(np.uint8)
-        mask = make_mask(data)
-        pts = rng.uniform(-1, 5, size=(200, 3))
-        got = inside_many(mask, pts)
-        assert got.tolist() == [inside(mask, p) for p in pts]
+        mask = make_mask(data, spacing=(0.9, 1.3, 1.0), origin=(-2, 0, 1))
+        lo = np.asarray(mask.grid.origin) - 1.0
+        hi = lo + 2.0 + 3 * np.asarray(mask.grid.spacing)
+        pts = rng.uniform(lo, hi, size=(500, 3))
+        assert inside_many(mask, pts).tolist() == brute_force_inside(mask, pts).tolist()
 
     def test_halfway_rounds_up(self):
         grid = make_grid(np.zeros((4, 4, 4)))

@@ -22,7 +22,6 @@ from tractfield import (
     nearest_indices,
     polyfield,
     pooled_points,
-    rk4_step,
     sample_direction,
     save_tract,
     track,
@@ -30,6 +29,7 @@ from tractfield import (
 )
 from tractfield.tracking import DRAW_BLOCK, ZERO_FIELD_TOL
 
+from conftest import make_mask
 from test_polyfield import direct_basis_matrix
 
 
@@ -192,6 +192,7 @@ class TestTrackParams:
             ({"step": float("nan")}, "step"),
             ({"sigma": float("nan")}, "sigma"),
             ({"min_len": float("nan")}, "min_len"),
+            ({"step": math.inf}, "step"),
         ],
     )
     def test_rejects_bad_values(self, kwargs, match):
@@ -313,35 +314,40 @@ class TestSampleDirection:
                     assert np.array_equal(d[r], unflipped[r])
 
 
+def box_mask(lo, hi):
+    """All-foreground unit-spacing mask whose voxel centers span lo..hi."""
+    lo = np.asarray(lo, dtype=float)
+    dims = tuple(int(v) for v in np.asarray(hi, dtype=float) - lo + 1)
+    return make_mask(np.ones(dims), origin=tuple(lo))
+
+
+def forward_end(field, mask, seed, step, n):
+    """Last point of the forward half of one noise-free line of n steps."""
+    params = TrackParams(step=step, sigma=0.0, max_steps=n, seed_count=1, min_len=0.0)
+    return track(field, mask, [seed], params).streamlines[0][-1]
+
+
 class TestRk4Step:
-    def test_rejects_nonpositive_step(self):
-        field = constant_field()
-        with pytest.raises(ValueError, match="step"):
-            rk4_step(field, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 0.0)
-        with pytest.raises(ValueError, match="step"):
-            rk4_step(field, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), -0.3)
-        with pytest.raises(ValueError, match="step"):
-            rk4_step(field, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), float("nan"))
-        with pytest.raises(ValueError, match="step"):
-            rk4_step(field, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), math.inf)
+    """The field tracker's Runge-Kutta step, read off the forward half."""
 
     def test_constant_field_moves_one_step(self):
-        out = rk4_step(constant_field(), (1.0, 2.0, 3.0), (1.0, 0.0, 0.0), 0.3)
-        assert np.allclose(out, [1.3, 2.0, 3.0], atol=1e-15)
+        end = forward_end(constant_field(), box_mask((0, 1, 2), (2, 3, 4)),
+                          (1.0, 2.0, 3.0), 0.3, 1)
+        assert np.allclose(end, [1.3, 2.0, 3.0], atol=1e-15)
 
-    def test_vanishing_field_returns_none(self):
-        dead = PolyField(0, np.zeros((3, 1)))
-        assert rk4_step(dead, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 0.3) is None
+    def test_field_vanishing_mid_step_ends_the_half(self):
+        # v = (-x, 0, 0) from x = -0.25: RK4 stage 2 lands on x = 0, where
+        # the field vanishes, so the forward half is empty.
+        coeffs = np.zeros((3, 4))
+        coeffs[0, 3] = -1.0
+        end = forward_end(PolyField(1, coeffs), box_mask((-3, -1, -1), (3, 1, 1)),
+                          (-0.25, 0.0, 0.0), 0.5, 2000)
+        assert np.array_equal(end, [-0.25, 0.0, 0.0])
 
     def _circle_error(self, n):
-        field = rotational_field()
-        lam = 2.0 * math.pi / n
-        p = np.array([1.0, 0.0, 0.0])
-        d = sample_direction([field.evaluate(p)], None, 0.0, None)[0][0]
-        for _ in range(n):
-            p = rk4_step(field, p, d, lam)
-            d = sample_direction([field.evaluate(p)], [d], 0.0, None)[0][0]
-        return float(np.linalg.norm(p - [1.0, 0.0, 0.0]))
+        end = forward_end(rotational_field(), box_mask((-2, -2, -1), (2, 2, 1)),
+                          (1.0, 0.0, 0.0), 2.0 * math.pi / n, n)
+        return float(np.linalg.norm(end - [1.0, 0.0, 0.0]))
 
     def test_unit_circle_closes_to_1e5(self):
         assert self._circle_error(126) < 1e-5
