@@ -22,17 +22,30 @@ def _reference_grid(ref) -> VolumeGrid:
     return ref.grid if isinstance(ref, Mask) else ref
 
 
-def _densify(points: np.ndarray, max_gap: float) -> np.ndarray:
-    """Insert evenly spaced points so consecutive gaps are <= max_gap."""
-    deltas = np.diff(points, axis=0)
-    lengths = np.linalg.norm(deltas, axis=1)
-    counts = np.maximum(1, np.ceil(lengths / max_gap).astype(np.int64))
-    total = int(counts.sum())
-    seg = np.repeat(np.arange(len(lengths)), counts)
-    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    frac = offsets / counts[seg]
-    dense = points[seg] + frac[:, None] * deltas[seg]
-    return np.vstack([dense, points[-1]])
+def _densify(tract: Tract, max_gap: float) -> np.ndarray:
+    """Every line's points with evenly spaced points inserted between them,
+    so consecutive gaps along a line are <= max_gap; lines stay in order."""
+    points = pooled_points(tract)
+    # Each point's step to the next one on its line; a line's last point
+    # takes a zero step, so it appears once with nothing inserted after it.
+    deltas = np.empty_like(points)
+    np.subtract(points[1:], points[:-1], out=deltas[:-1])
+    deltas[np.cumsum([len(line) for line in tract.streamlines]) - 1] = 0.0
+    counts = np.linalg.norm(deltas, axis=1) / max_gap
+    counts = np.maximum(1, np.ceil(counts).astype(np.int64))
+    seg = np.repeat(np.arange(len(points)), counts)
+    # Each dense point's offset in its segment over the segment's count;
+    # these integers are exact in float64.
+    frac = np.arange(len(seg), dtype=float)
+    frac -= np.repeat(np.cumsum(counts) - counts, counts)
+    frac /= counts[seg]
+    # points[seg] + frac * deltas[seg], built in place; deltas is let go
+    # first, so at most two point-sized arrays besides ``points`` are alive.
+    dense = deltas[seg]
+    del deltas
+    dense *= frac[:, None]
+    dense += points[seg]
+    return dense
 
 
 def voxelize(tract: Tract, ref) -> Mask:
@@ -44,10 +57,8 @@ def voxelize(tract: Tract, ref) -> Mask:
     """
     grid = _reference_grid(ref)
     data = np.zeros(grid.dims, dtype=np.uint8)
-    max_gap = 0.5 * min(grid.spacing)
-    for line in tract.streamlines:
-        dense = _densify(np.asarray(line, dtype=float), max_gap)
-        idx, inb = nearest_indices(grid, dense)
+    if tract.streamlines:
+        idx, inb = nearest_indices(grid, _densify(tract, 0.5 * min(grid.spacing)))
         hits = idx[inb]
         data[hits[:, 0], hits[:, 1], hits[:, 2]] = 1
     return Mask(VolumeGrid(grid.dims, grid.spacing, grid.origin, data))

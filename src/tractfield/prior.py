@@ -63,7 +63,9 @@ def select_peak(peaks: PeaksField, pts, normals, min_amp=MIN_AMP_DEFAULT):
     angle to that point's normal.
 
     Peaks are sign-ambiguous, so the angle is arccos(|d.n|); each winner is
-    flipped if needed so its dot product with the normal is nonnegative.
+    flipped if needed so its dot product with the normal is nonnegative.  A
+    winner at a right angle to the normal takes the sign that makes its
+    first nonzero component positive, so the stored sign never shows.
     Ties on angle go to the larger amplitude, then to storage order.  A slot
     is admissible when its amplitude is positive (not padding) and reaches
     ``min_amp``.  Returns ``(directions (n, 3), ok (n,))``; rows without an
@@ -82,7 +84,12 @@ def select_peak(peaks: PeaksField, pts, normals, min_amp=MIN_AMP_DEFAULT):
     best = admissible & (score == score.max(axis=1, keepdims=True))
     slot = np.argmax(np.where(best, amps, -1.0), axis=1)[:, None]
     d = np.take_along_axis(dirs, slot[..., None], axis=1)[:, 0]
-    d = np.where(np.take_along_axis(dots, slot, axis=1) >= 0, d, -d)
+    dot = np.take_along_axis(dots, slot, axis=1)
+    d = np.where(dot >= 0, d, -d)
+    tie = np.flatnonzero(dot[:, 0] == 0)
+    if len(tie):
+        lead = d[tie, np.argmax(d[tie] != 0, axis=1)]
+        d[tie[lead < 0]] *= -1
     ok = admissible.any(axis=1)
     return np.where(ok[:, None], d, 0.0), ok
 

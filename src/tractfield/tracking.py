@@ -1,10 +1,11 @@
 """Streamline generation through a fitted field, plus a peak-following baseline.
 
-One lockstep loop runs both trackers: all streamlines advance together from
-their seeds, forward then backward, until they leave the mask, their
-direction rule stops them, or the step budget runs out; the halves are
-spliced at the seed and lines shorter than ``min_len`` are dropped.  Two
-direction rules plug into it:
+One lockstep loop runs both trackers.  Every streamline's forward half
+advances from its seed, and its backward half starts from the seed once the
+forward half stops; a half runs until it leaves the mask, its direction rule
+stops it, or its step budget runs out.  The halves are spliced at the seed
+and lines shorter than ``min_len`` are dropped.  Two direction rules plug
+into it:
 
 - ``track``: a Runge-Kutta step whose first slope is a Gaussian-perturbed
   unit field direction and whose later stages use the deterministic field;
@@ -21,6 +22,7 @@ direction rules plug into it:
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -55,6 +57,9 @@ class TrackParams:
             raise ValueError("step must be positive and finite")
         if not 0 <= self.sigma < math.inf:
             raise ValueError("sigma must be finite and >= 0")
+        for name in ("max_steps", "seed_count", "rng_seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         if self.seed_count < 1:
@@ -149,54 +154,56 @@ def _substream(rng_seed: int, seed_point: np.ndarray, rep: int):
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def _integrate_half(mask, start, d0, alive0, advance, turn, params):
-    """Advance all live streamlines in lockstep; returns per-stream points.
-
-    ``advance(eta, d)`` gives the rows' next points and ok flags; a row
-    stops when it fails or leaves the mask, and the exiting point is
-    dropped.  ``turn(rows, pts, prev)`` gives the accepted rows' next
-    directions and ok flags; a row whose flag is False stops there.  Each
-    row's points come back as one (k, 3) array in step order.
-    """
-    n = len(start)
-    rows = [np.empty(0, dtype=np.intp)]
-    points = [np.empty((0, 3))]
-    eta = np.array(start, dtype=float)
-    d = np.array(d0, dtype=float)
-    alive = np.array(alive0, dtype=bool)
-    for _ in range(params.max_steps):
-        act = np.flatnonzero(alive)
-        if not len(act):
-            break
-        new, ok = advance(eta[act], d[act])
-        good = ok & inside_many(mask, new)
-        alive[act[~good]] = False
-        keep = act[good]
-        if not len(keep):
-            break
-        accepted = new[good]
-        eta[keep] = accepted
-        rows.append(keep)
-        points.append(accepted)
-        nd, turned = turn(keep, accepted, d[keep])
-        d[keep[turned]] = nd[turned]
-        alive[keep[~turned]] = False
-    rows = np.concatenate(rows)
-    # a stable sort by row keeps each row's points in step order
-    by_row = np.concatenate(points)[np.argsort(rows, kind="stable")]
-    return np.split(by_row, np.cumsum(np.bincount(rows, minlength=n))[:-1])
-
-
 def _trace(mask, starts, first, alive, advance, turn, params) -> Tract:
     """Both halves from each start, spliced at it, kept when >= min_len.
 
-    ``first`` holds each start's initial direction; a start whose ``alive``
-    flag is False has the start alone as its line.
+    One lockstep loop advances 2n half-rows: row h < n is start h's forward
+    half, along ``first[h]``, and row h + n its backward half, along
+    ``-first[h]``.  A backward half goes live in the iteration after its
+    forward half stops, so each start's turns still come in step order, and
+    each half has its own budget of ``params.max_steps`` steps.  A start
+    whose ``alive`` flag is False has the start alone as its line.
+
+    ``advance(eta, d)`` gives the rows' next points and ok flags; a row
+    stops when it fails or leaves the mask, and the exiting point is
+    dropped.  ``turn(starts, pts, prev)`` gives the accepted rows' next
+    directions and ok flags, given the start each row belongs to; a row
+    whose flag is False stops there.
     """
-    forward = _integrate_half(mask, starts, first, alive, advance, turn, params)
-    backward = _integrate_half(mask, starts, -first, alive, advance, turn, params)
+    n = len(starts)
+    eta = np.concatenate([starts, starts], dtype=float)
+    d = np.concatenate([first, -first], dtype=float)
+    live = np.concatenate([alive, np.zeros(n, dtype=bool)])
+    steps = np.zeros(2 * n, dtype=np.int64)
+    rows = [np.empty(0, dtype=np.intp)]
+    points = [np.empty((0, 3))]
+    act = np.flatnonzero(live)
+    while len(act):
+        new, ok = advance(eta[act], d[act])
+        good = ok & inside_many(mask, new)
+        live[act[~good]] = False
+        keep = act[good]
+        if len(keep):
+            accepted = new[good]
+            eta[keep] = accepted
+            rows.append(keep)
+            points.append(accepted)
+            nd, turned = turn(keep % n, accepted, d[keep])
+            d[keep[turned]] = nd[turned]
+            live[keep[~turned]] = False
+        steps[act] += 1
+        live[act[steps[act] == params.max_steps]] = False
+        # a forward half that stopped hands its start to the backward half
+        ended = act[(act < n) & ~live[act]]
+        live[ended + n] = True
+        act = np.flatnonzero(live)
+    rows = np.concatenate(rows)
+    points = np.concatenate(points)
+    # a stable sort by row keeps each row's points in step order
+    points = points[np.argsort(rows, kind="stable")]
+    halves = np.split(points, np.cumsum(np.bincount(rows, minlength=2 * n))[:-1])
     streamlines = []
-    for b, s, f in zip(backward, starts, forward):
+    for s, f, b in zip(starts, halves[:n], halves[n:]):
         if not len(b) and not len(f):
             continue
         line = np.concatenate([b[::-1], s[None], f])

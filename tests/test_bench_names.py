@@ -3,16 +3,29 @@
 ``perfbench/layers.py`` patches ``<owner>.<attr>`` for every traced call,
 and the benchmark scripts call ``tractfield`` (imported as ``tf``) and
 ``tractfield.cli`` by attribute; a refactor that renames, moves or deletes
-one of them fails here instead of in a benchmark run.  The benchmark files
+one of them fails here instead of in a benchmark run, and so does a tracker
+that stops calling a traced name through its module.  The benchmark files
 are executed or parsed from source, read only.
 """
 
 import ast
 import runpy
+import sys
 from pathlib import Path
 
 import tractfield
-from tractfield import Mask, PolyField, PriorField, cli
+from tractfield import (
+    Mask,
+    PhantomSpec,
+    PolyField,
+    PriorField,
+    TrackParams,
+    baseline_peak_track,
+    cli,
+    generate,
+    track,
+    tracking,
+)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 LAYERS = PERFBENCH / "layers.py"
@@ -34,6 +47,43 @@ def test_every_traced_name_exists():
     assert patches
     for owner, attr, name, _ in patches:
         assert attr in owner.__dict__, (getattr(owner, "__name__", owner), attr, name)
+
+
+def test_trackers_call_the_traced_names(monkeypatch):
+    # Every call a tracker makes to a traced name must go through the
+    # wrapper.  A tracker that binds one of these names locally bypasses it,
+    # and its per-layer metrics would read low or 0 instead of failing.
+    traced = {}
+    fired = {}
+    for owner, attr, name, _ in runpy.run_path(str(LAYERS))["patches"]():
+        if owner is tracking:
+            func = getattr(owner, attr)
+            traced[func.__code__] = name
+            fired[name] = 0
+
+            def counting(*args, _func=func, _name=name, **kwargs):
+                fired[_name] += 1
+                return _func(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counting)
+    bypassed = set()
+
+    def profile(frame, event, arg):
+        if (event == "call" and frame.f_code in traced
+                and frame.f_back.f_globals is tracking.__dict__):
+            bypassed.add(traced[frame.f_code])
+
+    tube = generate(PhantomSpec(kind="straight-tube", radius=2.0, length=8.0))
+    seeds = tube.mask.foreground_points()[::5]
+    sys.setprofile(profile)
+    try:
+        track(tube.field.to_polyfield(), tube.mask, seeds, TrackParams(seed_count=1))
+        baseline_peak_track(tube.peaks, tube.mask, seeds,
+                            TrackParams(sigma=0.0, seed_count=1))
+    finally:
+        sys.setprofile(None)
+    assert fired and all(fired.values()), fired
+    assert not bypassed
 
 
 def test_every_module_name_the_benchmark_reads_exists():

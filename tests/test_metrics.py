@@ -8,6 +8,8 @@ from tractfield import (
     Tract,
     VolumeGrid,
     hausdorff,
+    metrics,
+    nearest_indices,
     spatial_overlap,
     voxelize,
 )
@@ -17,6 +19,43 @@ from conftest import brute_force_hausdorff, make_mask
 
 def two_point_tract(points, step=1.0):
     return Tract([np.asarray(points, dtype=float)], step)
+
+
+def densify_line(points, max_gap):
+    """One line's densified points, segment by segment: the oracle for
+    ``voxelize``'s one pass over every line."""
+    deltas = np.diff(points, axis=0)
+    lengths = np.linalg.norm(deltas, axis=1)
+    counts = np.maximum(1, np.ceil(lengths / max_gap).astype(np.int64))
+    total = int(counts.sum())
+    seg = np.repeat(np.arange(len(lengths)), counts)
+    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+    frac = offsets / counts[seg]
+    dense = points[seg] + frac[:, None] * deltas[seg]
+    return np.vstack([dense, points[-1]])
+
+
+def voxelize_by_line(tract, grid):
+    data = np.zeros(grid.dims, dtype=np.uint8)
+    for line in tract.streamlines:
+        idx, inb = nearest_indices(grid, densify_line(line, 0.5 * min(grid.spacing)))
+        hits = idx[inb]
+        data[hits[:, 0], hits[:, 1], hits[:, 2]] = 1
+    return data
+
+
+def random_lines(rng, step, low, high):
+    """A few random walks, the first of two points, with steps up to 2*step
+    (some of zero length), starting anywhere in [low, high)."""
+    lines = []
+    for count in [2, *rng.integers(2, 12, size=rng.integers(0, 5))]:
+        start = rng.uniform(low, high)
+        steps = rng.normal(size=(count - 1, 3))
+        steps *= rng.uniform(0.0, 2.0 * step, (count - 1, 1)) / np.linalg.norm(
+            steps, axis=1, keepdims=True)
+        steps[rng.uniform(size=count - 1) < 0.1] = 0.0
+        lines.append(np.vstack([start, start + np.cumsum(steps, axis=0)]))
+    return lines
 
 
 class TestVoxelize:
@@ -87,6 +126,22 @@ class TestVoxelize:
         samples = p0 + t * (p1 - p0)
         oracle = len(np.unique(np.floor(samples + 0.5).astype(int), axis=0))
         assert abs(int(out.foreground.sum()) - oracle) <= 2
+
+
+    def test_matches_per_line_oracle(self, rng):
+        # Points range past every face of the grid, so some fall off it.
+        grid = VolumeGrid((7, 6, 5), (0.5, 1.0, 0.75), (-1.0, 2.0, 0.5),
+                          np.zeros((7, 6, 5), np.uint8))
+        low = np.array(grid.origin) - 2.0
+        high = low + np.array(grid.dims) * grid.spacing + 4.0
+        for step in (0.2, 0.9, 1.5):
+            for _ in range(20):
+                tract = Tract(random_lines(rng, step, low, high), step)
+                dense = np.vstack([densify_line(line, 0.25)
+                                   for line in tract.streamlines])
+                assert np.array_equal(metrics._densify(tract, 0.25), dense)
+                assert np.array_equal(voxelize(tract, grid).grid.data,
+                                      voxelize_by_line(tract, grid))
 
 
 class TestSpatialOverlap:

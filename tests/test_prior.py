@@ -53,7 +53,11 @@ def scalar_select_peak(directions, amplitudes, normal, min_amp):
     if best is None:
         return None
     d = best[2]
-    return d if float(np.dot(d, n)) >= 0 else -d
+    dot = float(np.dot(d, n))
+    if dot == 0:
+        lead = d[np.flatnonzero(d)[0]] if d.any() else 0.0
+        return d if lead >= 0 else -d
+    return d if dot >= 0 else -d
 
 
 def row_peaks(directions, amplitudes):
@@ -128,6 +132,11 @@ class TestSelectPeak:
         got = pick(dirs, np.array([1.0]), normed(n))
         assert got is not None
         assert float(np.dot(got, normed(n))) >= 0
+
+    def test_right_angle_winner_takes_canonical_sign(self):
+        for stored in ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0)):
+            got = pick(np.array([stored]), np.array([1.0]), (0.0, 1.0, 0.0))
+            assert np.array_equal(got, (0.0, 0.0, 1.0))
 
     @given(d=unit3, n=unit3)
     @settings(max_examples=100, deadline=None)

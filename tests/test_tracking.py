@@ -176,6 +176,11 @@ class TestTrackParams:
         assert TrackParams().min_len == pytest.approx(0.9)
         assert TrackParams(step=0.5).min_len == pytest.approx(1.5)
 
+    def test_numpy_integer_counts_accepted(self):
+        params = TrackParams(max_steps=np.int64(5), seed_count=np.int32(2),
+                             rng_seed=np.uint64(7))
+        assert (params.max_steps, params.seed_count, params.rng_seed) == (5, 2, 7)
+
     def test_explicit_min_len_kept(self):
         assert TrackParams(min_len=0.0).min_len == 0.0
         assert TrackParams(min_len=5.0).min_len == 5.0
@@ -193,6 +198,11 @@ class TestTrackParams:
             ({"sigma": float("nan")}, "sigma"),
             ({"min_len": float("nan")}, "min_len"),
             ({"step": math.inf}, "step"),
+            ({"max_steps": float("nan")}, "max_steps"),
+            ({"max_steps": 2.5}, "max_steps"),
+            ({"seed_count": 2.5}, "seed_count"),
+            ({"rng_seed": 1.5}, "rng_seed"),
+            ({"rng_seed": float("nan")}, "rng_seed"),
         ],
     )
     def test_rejects_bad_values(self, kwargs, match):
@@ -512,7 +522,7 @@ class TestTrack:
         monkeypatch.setattr(PolyField, "evaluate_many", counting)
         track(tube40.field.to_polyfield(), tube40.mask,
               tube40.mask.foreground_points(), GOLDEN_PARAMS)
-        assert (len(sizes), sum(sizes)) == (1087, 1310278)
+        assert (len(sizes), sum(sizes)) == (552, 1310278)
 
     def test_order_eight_tract_matches_direct_basis(self, tube40, tmp_path,
                                                      monkeypatch):
@@ -527,6 +537,43 @@ class TestTrack:
         monkeypatch.setattr(polyfield, "basis_matrix", direct_basis_matrix)
         direct = track(field, tube40.mask, seeds, GOLDEN_PARAMS)
         assert fast == tract_digest(direct, tmp_path)
+
+
+def run_tracker(name, phantom, seeds, params):
+    if name == "track":
+        return track(phantom.field.to_polyfield(), phantom.mask, seeds, params)
+    return baseline_peak_track(phantom.peaks, phantom.mask, seeds, params)
+
+
+@pytest.mark.parametrize("tracker", ["track", "baseline"])
+class TestLockstepHalves:
+    def test_loop_runs_as_long_as_the_longest_line(self, straight, tracker,
+                                                   monkeypatch):
+        # Each seed has one long and one short half, on opposite sides, so
+        # running every forward half before any backward half would take
+        # about twice as many iterations.
+        calls = []
+
+        def counting(mask, pts):
+            calls.append(len(pts))
+            return inside_many(mask, pts)
+
+        monkeypatch.setattr(tracking, "inside_many", counting)
+        params = TrackParams(step=0.3, sigma=0.0, seed_count=1)
+        tract = run_tracker(tracker, straight, [(1.0, 0, 0), (59.0, 0, 0)], params)
+        loop_calls = len(calls) - 1  # the first call checks the seeds
+        assert loop_calls <= max(len(line) for line in tract.streamlines) + 1
+
+    def test_backward_half_gets_its_own_step_budget(self, straight, tracker):
+        # The forward half leaves the tube within a few steps; the backward
+        # half starts after it and still takes all max_steps steps.
+        seed = (59.0, 0.0, 0.0)
+        params = TrackParams(step=0.3, sigma=0.0, seed_count=1, max_steps=20)
+        line = run_tracker(tracker, straight, [seed], params).streamlines[0]
+        backward = int(np.flatnonzero((line == seed).all(axis=1))[0])
+        forward = len(line) - 1 - backward
+        assert forward < 10
+        assert backward == 20
 
 
 class TestBaselinePeakTrack:
