@@ -38,7 +38,6 @@ from .grids import (
     load_tract,
     load_volume,
     nearest_indices,
-    pooled_points,
     same_geometry,
     save_mask,
     save_peaks,

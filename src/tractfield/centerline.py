@@ -261,14 +261,13 @@ def cross_section_normals(cl: Centerline, pts) -> np.ndarray:
 
 def save_centerline(cl: Centerline, path):
     """Write a centerline as a one-line tract file with ``step`` = delta."""
-    _save_lines(path, cl.delta, [cl.points])
+    _save_lines(path, cl.delta, cl.points, [len(cl.points)])
 
 
 def load_centerline(path) -> Centerline:
     """Read a centerline file; tangents are recomputed from the points."""
-    delta, lines = _load_lines(path)
-    if len(lines) != 1 or not len(lines[0]):
+    delta, pts, counts = _load_lines(path)
+    if len(counts) != 1 or not len(pts):
         raise FormatError(f"{path}: centerline file must hold exactly one "
                           "polyline with at least one point")
-    pts = lines[0]
     return Centerline(pts, _unit_tangents(pts), delta)

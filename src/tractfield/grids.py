@@ -8,7 +8,7 @@ axes; file payloads are little endian with x varying fastest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,34 +126,42 @@ class PeaksField:
 
 @dataclass(eq=False)
 class Tract:
-    """A set of streamlines plus the step length they were generated with."""
+    """Streamlines as the ``.tract`` payload holds them: (n, 3) ``points``, line
+    after line, and each line's point ``counts``.  Each line has >= 2 finite points,
+    each within twice ``step`` (the tracing step length) of the next."""
 
-    streamlines: list = field(default_factory=list)
-    step: float = 0.3
+    points: np.ndarray
+    counts: np.ndarray
+    step: float
 
     def __post_init__(self):
         self.step = float(self.step)
         if not 0 < self.step < math.inf:
             raise ValueError("step must be positive and finite")
-        cleaned = []
-        for sl in self.streamlines:
-            arr = np.asarray(sl, dtype=float)
-            if arr.ndim != 2 or arr.shape[1] != 3 or len(arr) < 2:
-                raise ValueError("each streamline needs at least two 3-D points")
-            if not np.isfinite(arr).all():
-                raise ValueError("streamline points must be finite")
-            gaps = np.linalg.norm(np.diff(arr, axis=0), axis=1)
-            if not (gaps.max() <= 2.0 * self.step + 1e-9):
-                raise ValueError("consecutive streamline points exceed twice the step length")
-            cleaned.append(arr)
-        self.streamlines = cleaned
+        self.points = np.asarray(self.points, dtype=float)
+        self.counts = np.asarray(self.counts, dtype=np.int64)
+        if (self.points.shape[1:] != (3,) or self.counts.ndim != 1
+                or np.any(self.counts < 2) or self.counts.sum() != len(self.points)):
+            raise ValueError("each streamline needs at least two 3-D points, "
+                             "and the counts must sum to the points")
+        if not np.isfinite(self.points).all():
+            raise ValueError("streamline points must be finite")
+        gaps = np.linalg.norm(_line_deltas(self.points, self.counts), axis=1)
+        if not (gaps.max(initial=0.0) <= 2.0 * self.step + 1e-9):
+            raise ValueError("consecutive streamline points exceed twice the step length")
+
+    @property
+    def streamlines(self) -> list:
+        """Each line's points, as views into ``points``."""
+        return np.split(self.points, np.cumsum(self.counts))[:-1]
 
 
-def pooled_points(tract: Tract) -> np.ndarray:
-    """All streamline points of a tract stacked into one (n, 3) array."""
-    if not tract.streamlines:
-        return np.empty((0, 3))
-    return np.vstack(tract.streamlines)
+def _line_deltas(points, counts) -> np.ndarray:
+    """Each point's step to the next point of its line, 0 at a line's last point."""
+    deltas = np.empty_like(points)
+    np.subtract(points[1:], points[:-1], out=deltas[:-1])
+    deltas[np.cumsum(counts) - 1] = 0.0
+    return deltas
 
 
 def voxel_centers(grid, indices) -> np.ndarray:
@@ -169,8 +177,11 @@ def nearest_indices(grid, pts) -> tuple[np.ndarray, np.ndarray]:
     coordinates round toward the higher index.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    q = (pts - np.asarray(grid.origin)) / np.asarray(grid.spacing)
-    idx = np.floor(q + 0.5).astype(np.int64)
+    q = pts - np.asarray(grid.origin)
+    q /= np.asarray(grid.spacing)
+    q += 0.5
+    np.floor(q, out=q)
+    idx = q.astype(np.int64)
     inb = np.all((idx >= 0) & (idx < np.asarray(grid.dims)), axis=1)
     return idx, inb
 
@@ -396,22 +407,20 @@ def save_peaks(peaks: PeaksField, path):
                    _line("peaks_per_voxel", peaks.peaks_per_voxel))
 
 
-def _save_lines(path, step: float, lines):
+def _save_lines(path, step: float, points, counts):
     """Write polylines in the raw layout: the header, then each line's point
     count as ``<i8``, then every point as three ``<f8`` values."""
-    counts = np.array([len(line) for line in lines], dtype="<i8")
-    points = np.concatenate([np.empty((0, 3)), *lines]).astype("<f8", copy=False)
     _save_raw(path, [
         _line("step", repr(float(step))),
         _line("lines", len(counts)),
         _line("points", len(points)),
         _line("dtype", "f64"),
         _line("encoding", "raw"),
-    ], counts, points)
+    ], np.asarray(counts, "<i8"), np.asarray(points, "<f8"))
 
 
-def _load_lines(path) -> tuple[float, list]:
-    """Read polylines written by ``_save_lines``: (step, (n, 3) point arrays)."""
+def _load_lines(path) -> tuple[float, np.ndarray, np.ndarray]:
+    """Read polylines written by ``_save_lines``: (step, points, counts)."""
     fields, payload = _load_raw(path, _LINES_KEYS, ("f64",))
     (step,) = _numbers(fields["step"], "step", path, 1)
     (n_lines,) = _numbers(fields["lines"], "lines", path, 1, int)
@@ -423,22 +432,22 @@ def _load_lines(path) -> tuple[float, list]:
         raise FormatError(f"{path}: lines and points must be nonnegative")
     _check_size(payload, 8 * n_lines + 24 * n_points, path)
     counts = np.frombuffer(payload, "<i8", n_lines)
-    if np.any(counts < 0) or counts.sum() != n_points:
+    # Counts in [0, points] cannot wrap around int64 when summed.
+    if np.any((counts < 0) | (counts > n_points)) or counts.sum() != n_points:
         raise FormatError(f"{path}: point counts must be nonnegative and sum to "
                           f"points ({n_points})")
     points = np.frombuffer(payload, "<f8", offset=8 * n_lines).reshape(n_points, 3)
     bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
     if len(bad):
         raise FormatError(f"{path}: point {bad[0]} is not finite")
-    # the last offset is n_points, so the last piece is empty
-    return step, np.split(points, np.cumsum(counts))[:-1]
+    return step, points, counts
 
 
 def load_tract(path) -> Tract:
     """Read a tract file (see ``save_tract``)."""
-    step, lines = _load_lines(path)
+    step, points, counts = _load_lines(path)
     try:
-        return Tract(lines, step)
+        return Tract(points, counts, step)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
 
@@ -446,4 +455,4 @@ def load_tract(path) -> Tract:
 def save_tract(tract: Tract, path):
     """Write a tract file: ``step``, ``lines`` and ``points`` header keys,
     then the raw point counts and points (see ``_save_lines``)."""
-    _save_lines(path, tract.step, tract.streamlines)
+    _save_lines(path, tract.step, tract.points, tract.counts)

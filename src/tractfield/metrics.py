@@ -15,7 +15,7 @@ import numpy as np
 # costs ~0.5 s, and `import tractfield` and most stages never call it.
 
 from .errors import DomainError
-from .grids import Mask, Tract, VolumeGrid, nearest_indices, pooled_points, same_geometry
+from .grids import Mask, Tract, VolumeGrid, _line_deltas, nearest_indices, same_geometry
 
 
 def _reference_grid(ref) -> VolumeGrid:
@@ -25,12 +25,9 @@ def _reference_grid(ref) -> VolumeGrid:
 def _densify(tract: Tract, max_gap: float) -> np.ndarray:
     """Every line's points with evenly spaced points inserted between them,
     so consecutive gaps along a line are <= max_gap; lines stay in order."""
-    points = pooled_points(tract)
-    # Each point's step to the next one on its line; a line's last point
-    # takes a zero step, so it appears once with nothing inserted after it.
-    deltas = np.empty_like(points)
-    np.subtract(points[1:], points[:-1], out=deltas[:-1])
-    deltas[np.cumsum([len(line) for line in tract.streamlines]) - 1] = 0.0
+    points = tract.points
+    # a line's last point takes a zero step: nothing is inserted after it
+    deltas = _line_deltas(points, tract.counts)
     counts = np.linalg.norm(deltas, axis=1) / max_gap
     counts = np.maximum(1, np.ceil(counts).astype(np.int64))
     seg = np.repeat(np.arange(len(points)), counts)
@@ -57,10 +54,9 @@ def voxelize(tract: Tract, ref) -> Mask:
     """
     grid = _reference_grid(ref)
     data = np.zeros(grid.dims, dtype=np.uint8)
-    if tract.streamlines:
-        idx, inb = nearest_indices(grid, _densify(tract, 0.5 * min(grid.spacing)))
-        hits = idx[inb]
-        data[hits[:, 0], hits[:, 1], hits[:, 2]] = 1
+    idx, inb = nearest_indices(grid, _densify(tract, 0.5 * min(grid.spacing)))
+    hits = idx[inb]
+    data[hits[:, 0], hits[:, 1], hits[:, 2]] = 1
     return Mask(VolumeGrid(grid.dims, grid.spacing, grid.origin, data))
 
 
@@ -85,12 +81,10 @@ def hausdorff(a: Tract, b: Tract) -> tuple:
     """
     from scipy.spatial import cKDTree
 
-    pa = pooled_points(a)
-    pb = pooled_points(b)
-    if not len(pa) or not len(pb):
+    if not len(a.points) or not len(b.points):
         raise DomainError("hausdorff needs two nonempty tracts")
-    d_ab = cKDTree(pb).query(pa)[0]
-    d_ba = cKDTree(pa).query(pb)[0]
+    d_ab = cKDTree(b.points).query(a.points)[0]
+    d_ba = cKDTree(a.points).query(b.points)[0]
     hd = max(float(d_ab.max()), float(d_ba.max()))
     ahd = 0.5 * (float(d_ab.mean()) + float(d_ba.mean()))
     return hd, ahd

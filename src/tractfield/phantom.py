@@ -31,7 +31,6 @@ from .grids import (
     _require_keys,
     _write_text,
     nearest_indices,
-    pooled_points,
 )
 from .polyfield import PolyField, _term_index, term_count
 
@@ -513,12 +512,12 @@ def completion_rate(tract: Tract, desc: FieldDescriptor) -> float:
     A streamline completes when its points cover the axis range up to a
     ``_COMPLETION_MARGIN`` relative margin on each end.  Empty tracts rate 0.
     """
-    if not tract.streamlines:
+    if not len(tract.counts):
         return 0.0
     t0, t1 = desc.axis_range
     pad = _COMPLETION_MARGIN * (t1 - t0)
-    t = desc.axis_params(pooled_points(tract))
-    starts = np.cumsum([0] + [len(line) for line in tract.streamlines[:-1]])
+    t = desc.axis_params(tract.points)
+    starts = np.cumsum(tract.counts) - tract.counts
     lo, hi = np.minimum.reduceat(t, starts), np.maximum.reduceat(t, starts)
     return float(np.mean((lo <= t0 + pad) & (hi >= t1 - pad)))
 

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EmptyTractError
-from .grids import Mask, PeaksField, Tract, inside_many, nearest_indices, same_geometry
+from .grids import (Mask, PeaksField, Tract, _line_deltas, inside_many, nearest_indices,
+                    same_geometry)
 from .polyfield import PolyField
 from .prior import MIN_AMP_DEFAULT, select_peak
 
@@ -169,14 +170,18 @@ def _trace(mask, starts, first, alive, advance, turn, params) -> Tract:
     dropped.  ``turn(starts, pts, prev)`` gives the accepted rows' next
     directions and ok flags, given the start each row belongs to; a row
     whose flag is False stops there.
+
+    The starts are stored first, then the accepted points in step order,
+    and one sort pools the lines as ``Tract`` holds them.  A start alone
+    is never a line, even at ``min_len`` 0.
     """
     n = len(starts)
     eta = np.concatenate([starts, starts], dtype=float)
     d = np.concatenate([first, -first], dtype=float)
     live = np.concatenate([alive, np.zeros(n, dtype=bool)])
     steps = np.zeros(2 * n, dtype=np.int64)
-    rows = [np.empty(0, dtype=np.intp)]
-    points = [np.empty((0, 3))]
+    rows = [np.arange(n)]
+    points = [starts]
     act = np.flatnonzero(live)
     while len(act):
         new, ok = advance(eta[act], d[act])
@@ -199,21 +204,16 @@ def _trace(mask, starts, first, alive, advance, turn, params) -> Tract:
         act = np.flatnonzero(live)
     rows = np.concatenate(rows)
     points = np.concatenate(points)
-    # a stable sort by row keeps each row's points in step order
-    points = points[np.argsort(rows, kind="stable")]
-    halves = np.split(points, np.cumsum(np.bincount(rows, minlength=2 * n))[:-1])
-    streamlines = []
-    for s, f, b in zip(starts, halves[:n], halves[n:]):
-        if not len(b) and not len(f):
-            continue
-        line = np.concatenate([b[::-1], s[None], f])
-        if np.linalg.norm(np.diff(line, axis=0), axis=1).sum() >= params.min_len:
-            streamlines.append(line)
-    if not streamlines:
-        raise EmptyTractError(
-            "every streamline was shorter than min_len; nothing to keep"
-        )
-    return Tract(streamlines, params.step)
+    # each line as its backward half reversed (negated positions), start, forward half
+    pos = np.arange(len(rows))
+    points = points[np.lexsort((np.where(rows < n, pos, -pos), rows % n))]
+    counts = np.bincount(rows % n, minlength=n)
+    gaps = np.linalg.norm(_line_deltas(points, counts), axis=1)
+    lengths = np.add.reduceat(gaps, np.cumsum(counts) - counts)
+    kept = (counts > 1) & (lengths >= params.min_len)
+    if not kept.any():
+        raise EmptyTractError("every streamline was shorter than min_len; nothing to keep")
+    return Tract(points[np.repeat(kept, counts)], counts[kept], params.step)
 
 
 def _valid_seeds(mask: Mask, seeds) -> np.ndarray:

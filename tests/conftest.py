@@ -14,6 +14,7 @@ from scipy.linalg import null_space
 from tractfield import (
     Mask,
     PolyField,
+    Tract,
     VolumeGrid,
     divergence_constraints,
     term_count,
@@ -27,6 +28,13 @@ def make_grid(data, spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0)) -> VolumeGr
 
 def make_mask(data, spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0)) -> Mask:
     return Mask(make_grid(np.asarray(data, dtype=np.uint8), spacing, origin))
+
+
+def tract_from_lines(lines, step) -> Tract:
+    """A Tract holding each of ``lines``, an (m, 3) point sequence, in order."""
+    lines = [np.asarray(line, dtype=float) for line in lines]
+    points = np.concatenate([np.empty((0, 3)), *lines])
+    return Tract(points, [len(line) for line in lines], step)
 
 
 def brute_force_distance(mask: Mask) -> np.ndarray:

@@ -15,7 +15,6 @@ import pytest
 from tractfield import (
     PhantomSpec,
     PolyField,
-    Tract,
     TrackParams,
     completion_rate,
     distance_transform,
@@ -41,6 +40,7 @@ from conftest import (
     make_mask,
     random_divfree_field,
     random_mask,
+    tract_from_lines,
 )
 
 HELIX_FLAGS = ["--seed-count", "2", "--rng-seed", "42"]
@@ -167,8 +167,8 @@ def test_4_distance_and_hausdorff_match_oracles():
             masks_exact += 1
     pairs_exact = 0
     for _ in range(10):
-        a = Tract([rng.uniform(0.0, 10.0, (200, 3))], step=20.0)
-        b = Tract([rng.uniform(0.0, 10.0, (200, 3))], step=20.0)
+        a = tract_from_lines([rng.uniform(0.0, 10.0, (200, 3))], step=20.0)
+        b = tract_from_lines([rng.uniform(0.0, 10.0, (200, 3))], step=20.0)
         oracle = brute_force_hausdorff(a.streamlines[0], b.streamlines[0])
         if hausdorff(a, b) == oracle:
             pairs_exact += 1

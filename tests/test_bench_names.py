@@ -13,6 +13,8 @@ import runpy
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import tractfield
 from tractfield import (
     Mask,
@@ -23,6 +25,8 @@ from tractfield import (
     baseline_peak_track,
     cli,
     generate,
+    load_tract,
+    save_tract,
     track,
     tracking,
 )
@@ -98,3 +102,17 @@ def test_methods_the_benchmark_calls_exist():
     for cls, attr in ((PriorField, "samples"), (PolyField, "divergence_many"),
                       (Mask, "foreground_points")):
         assert callable(cls.__dict__.get(attr)), (cls.__name__, attr)
+
+
+def test_benchmark_reads_a_tract_as_lines(tmp_path):
+    # ``perfbench/layers.py`` counts ``len(result.streamlines)`` and their
+    # points, the harness stacks ``tract.streamlines`` and falls back to a
+    # file only when a product's tract is falsy.
+    tube = generate(PhantomSpec(kind="straight-tube", radius=2.0, length=8.0))
+    tract = track(tube.field.to_polyfield(), tube.mask, tube.mask.foreground_points()[::5],
+                  TrackParams(seed_count=2))
+    save_tract(tract, tmp_path / "t.tract")
+    for got in (tract, load_tract(tmp_path / "t.tract")):
+        assert bool(got)
+        assert np.vstack(got.streamlines).tobytes() == got.points.tobytes()
+        assert len(got.streamlines) == len(got.counts) > 1

@@ -13,7 +13,6 @@ from tractfield import (
     DomainError,
     FormatError,
     PhantomSpec,
-    Tract,
     cross_section_normals,
     distance_transform,
     extract_centerline,
@@ -27,7 +26,13 @@ from tractfield import (
 from tractfield.centerline import _min_energy_path
 from tractfield.phantom import KINDS
 
-from conftest import brute_force_distance, brute_force_hausdorff, make_mask, random_mask
+from conftest import (
+    brute_force_distance,
+    brute_force_hausdorff,
+    make_mask,
+    random_mask,
+    tract_from_lines,
+)
 
 class TestDistanceTransform:
     def test_single_voxel(self):
@@ -210,7 +215,7 @@ class TestCenterlineIO:
     def test_rejects_multiple_polylines(self, tmp_path):
         path = tmp_path / "two.tract"
         line = np.array([[0.0, 0, 0], [0.5, 0, 0]])
-        save_tract(Tract([line, line + 1], step=0.5), path)
+        save_tract(tract_from_lines([line, line + 1], step=0.5), path)
         with pytest.raises(FormatError, match="exactly one polyline"):
             load_centerline(path)
 

@@ -22,7 +22,6 @@ from tractfield import (
     load_mask,
     load_peaks,
     load_tract,
-    pooled_points,
     save_mask,
     save_phantom_spec,
 )
@@ -429,7 +428,7 @@ class TestStageArtifacts:
         tract = load_tract(f"{stages_dir}/streamlines.tract")
         assert tract.step == 0.3
         assert len(tract.streamlines) > 0
-        assert inside_many(mask, pooled_points(tract)).all()
+        assert inside_many(mask, tract.points).all()
 
     def test_baseline_tract_nonempty(self, stages_dir):
         tract = load_tract(f"{stages_dir}/baseline.tract")

@@ -24,7 +24,6 @@ from tractfield import (
     PeaksField,
     PhantomSpec,
     PolyField,
-    Tract,
     VolumeGrid,
     load_centerline,
     load_descriptor,
@@ -43,6 +42,8 @@ from tractfield import (
 )
 from tractfield import cli
 from tractfield.phantom import _descriptor
+
+from conftest import tract_from_lines
 
 BAD_NUMBERS = [
     "nan", "NaN", "-nan", "inf", "-inf", "1e999", "1x", "abc", "1.2.3", "--1", "1\u00b5",
@@ -72,7 +73,7 @@ def _write_endpoints(path):
 
 def _write_tract(path):
     line = np.array([[0.0, 0, 0], [0.2, 0.1, 0], [0.4, 0.1, 0.1]])
-    save_tract(Tract([line, line + 1], step=0.3), path)
+    save_tract(tract_from_lines([line, line + 1], step=0.3), path)
 
 
 def _write_centerline(path):
@@ -186,7 +187,8 @@ def _packed(step, lines):
 def _edge_file(name):
     """(object to save, expected file bytes) holding every EDGE value."""
     if name == "tract":
-        return Tract([EDGE_A, EDGE_B], step=1 / 3), _packed(1 / 3, [EDGE_A, EDGE_B])
+        lines = [EDGE_A, EDGE_B]
+        return tract_from_lines(lines, step=1 / 3), _packed(1 / 3, lines)
     if name == "centerline":
         return Centerline(EDGE_A, np.zeros_like(EDGE_A), 0.1), _packed(0.1, [EDGE_A])
     coeffs = np.array([EDGE[:4], EDGE[1:], EDGE[::-1][:4]])
@@ -311,6 +313,14 @@ def _corrupt(fault, path, name):
         fields["dtype"] = "f32"
     elif fault == "step 0":
         fields["step"] = "0"
+    elif fault == "counts wrap to 0":
+        # 4 * 2**62 wraps around int64 to 0, the header's points
+        fields.update(lines="4", points="0")
+        counts, points = np.full(4, 2**62, "<i8"), np.empty((0, 3))
+    elif fault == "counts wrap to 2":
+        # 2 * (2**63 - 1) + 4 wraps around int64 to 2, the header's points
+        fields.update(lines="3", points="2")
+        counts, points = np.array([2**63 - 1, 2**63 - 1, 4], "<i8"), points[:2]
     elif fault == "lines -1":
         # a payload of the size such a header implies: 8 * -1 + 24 * 1 bytes
         fields.update(lines="-1", points="1")
@@ -321,7 +331,7 @@ def _corrupt(fault, path, name):
 PAYLOAD_FAULTS = [
     "one byte short", "one byte extra", "negative count", "counts sum to points + 1",
     "counts sum to points - 1", "nan point", "inf point", "dtype f32", "step 0",
-    "lines -1", "text layout",
+    "lines -1", "text layout", "counts wrap to 0", "counts wrap to 2",
 ]
 
 

@@ -20,7 +20,6 @@ from tractfield import (
     load_tract,
     load_volume,
     nearest_indices,
-    pooled_points,
     save_mask,
     save_peaks,
     save_tract,
@@ -28,7 +27,7 @@ from tractfield import (
     voxel_centers,
 )
 
-from conftest import make_grid, make_mask
+from conftest import make_grid, make_mask, tract_from_lines
 
 coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, width=64)
 
@@ -117,13 +116,22 @@ class TestTypeValidation:
 
     def test_streamline_needs_two_points(self):
         with pytest.raises(ValueError):
-            Tract([np.zeros((1, 3))], step=0.3)
+            tract_from_lines([np.zeros((1, 3))], step=0.3)
 
     def test_streamline_gap_capped_at_twice_step(self):
         line = [(0, 0, 0), (0.61, 0, 0)]
         with pytest.raises(ValueError):
-            Tract([line], step=0.3)
-        Tract([line], step=0.31)
+            tract_from_lines([line], step=0.3)
+        tract_from_lines([line], step=0.31)
+
+    def test_gap_between_lines_is_free(self):
+        # the step from one line's end to the next line's start is not checked
+        first = np.array([(0, 0, 0), (0.3, 0, 0)], dtype=float)
+        second = first + (5.0, 0, 0)
+        tract = tract_from_lines([first, second], step=0.3)
+        assert tract.counts.tolist() == [2, 2]
+        with pytest.raises(ValueError, match="step"):
+            tract_from_lines([np.vstack([first, second])], step=0.3)
 
     def test_streamline_rejects_non_finite_points_and_step(self):
         line = np.array([(0, 0, 0), (0.1, 0, 0), (0.2, 0, 0)], dtype=float)
@@ -131,9 +139,9 @@ class TestTypeValidation:
             broken = line.copy()
             broken[1, 2] = bad
             with pytest.raises(ValueError, match="finite"):
-                Tract([broken], step=0.3)
+                tract_from_lines([broken], step=0.3)
             with pytest.raises(ValueError, match="step"):
-                Tract([line], step=bad)
+                tract_from_lines([line], step=bad)
 
     def test_peaks_validate_catches_non_unit(self):
         for x, amp in [(0.5, 1.0), (np.nan, 1.0), (1.0, np.nan)]:
@@ -231,6 +239,30 @@ class TestVolumeRoundTrip:
         )
 
 
+def out_of_place_nearest_indices(grid, pts):
+    """``nearest_indices`` as written before it rounded in one array in
+    place: the oracle for its indices."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    q = (pts - np.asarray(grid.origin)) / np.asarray(grid.spacing)
+    return np.floor(q + 0.5).astype(np.int64)
+
+
+def test_nearest_indices_matches_out_of_place_oracle(rng):
+    grid = make_grid(np.zeros((6, 4, 9)), spacing=(0.7, 1.3, 0.25), origin=(-1.1, 2.0, 0.0))
+    spacing, origin = np.asarray(grid.spacing), np.asarray(grid.origin)
+    random = rng.uniform(-4.0, 14.0, (3000, 3))
+    # halfway between centers, with each coordinate shifted by a few ulps
+    k = rng.integers(-2, 10, (3000, 3))
+    halfway = origin + (k + 0.5) * spacing
+    halfway += rng.integers(-2, 3, halfway.shape) * np.spacing(halfway)
+    signed_zero = np.array([[-0.0, 2.0, -0.0], [0.0, -0.0, 0.0], [-1.1, 2.0, -0.0]])
+    pts = np.vstack([random, halfway, signed_zero])
+    idx, inb = nearest_indices(grid, pts)
+    oracle = out_of_place_nearest_indices(grid, pts)
+    assert idx.dtype == oracle.dtype and idx.tobytes() == oracle.tobytes()
+    assert inb.tolist() == np.all((oracle >= 0) & (oracle < grid.dims), axis=1).tolist()
+
+
 class TestTractRoundTrip:
     def test_round_trip_exact(self, tmp_path, rng):
         path = tmp_path / "t.tract"
@@ -239,7 +271,7 @@ class TestTractRoundTrip:
             start = rng.normal(size=3)
             steps = rng.normal(size=(n - 1, 3)) * 0.1
             lines.append(np.vstack([start, start + np.cumsum(steps, axis=0)]))
-        tract = Tract(lines, step=0.3)
+        tract = tract_from_lines(lines, step=0.3)
         save_tract(tract, path)
         back = load_tract(path)
         assert back.step == 0.3
@@ -249,7 +281,7 @@ class TestTractRoundTrip:
 
     def test_header_comments_skipped(self, tmp_path):
         path = tmp_path / "t.tract"
-        save_tract(Tract([[[0, 0, 0], [0.5, 0, 0]]], step=0.5), path)
+        save_tract(tract_from_lines([[[0, 0, 0], [0.5, 0, 0]]], step=0.5), path)
         path.write_bytes(b"# extra note\n" + path.read_bytes())
         back = load_tract(path)
         assert back.step == 0.5
@@ -257,7 +289,7 @@ class TestTractRoundTrip:
 
     def test_missing_step_header(self, tmp_path):
         path = tmp_path / "t.tract"
-        save_tract(Tract([[[0, 0, 0], [0.5, 0, 0]]], step=0.5), path)
+        save_tract(tract_from_lines([[[0, 0, 0], [0.5, 0, 0]]], step=0.5), path)
         raw = path.read_bytes()
         assert raw.startswith(b"step: 0.5\n")
         path.write_bytes(raw[len(b"step: 0.5\n"):])
@@ -265,7 +297,8 @@ class TestTractRoundTrip:
             load_tract(path)
 
     def test_pooled_points_empty(self):
-        assert pooled_points(Tract([], step=0.3)).shape == (0, 3)
+        tract = Tract(np.empty((0, 3)), [], step=0.3)
+        assert tract.points.shape == (0, 3) and tract.streamlines == []
 
     @given(
         pts=st.lists(st.tuples(coord, coord, coord), min_size=2, max_size=6),
@@ -277,5 +310,5 @@ class TestTractRoundTrip:
         gaps = np.linalg.norm(np.diff(arr, axis=0), axis=1)
         lam = max(step, float(gaps.max()) / 2 + 1e-9) if len(arr) > 1 else step
         path = tmp_path_factory.mktemp("hyp") / "t.tract"
-        save_tract(Tract([arr], step=lam), path)
+        save_tract(tract_from_lines([arr], step=lam), path)
         assert np.array_equal(load_tract(path).streamlines[0], arr)

@@ -1,11 +1,13 @@
-"""Every module of the package uses each name it imports, and none imports
-scipy at module level.
+"""Every module of the package uses each name it imports, none imports
+scipy at module level, and none reads a tract's per-line views.
 
 Stdlib ``ast`` checks: deleting the last use of a helper must also delete
 its import (``__init__.py`` is exempt because its imports are the package's
 public names), and scipy is imported only inside the functions that call
 it, so that ``import tractfield`` and the stages that never call it start
-without its ~0.5 s import.
+without its ~0.5 s import.  The library works on a tract's pooled
+``points`` and ``counts``; ``Tract.streamlines`` is for the benchmark and
+the tests.
 """
 
 from __future__ import annotations
@@ -82,3 +84,23 @@ def test_checker_finds_a_top_level_scipy_import():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
 def test_module_defers_scipy(path):
     assert top_level_scipy_imports(path.read_text()) == [], path.name
+
+
+def attribute_reads(source: str, attr: str) -> list:
+    """Line numbers of every ``<expression>.attr`` in ``source``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == attr)
+
+
+def test_checker_finds_a_streamlines_read():
+    source = (
+        "class Tract:\n    @property\n    def streamlines(self):\n        return []\n"
+        "def f(t):\n    return [len(s) for s in t.streamlines]\n"
+        "streamlines = 1\nn = load().streamlines[0]\n"
+    )
+    assert attribute_reads(source, "streamlines") == [6, 8]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_library_reads_no_per_line_views(path):
+    assert attribute_reads(path.read_text(), "streamlines") == [], path.name

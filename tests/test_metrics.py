@@ -5,7 +5,6 @@ import pytest
 
 from tractfield import (
     DomainError,
-    Tract,
     VolumeGrid,
     hausdorff,
     metrics,
@@ -14,11 +13,11 @@ from tractfield import (
     voxelize,
 )
 
-from conftest import brute_force_hausdorff, make_mask
+from conftest import brute_force_hausdorff, make_mask, tract_from_lines
 
 
 def two_point_tract(points, step=1.0):
-    return Tract([np.asarray(points, dtype=float)], step)
+    return tract_from_lines([np.asarray(points, dtype=float)], step)
 
 
 def densify_line(points, max_gap):
@@ -76,7 +75,7 @@ class TestVoxelize:
 
     def test_empty_tract_gives_empty_mask(self):
         mask = make_mask(np.zeros((4, 4, 4), dtype=np.uint8))
-        out = voxelize(Tract([], 0.5), mask)
+        out = voxelize(tract_from_lines([], 0.5), mask)
         assert int(out.foreground.sum()) == 0
 
     def test_far_away_tract_gives_empty_mask(self):
@@ -87,8 +86,8 @@ class TestVoxelize:
     def test_duplicate_streamlines_idempotent(self):
         mask = make_mask(np.zeros((6, 6, 6), dtype=np.uint8))
         line = np.array([[1.0, 1.0, 1.0], [4.0, 3.0, 2.0]])
-        once = voxelize(Tract([line], 4.0), mask)
-        twice = voxelize(Tract([line, line.copy()], 4.0), mask)
+        once = voxelize(tract_from_lines([line], 4.0), mask)
+        twice = voxelize(tract_from_lines([line, line.copy()], 4.0), mask)
         assert np.array_equal(once.foreground, twice.foreground)
 
     def test_mask_and_grid_references_agree(self):
@@ -121,7 +120,7 @@ class TestVoxelize:
         mask = make_mask(np.zeros((10, 10, 10), dtype=np.uint8))
         p0 = np.zeros(3)
         p1 = np.full(3, 9.0)
-        out = voxelize(Tract([np.stack([p0, p1])], 8.0), mask)
+        out = voxelize(tract_from_lines([np.stack([p0, p1])], 8.0), mask)
         t = np.linspace(0.0, 1.0, 10_000)[:, None]
         samples = p0 + t * (p1 - p0)
         oracle = len(np.unique(np.floor(samples + 0.5).astype(int), axis=0))
@@ -136,7 +135,7 @@ class TestVoxelize:
         high = low + np.array(grid.dims) * grid.spacing + 4.0
         for step in (0.2, 0.9, 1.5):
             for _ in range(20):
-                tract = Tract(random_lines(rng, step, low, high), step)
+                tract = tract_from_lines(random_lines(rng, step, low, high), step)
                 dense = np.vstack([densify_line(line, 0.25)
                                    for line in tract.streamlines])
                 assert np.array_equal(metrics._densify(tract, 0.25), dense)
@@ -225,7 +224,7 @@ class TestSpatialOverlap:
 class TestHausdorff:
     def _random_tract(self, rng, n=200):
         points = rng.uniform(0.0, 10.0, (n, 3))
-        return Tract([points], step=20.0)
+        return tract_from_lines([points], step=20.0)
 
     def test_single_point_pair(self):
         a = two_point_tract([(0.0, 0, 0), (0.0, 0, 0)])
@@ -238,18 +237,16 @@ class TestHausdorff:
         assert hd == 0.0 and ahd == 0.0
 
     def test_matches_brute_force_oracle(self, rng):
-        from tractfield import pooled_points
-
         for _ in range(5):
             a = self._random_tract(rng)
             b = self._random_tract(rng)
-            expected = brute_force_hausdorff(pooled_points(a), pooled_points(b))
+            expected = brute_force_hausdorff(a.points, b.points)
             assert hausdorff(a, b) == expected
 
     def test_pools_across_streamlines(self, rng):
         points = rng.uniform(0.0, 10.0, (40, 3))
-        split = Tract([points[:25], points[25:]], step=20.0)
-        joined = Tract([points], step=20.0)
+        split = tract_from_lines([points[:25], points[25:]], step=20.0)
+        joined = tract_from_lines([points], step=20.0)
         other = self._random_tract(rng, n=60)
         assert hausdorff(split, other) == hausdorff(joined, other)
 
@@ -262,8 +259,8 @@ class TestHausdorff:
         a = self._random_tract(rng, n=50)
         b = self._random_tract(rng, n=50)
         shift = np.array([12.5, -3.25, 7.75])
-        a2 = Tract([line + shift for line in a.streamlines], a.step)
-        b2 = Tract([line + shift for line in b.streamlines], b.step)
+        a2 = tract_from_lines([line + shift for line in a.streamlines], a.step)
+        b2 = tract_from_lines([line + shift for line in b.streamlines], b.step)
         before = hausdorff(a, b)
         after = hausdorff(a2, b2)
         assert abs(before[0] - after[0]) <= 1e-9
@@ -277,6 +274,6 @@ class TestHausdorff:
     def test_empty_tract_raises(self):
         full = two_point_tract([(0.0, 0, 0), (1.0, 0, 0)])
         with pytest.raises(DomainError, match="nonempty"):
-            hausdorff(Tract([], 1.0), full)
+            hausdorff(tract_from_lines([], 1.0), full)
         with pytest.raises(DomainError, match="nonempty"):
-            hausdorff(full, Tract([], 1.0))
+            hausdorff(full, tract_from_lines([], 1.0))

@@ -10,7 +10,6 @@ from tractfield import (
     FormatError,
     GeometryError,
     PhantomSpec,
-    Tract,
     analytic_streamline,
     completion_rate,
     generate,
@@ -20,6 +19,8 @@ from tractfield import (
     save_descriptor,
     save_phantom_spec,
 )
+
+from conftest import tract_from_lines
 
 
 def torus_descriptor():
@@ -208,10 +209,10 @@ class TestCompletionRate:
         xs_half = np.linspace(0.0, 5.0, 30)
         full = np.stack([xs_full, np.zeros(60), np.zeros(60)], axis=1)
         half = np.stack([xs_half, np.zeros(30), np.zeros(30)], axis=1)
-        tract = Tract([full, half], step=0.5)
+        tract = tract_from_lines([full, half], step=0.5)
         assert completion_rate(tract, desc) == 0.5
-        assert completion_rate(Tract([full], step=0.5), desc) == 1.0
-        assert completion_rate(Tract([], step=0.5), desc) == 0.0
+        assert completion_rate(tract_from_lines([full], step=0.5), desc) == 1.0
+        assert completion_rate(tract_from_lines([], step=0.5), desc) == 0.0
 
     def test_helix_matches_per_line_oracle(self, rng):
         desc = helix_descriptor()
@@ -224,7 +225,7 @@ class TestCompletionRate:
             lines.append(desc.axis_point(ts) + rng.normal(0.0, 0.2, (len(ts), 3)))
         rates = set()
         for count in (1, 2, 7, 40):
-            tract = Tract(lines[:count], step=1.0)
+            tract = tract_from_lines(lines[:count], step=1.0)
             params = [desc.axis_params(line) for line in tract.streamlines]
             want = sum(t.min() <= t0 + pad and t.max() >= t1 - pad for t in params) / count
             assert completion_rate(tract, desc) == want

@@ -21,7 +21,6 @@ from tractfield import (
     inside_many,
     nearest_indices,
     polyfield,
-    pooled_points,
     sample_direction,
     save_tract,
     track,
@@ -382,7 +381,7 @@ class TestTrack:
         field = straight.field.to_polyfield()
         params = TrackParams(step=0.3, sigma=0.1, seed_count=3)
         tract = track(field, straight.mask, [(20.0, 0, 0), (40.0, 1.0, 0)], params)
-        assert inside_many(straight.mask, pooled_points(tract)).all()
+        assert inside_many(straight.mask, tract.points).all()
 
     def test_tract_records_step(self, straight):
         field = straight.field.to_polyfield()
@@ -612,6 +611,22 @@ class TestBaselinePeakTrack:
         )
         assert abs(arc_length(tract.streamlines[0]) - 60.0) <= 0.02 * 60.0
 
+    def test_seed_without_peak_gives_no_line_at_min_len_zero(self, straight):
+        # The dead seed's voxel has no admissible peak, so its line would be
+        # the seed alone; it is dropped even though its length 0 >= min_len.
+        dead, live = (30.0, 2.0, 0.0), (30.0, 0.0, 0.0)
+        amps = straight.peaks.amplitudes.copy()
+        amps[tuple(nearest_indices(straight.peaks, [dead])[0][0])] = 0.0
+        peaks = PeaksField(straight.peaks.dims, straight.peaks.spacing,
+                           straight.peaks.origin, straight.peaks.directions, amps)
+        params = TrackParams(step=0.3, sigma=0.0, seed_count=1, min_len=0.0)
+        both = baseline_peak_track(peaks, straight.mask, [dead, live], params)
+        alone = baseline_peak_track(peaks, straight.mask, [live], params)
+        assert both.counts.tolist() == alone.counts.tolist() and len(both.counts) == 1
+        assert both.points.tobytes() == alone.points.tobytes()
+        with pytest.raises(EmptyTractError, match="shorter than min_len"):
+            baseline_peak_track(peaks, straight.mask, [dead], params)
+
     @pytest.mark.parametrize("min_amp", [0.0, -1.0])
     def test_padding_slots_never_followed(self, straight, min_amp):
         # The far half of the tube keeps its directions but every amplitude
@@ -667,4 +682,4 @@ class TestBaselinePeakTrack:
         seed = torus.field.axis_point(math.pi / 4)
         params = TrackParams(step=0.3, sigma=0.0, seed_count=1)
         tract = baseline_peak_track(torus.peaks, torus.mask, [seed], params)
-        assert inside_many(torus.mask, pooled_points(tract)).all()
+        assert inside_many(torus.mask, tract.points).all()
