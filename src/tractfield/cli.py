@@ -24,7 +24,8 @@ import numpy as np
 
 from . import __version__
 from .centerline import RESAMPLE_STEP, extract_centerline, load_centerline, save_centerline
-from .errors import ConditioningError, TractFieldError, UnderdeterminedError
+from .errors import (ConditioningError, ConnectivityError, DomainError,
+                     TractFieldError, UnderdeterminedError)
 from .grids import (
     _line,
     _numbers,
@@ -288,12 +289,18 @@ STAGES = (
 def _run_stage(stage, args):
     os.makedirs(args.out, exist_ok=True)
     outputs = {key: os.path.join(args.out, name) for key, name in stage.outputs.items()}
+    inputs = {name: getattr(args, _FLAGS[name].dest) for name in stage.inputs}
+    try:
+        parameters = stage.run(args, outputs)
+    except (DomainError, ConnectivityError) as exc:
+        # The input data is at fault: name the files it came from.
+        named = ", ".join(f"{name} {path}" for name, path in inputs.items() if path)
+        raise type(exc)(f"{exc} (inputs: {named})") from exc
     payload = {
         "subcommand": stage.name,
         "version": __version__,
-        "parameters": stage.run(args, outputs),
-        "inputs": {_FLAGS[name].dest: getattr(args, _FLAGS[name].dest)
-                   for name in stage.inputs},
+        "parameters": parameters,
+        "inputs": {_FLAGS[name].dest: path for name, path in inputs.items()},
         "outputs": outputs,
     }
     path = os.path.join(args.out, f"manifest-{stage.name}.json")

@@ -22,7 +22,7 @@ class ConnectivityError(TractFieldError):
 
 
 class GeometryError(TractFieldError):
-    """Generated geometry does not fit the target grid."""
+    """A generated phantom tube covers no voxel center."""
 
 
 class UnderdeterminedError(TractFieldError):

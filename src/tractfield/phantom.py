@@ -10,7 +10,7 @@ a field descriptor that doubles as ground truth for fits and tracking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
 
@@ -37,6 +37,8 @@ from .polyfield import PolyField, _term_index, term_count
 KINDS = ("straight-tube", "quarter-torus", "helix", "fanning")
 _AXIS_SAMPLE_STEP = 0.02  # arc spacing of helix axis samples for the mask
 _COMPLETION_MARGIN = 0.05  # axis-end margin of completion_rate, share of the range
+_GRID_MARGIN = 2  # all-background voxel slices padding the tube's bounds
+_DISTRACTOR_BAND = (0.4, 0.6)  # axis-range share holding the distractor peaks
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,7 +169,8 @@ class FieldDescriptor:
 
 @dataclass(frozen=True)
 class PhantomSpec:
-    """Geometry, grid, and corruption parameters of a synthetic tube."""
+    """Geometry, spacing and corruption of a synthetic tube; its grid is the
+    tube's bounds padded by ``_GRID_MARGIN`` voxels."""
 
     kind: str = "straight-tube"
     radius: float = 3.0
@@ -180,11 +183,6 @@ class PhantomSpec:
     fan_rate: float = 0.04
     noise_deg: float = 0.0
     distractor_amp: float = 0.0
-    distractor_count: int = 1
-    distractor_band: tuple = (0.4, 0.6)
-    margin: int = 2
-    dims: tuple = None
-    origin: tuple = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -195,22 +193,9 @@ class PhantomSpec:
         object.__setattr__(self, "spacing", tuple(float(v) for v in spacing))
         if len(self.spacing) != 3:
             raise ValueError("spacing must be a scalar or three values")
-        for name, (conv, _) in _SPEC_KEYS.items():
-            value = getattr(self, name)
-            if conv is float and value is not None and not np.all(np.isfinite(value)):
-                raise ValueError(f"{name} must be finite")
-        if np.shape(self.distractor_band) != (2,):
-            raise ValueError("distractor_band must hold two values")
-        if not self.distractor_band[0] <= self.distractor_band[1]:
-            raise ValueError("distractor_band must be (low, high) with low <= high")
-        if self.dims is not None and not (
-            np.shape(self.dims) == (3,) and min(self.dims) > 0
-        ):
-            raise ValueError("dims must be three positive integers")
-        if (self.dims is None) != (self.origin is None):
-            raise ValueError("dims and origin must be given together")
-        if self.origin is not None and np.shape(self.origin) != (3,):
-            raise ValueError("origin must hold three values")
+        for f in fields(self):
+            if f.name != "kind" and not np.all(np.isfinite(getattr(self, f.name))):
+                raise ValueError(f"{f.name} must be finite")
         # Written as "not (ok)" so that NaN fails every check too.
         if not self.radius > 0:
             raise ValueError("radius must be positive")
@@ -224,9 +209,6 @@ class PhantomSpec:
             raise ValueError("noise_deg must be >= 0")
         if not 0 <= self.distractor_amp <= 1:
             raise ValueError("distractor_amp must be in [0, 1]")
-        for name in ("distractor_count", "margin"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
 
     def _check_tube_geometry(self):
         """Reject a curved tube whose voxels need not form one chain along
@@ -328,22 +310,16 @@ def _tube_bounds(spec: PhantomSpec) -> tuple:
         reach = spec.helix_radius + r
         top = spec.pitch * spec.turns + r
         return np.array([-reach, -reach, -r]), np.array([reach, reach, top])
+    # Along x the y half-width grows from r to spread and the z one shrinks.
     spread = r * math.exp(spec.fan_rate * spec.length)
-    return np.array([0.0, -spread, -r]), np.array([spec.length, spread, spread])
+    return np.array([0.0, -spread, -r]), np.array([spec.length, spread, r])
 
 
 def _grid_layout(spec: PhantomSpec) -> tuple:
     lo, hi = _tube_bounds(spec)
     s = np.asarray(spec.spacing)
-    if spec.dims is not None:
-        dims = tuple(int(v) for v in spec.dims)
-        origin = np.asarray(spec.origin, dtype=float)
-        top = origin + (np.asarray(dims) - 1) * s
-        if np.any(lo < origin - s / 2) or np.any(hi > top + s / 2):
-            raise GeometryError("tube extends beyond the provided grid")
-        return dims, tuple(origin)
-    i0 = np.floor(lo / s).astype(int) - spec.margin
-    i1 = np.ceil(hi / s).astype(int) + spec.margin
+    i0 = np.floor(lo / s).astype(int) - _GRID_MARGIN
+    i1 = np.ceil(hi / s).astype(int) + _GRID_MARGIN
     dims = tuple(int(v) for v in (i1 - i0 + 1))
     origin = tuple(float(v) for v in i0 * s)
     return dims, origin
@@ -393,9 +369,9 @@ def _orthonormal_frame(tangents: np.ndarray) -> tuple:
     return e1, e2
 
 
-def _analytic_centerline(desc: FieldDescriptor, delta=RESAMPLE_STEP) -> Centerline:
+def _analytic_centerline(desc: FieldDescriptor) -> Centerline:
     t0, t1 = desc.axis_range
-    count = max(1, int(round(desc.axis_length / delta)))
+    count = max(1, int(round(desc.axis_length / RESAMPLE_STEP)))
     ts = np.linspace(t0, t1, count + 1)
     return Centerline(
         desc.axis_point(ts), desc.axis_tangent(ts), desc.axis_length / count
@@ -418,8 +394,8 @@ def generate(spec: PhantomSpec, rng_seed: int = 0) -> Phantom:
 
     Primary peaks are unit flow vectors at each foreground voxel center,
     optionally rotated by a Gaussian angular jitter; distractor peaks are
-    random directions orthogonal to the unjittered flow, placed in the
-    configured axis band at the configured relative amplitude.
+    random directions orthogonal to the unjittered flow, one per voxel in
+    the ``_DISTRACTOR_BAND`` share of the axis range, at ``distractor_amp``.
     """
     desc = _descriptor(spec)
     dims, origin = _grid_layout(spec)
@@ -451,23 +427,21 @@ def generate(spec: PhantomSpec, rng_seed: int = 0) -> Phantom:
         )
         primary /= np.linalg.norm(primary, axis=1, keepdims=True)
 
-    extra = spec.distractor_count if spec.distractor_amp > 0 else 0
-    k = 1 + extra
+    k = 2 if spec.distractor_amp > 0 else 1
     directions = np.zeros(dims + (k, 3), dtype=float)
     amplitudes = np.zeros(dims + (k,), dtype=float)
     directions[fg_idx[:, 0], fg_idx[:, 1], fg_idx[:, 2], 0] = primary
     amplitudes[fg_idx[:, 0], fg_idx[:, 1], fg_idx[:, 2], 0] = 1.0
-    if extra:
+    if k == 2:
         t0, t1 = desc.axis_range
         frac = (desc.axis_params(fg_centers) - t0) / (t1 - t0)
-        band = (frac >= spec.distractor_band[0]) & (frac <= spec.distractor_band[1])
+        band = (frac >= _DISTRACTOR_BAND[0]) & (frac <= _DISTRACTOR_BAND[1])
         e1, e2 = _orthonormal_frame(flow)
-        for slot in range(1, k):
-            psi = rng.uniform(0.0, 2 * math.pi, size=n)
-            ortho = np.cos(psi)[:, None] * e1 + np.sin(psi)[:, None] * e2
-            sel = fg_idx[band]
-            directions[sel[:, 0], sel[:, 1], sel[:, 2], slot] = ortho[band]
-            amplitudes[sel[:, 0], sel[:, 1], sel[:, 2], slot] = spec.distractor_amp
+        psi = rng.uniform(0.0, 2 * math.pi, size=n)
+        ortho = np.cos(psi)[:, None] * e1 + np.sin(psi)[:, None] * e2
+        sel = fg_idx[band]
+        directions[sel[:, 0], sel[:, 1], sel[:, 2], 1] = ortho[band]
+        amplitudes[sel[:, 0], sel[:, 1], sel[:, 2], 1] = spec.distractor_amp
     peaks = PeaksField(dims, tuple(spec.spacing), origin, directions, amplitudes)
 
     cl = _analytic_centerline(desc)
@@ -522,43 +496,24 @@ def completion_rate(tract: Tract, desc: FieldDescriptor) -> float:
     return float(np.mean((lo <= t0 + pad) & (hi >= t1 - pad)))
 
 
-# Every spec key in file order: (converter, value count).  A count of 1
-# reads a scalar.
-_SPEC_KEYS = {
-    "kind": (str, 1),
-    "spacing": (float, 3),
-    **dict.fromkeys(
-        ("radius", "length", "major_radius", "helix_radius", "pitch", "turns",
-         "fan_rate", "noise_deg", "distractor_amp"),
-        (float, 1),
-    ),
-    "distractor_count": (int, 1),
-    "margin": (int, 1),
-    "distractor_band": (float, 2),
-    "dims": (int, 3),
-    "origin": (float, 3),
-}
-
-
 def save_phantom_spec(spec: PhantomSpec, path):
-    """Write a phantom spec as a key: value text file."""
-    values = ((key, getattr(spec, key)) for key in _SPEC_KEYS)
-    _write_text(path, [_line(key, v) for key, v in values if v is not None])
+    """Write a phantom spec as a key: value text file, one line per field."""
+    _write_text(path, [_line(f.name, getattr(spec, f.name)) for f in fields(spec)])
 
 
 def load_phantom_spec(path) -> PhantomSpec:
     """Read a phantom spec text file; omitted keys keep their defaults."""
+    keys = {f.name for f in fields(PhantomSpec)}
     kwargs = {}
     for key, text in _parse_fields(_read_text(path).splitlines(), path).items():
-        if key not in _SPEC_KEYS:
+        if key not in keys:
             raise FormatError(f"{path}: unknown spec key {key!r}")
-        conv, count = _SPEC_KEYS[key]
-        if conv is str:
+        if key == "kind":
             kwargs[key] = text
             continue
-        if key == "spacing" and len(text.split()) == 1:
-            count = 1  # one spacing for all three axes
-        values = _numbers(text, key, path, count, conv)
+        # Every key but kind holds one number; spacing may hold three.
+        count = 3 if key == "spacing" and len(text.split()) != 1 else 1
+        values = _numbers(text, key, path, count)
         kwargs[key] = values[0] if count == 1 else tuple(values)
     try:
         return PhantomSpec(**kwargs)

@@ -25,7 +25,9 @@ from tractfield import (
     baseline_peak_track,
     cli,
     generate,
+    load_phantom_spec,
     load_tract,
+    save_phantom_spec,
     save_tract,
     track,
     tracking,
@@ -116,3 +118,16 @@ def test_benchmark_reads_a_tract_as_lines(tmp_path):
         assert bool(got)
         assert np.vstack(got.streamlines).tobytes() == got.points.tobytes()
         assert len(got.streamlines) == len(got.counts) > 1
+
+
+def test_workload_specs_build_and_round_trip(tmp_path, monkeypatch):
+    # The harness writes each workload's spec with ``save_phantom_spec`` and
+    # ``tractfield phantom`` reads it back, so every key it sets must stay a
+    # spec field.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = runpy.run_path(str(PERFBENCH / "harness.py"))["WORKLOADS"]
+    assert workloads
+    for name, workload in workloads.items():
+        spec = PhantomSpec(**workload.spec)
+        save_phantom_spec(spec, tmp_path / f"{name}.spec")
+        assert load_phantom_spec(tmp_path / f"{name}.spec") == spec, name

@@ -222,8 +222,9 @@ class TestExitCodes:
             ("margin: -5", "margin"), ("distractor_band: 0.6 0.4", "distractor_band"),
             # adjacent turns touch: pitch - 2 * radius is 0
             ("kind: helix\nradius: 4\npitch: 8\nturns: 2", "pitch"),
-            ("kind: straight-tube\nlength: 10\ndims: 20 10 10", "origin"),
-            ("origin: 0 0 0", "dims"),
+            # unknown keys, as are margin and distractor_band above
+            ("kind: straight-tube\nlength: 10\ndims: 20 10 10", "dims"),
+            ("origin: 0 0 0", "origin"), ("distractor_count: 2", "distractor_count"),
         ]:
             bad.write_text(f"{text}\n")
             assert main(["phantom", "--spec", str(bad), "--out", str(tmp_path)]) == 2
@@ -313,14 +314,27 @@ class TestExitCodes:
         small = tmp_path / "small.rvf"
         save_mask(Mask(VolumeGrid((2, 2, 2), (1, 1, 1), (0, 0, 0),
                                   np.ones((2, 2, 2), np.uint8))), small)
-        for stage, flag, name in [("fit", "--prior", "prior.rvf"),
-                                  ("baseline", "--peaks", "peaks.rvf")]:
-            code = main([
-                stage, flag, f"{stages_dir}/{name}", "--mask", str(small),
-                "--out", str(tmp_path),
-            ])
-            assert code == 2, stage
-            assert "does not match" in capsys.readouterr().err
+        peaks, mask = f"{stages_dir}/peaks.rvf", f"{stages_dir}/mask.rvf"
+        prior = f"{stages_dir}/prior.rvf"
+        metrics = ["metrics", "--tract", f"{stages_dir}/streamlines.tract",
+                   "--ref-tract", f"{stages_dir}/axis.tract", "--grid", mask]
+        for argv, message, paths in [
+            (["prior", "--peaks", peaks, "--centerline", f"{stages_dir}/centerline.tract",
+              "--mask", str(small)], "does not match", [peaks, str(small)]),
+            (["fit", "--prior", prior, "--mask", str(small)], "does not match",
+             [prior, str(small)]),
+            (["baseline", "--peaks", peaks, "--mask", str(small)], "does not match",
+             [peaks, str(small)]),
+            (metrics + ["--ref-mask", str(small)], "different grids", [mask, str(small)]),
+            # the phantom's peaks hold a distractor slot, a prior file one peak
+            (["fit", "--prior", peaks, "--mask", mask], "one peak per voxel", [peaks]),
+        ]:
+            code = main(argv + ["--out", str(tmp_path)])
+            err = capsys.readouterr().err
+            assert code == 2, argv[0]
+            assert message in err, argv[0]
+            for path in paths:
+                assert path in err, (argv[0], path)
 
     def test_linalg_failure_is_numerical_error(self, tmp_path, stages_dir, capsys,
                                                monkeypatch):

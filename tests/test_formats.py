@@ -52,10 +52,7 @@ BAD_NUMBERS = [
 
 def _write_spec(path):
     save_phantom_spec(
-        PhantomSpec(kind="fanning", noise_deg=5.0, distractor_amp=0.3,
-                    dims=(40, 20, 20), origin=(-3.0, -9.0, -9.0)),
-        path,
-    )
+        PhantomSpec(kind="fanning", noise_deg=5.0, distractor_amp=0.3), path)
 
 
 def _write_descriptor(path):

@@ -8,7 +8,6 @@ import pytest
 from tractfield import (
     FieldDescriptor,
     FormatError,
-    GeometryError,
     PhantomSpec,
     analytic_streamline,
     completion_rate,
@@ -19,6 +18,8 @@ from tractfield import (
     save_descriptor,
     save_phantom_spec,
 )
+
+from tractfield.phantom import _GRID_MARGIN
 
 from conftest import tract_from_lines
 
@@ -162,10 +163,21 @@ class TestGenerate:
         assert np.array_equal(a.mask.grid.data, b.mask.grid.data)
         assert not np.array_equal(a.peaks.directions, c.peaks.directions)
 
-    def test_tube_must_fit_explicit_grid(self):
-        with pytest.raises(GeometryError):
-            generate(PhantomSpec(kind="straight-tube", radius=3.0, length=20.0,
-                                 dims=(6, 6, 6), origin=(0.0, -3.0, -3.0)))
+    @pytest.mark.parametrize("spacing", [1.0, (0.7, 1.3, 0.9)])
+    @pytest.mark.parametrize("length", [12.0, 30.0])
+    @pytest.mark.parametrize("radius", [2.5, 3.0])
+    @pytest.mark.parametrize("kind, fan_rate",
+                             [("straight-tube", 0.04), ("fanning", 0.02), ("fanning", 0.04)])
+    def test_grid_pads_every_face_by_the_margin(self, kind, fan_rate, radius, length,
+                                                spacing):
+        # The tube's bounds, rounded out to whole voxels, leave at most one
+        # more background slice than the margin on each face.
+        data = generate(PhantomSpec(kind=kind, radius=radius, length=length,
+                                    spacing=spacing, fan_rate=fan_rate)).mask.grid.data
+        for axis in range(3):
+            filled = np.flatnonzero(data.any(axis=tuple({0, 1, 2} - {axis})))
+            for face, empty in (("-", filled[0]), ("+", data.shape[axis] - 1 - filled[-1])):
+                assert _GRID_MARGIN <= empty <= _GRID_MARGIN + 1, (face, axis, empty)
 
     def test_quarter_torus_descriptor_metadata(self):
         ph = generate(PhantomSpec(kind="quarter-torus", radius=3.0, major_radius=12.0))
@@ -244,14 +256,14 @@ class TestSpecValidation:
             (dict(noise_deg=-1.0), "noise_deg"),
             (dict(distractor_amp=float("nan")), "distractor_amp"),
             (dict(spacing=(1.0, float("nan"), 1.0)), "spacing"),
-            (dict(distractor_band=(0.4, float("nan"))), "distractor_band"),
-            (dict(dims=(5, 5, 5), origin=(0.0, float("nan"), 0.0)), "origin"),
-            (dict(distractor_band=(0.5,)), "distractor_band"),
-            (dict(dims=(5, 5), origin=(0.0, 0.0, 0.0)), "dims"),
-            (dict(dims=(5, 0, 5), origin=(0.0, 0.0, 0.0)), "dims"),
-            (dict(distractor_band=(0.6, 0.4)), "distractor_band"),
+            # the finite check walks every numeric field
+            (dict(major_radius=float("inf")), "major_radius must be finite"),
+            (dict(helix_radius=float("nan")), "helix_radius must be finite"),
+            (dict(pitch=float("-inf")), "pitch must be finite"),
+            (dict(turns=float("inf")), "turns must be finite"),
+            (dict(spacing=float("inf")), "spacing must be finite"),
+            (dict(radius=float("inf")), "radius must be finite"),
             (dict(kind="helix", radius=4.0, pitch=8.0, turns=2.0), r"pitch - 2 \* radius"),
-            (dict(dims=(5, 5, 5), origin=(0.0, 0.0)), "origin"),
         ],
     )
     def test_rejects_non_finite_fields(self, kwargs, match):
