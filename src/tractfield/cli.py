@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .centerline import RESAMPLE_STEP, extract_centerline, load_centerline, save_centerline
-from .errors import (ConditioningError, ConnectivityError, DomainError,
+from .errors import (ConditioningError, ConnectivityError, DomainError, GeometryError,
                      TractFieldError, UnderdeterminedError)
 from .grids import (
     _line,
@@ -292,7 +292,7 @@ def _run_stage(stage, args):
     inputs = {name: getattr(args, _FLAGS[name].dest) for name in stage.inputs}
     try:
         parameters = stage.run(args, outputs)
-    except (DomainError, ConnectivityError) as exc:
+    except (DomainError, ConnectivityError, GeometryError) as exc:
         # The input data is at fault: name the files it came from.
         named = ", ".join(f"{name} {path}" for name, path in inputs.items() if path)
         raise type(exc)(f"{exc} (inputs: {named})") from exc

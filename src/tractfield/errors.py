@@ -22,7 +22,8 @@ class ConnectivityError(TractFieldError):
 
 
 class GeometryError(TractFieldError):
-    """A generated phantom tube covers no voxel center."""
+    """A phantom's grid exceeds the voxel budget, or its tube covers no
+    voxel center."""
 
 
 class UnderdeterminedError(TractFieldError):

@@ -14,9 +14,6 @@ from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
 
-# scipy is imported inside the functions that call it: its first import
-# costs ~0.5 s, and `import tractfield` and most stages never call it.
-
 from .centerline import RESAMPLE_STEP, Centerline
 from .errors import FormatError, GeometryError
 from .grids import (
@@ -35,9 +32,11 @@ from .grids import (
 from .polyfield import PolyField, _term_index, term_count
 
 KINDS = ("straight-tube", "quarter-torus", "helix", "fanning")
-_AXIS_SAMPLE_STEP = 0.02  # arc spacing of helix axis samples for the mask
+_AXIS_NEWTON_STEPS = 5  # converge the helix projection near the tube to rounding
 _COMPLETION_MARGIN = 0.05  # axis-end margin of completion_rate, share of the range
 _GRID_MARGIN = 2  # all-background voxel slices padding the tube's bounds
+# Largest grid `generate` builds: at up to ~450 B per voxel, under 1 GB.
+_VOXEL_BUDGET = 2_000_000
 _DISTRACTOR_BAND = (0.4, 0.6)  # axis-range share holding the distractor peaks
 
 
@@ -119,30 +118,56 @@ class FieldDescriptor:
         ones = np.ones_like(t)
         return np.stack([ones, np.zeros_like(t), np.zeros_like(t)], axis=-1)
 
-    def axis_samples(self) -> tuple:
-        """Axis parameters and positions at about ``_AXIS_SAMPLE_STEP`` arc spacing."""
-        t0, t1 = self.axis_range
-        count = max(2, int(math.ceil(self.axis_length / _AXIS_SAMPLE_STEP)) + 1)
-        ts = np.linspace(t0, t1, count)
-        return ts, self.axis_point(ts)
-
     def axis_params(self, points) -> np.ndarray:
         """Axis parameter of the closest axis position, per point.
 
-        Closed form except for the helix, where the closest sampled axis
-        position decides (a z or angle read-out would smear the tilted end
-        cross-sections across a wide parameter range).
+        On the helix, split the axis into turns centred on p's angle.  The
+        turn nearest p in z holds the closest point of the unbounded helix,
+        and ``_helix_newton`` finds it.  If that point lies past an end of
+        the axis range, the closest point of the range is an end or a local
+        minimum of the turn holding p's height clipped to the range, or of a
+        turn next to it: minima grow on turns farther from the nearest one.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.kind == "quarter-torus":
             return np.arctan2(pts[:, 1], pts[:, 0])
         if self.kind == "helix":
-            from scipy.spatial import cKDTree
-
-            ts, samples = self.axis_samples()
-            _, idx = cKDTree(samples).query(pts)
-            return ts[idx]
+            rise = self.params["pitch"] / (2 * math.pi)
+            t0, t1 = self.axis_range
+            theta = np.arctan2(pts[:, 1], pts[:, 0])
+            turn = np.round((pts[:, 2] / rise - theta) / (2 * math.pi))
+            t = self._helix_newton(pts, theta, turn)
+            past = (t < t0) | (t > t1)
+            if past.any():
+                p, theta = pts[past], theta[past]
+                turn = np.round((np.clip(p[:, 2] / rise, t0, t1) - theta) / (2 * math.pi))
+                near = self._helix_newton(p, theta, turn + [[-1], [0], [1]])
+                ends = np.broadcast_to([[t0], [t1]], (2, len(p)))
+                near = np.vstack([np.clip(near, t0, t1), ends])
+                gap = ((self.axis_point(near) - p) ** 2).sum(axis=-1)
+                t[past] = np.take_along_axis(near, gap.argmin(axis=0)[None], axis=0)[0]
+            return t
         return pts[:, 0]
+
+    def _helix_newton(self, points, theta, turn) -> np.ndarray:
+        """Newton steps on f(t) = |axis_point(t) - p|^2 / 2, starting on the
+        given turn at p's angle ``theta``.
+
+        Within a quarter turn of that start f'' exceeds rise^2, f' is
+        concave on the side of the minimum and the steps approach it without
+        overshooting.  Elsewhere dividing by at least rise^2 keeps them
+        finite.
+        """
+        rise = self.params["pitch"] / (2 * math.pi)
+        pull = self.params["helix_radius"] * np.hypot(points[:, 0], points[:, 1])
+        centre = theta + 2 * math.pi * turn
+        lift = rise * (rise * centre - points[:, 2])
+        u = np.zeros_like(centre)  # angle past the centre
+        for _ in range(_AXIS_NEWTON_STEPS):
+            slope = pull * np.sin(u) + rise * rise * u + lift
+            curve = pull * np.cos(u) + rise * rise
+            u -= slope / np.maximum(curve, rise * rise)
+        return centre + u
 
     def to_polyfield(self, order=1, offset=None, scale=None) -> PolyField:
         """Exact polynomial representation of this affine field.
@@ -201,7 +226,8 @@ class PhantomSpec:
             raise ValueError("radius must be positive")
         if not min(self.spacing) > 0:
             raise ValueError("spacing must be positive")
-        for name in ("length", "major_radius", "helix_radius", "pitch", "turns"):
+        for name in ("length", "major_radius", "helix_radius", "pitch", "turns",
+                     "fan_rate"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         self._check_tube_geometry()
@@ -311,16 +337,24 @@ def _tube_bounds(spec: PhantomSpec) -> tuple:
         top = spec.pitch * spec.turns + r
         return np.array([-reach, -reach, -r]), np.array([reach, reach, top])
     # Along x the y half-width grows from r to spread and the z one shrinks.
-    spread = r * math.exp(spec.fan_rate * spec.length)
+    spread = r * np.exp(spec.fan_rate * spec.length)
     return np.array([0.0, -spread, -r]), np.array([spec.length, spread, r])
 
 
 def _grid_layout(spec: PhantomSpec) -> tuple:
-    lo, hi = _tube_bounds(spec)
     s = np.asarray(spec.spacing)
-    i0 = np.floor(lo / s).astype(int) - _GRID_MARGIN
-    i1 = np.ceil(hi / s).astype(int) + _GRID_MARGIN
-    dims = tuple(int(v) for v in (i1 - i0 + 1))
+    # A bound or voxel count past the float range becomes inf, which the
+    # budget check rejects.
+    with np.errstate(over="ignore"):
+        lo, hi = _tube_bounds(spec)
+        i0 = np.floor(lo / s) - _GRID_MARGIN
+        i1 = np.ceil(hi / s) + _GRID_MARGIN
+    counts = i1 - i0 + 1
+    if math.prod(counts.tolist()) > _VOXEL_BUDGET:
+        raise GeometryError(
+            f"phantom grid of {' x '.join(f'{v:.0f}' for v in counts)} voxels "
+            f"exceeds the budget of {_VOXEL_BUDGET} voxels")
+    dims = tuple(int(v) for v in counts)
     origin = tuple(float(v) for v in i0 * s)
     return dims, origin
 
@@ -334,11 +368,8 @@ def _foreground(spec: PhantomSpec, desc: FieldDescriptor, centers: np.ndarray):
         ring = np.hypot(x, y) - spec.major_radius
         return (x >= 0) & (y >= 0) & (ring * ring + z * z <= r * r)
     if spec.kind == "helix":
-        from scipy.spatial import cKDTree
-
         t0, t1 = desc.axis_range
-        _, samples = desc.axis_samples()
-        dist, _ = cKDTree(samples).query(centers)
+        dist = np.linalg.norm(centers - desc.axis_point(desc.axis_params(centers)), axis=1)
         # Flat end caps: cut the half-ball overhangs past each axis endpoint.
         # The cap half-space applies only near its endpoint, because for a
         # full turn the plane would otherwise slice the tube mid-helix.
@@ -382,11 +413,8 @@ def _snap_endpoint(mask: Mask, point: np.ndarray) -> np.ndarray:
     idx, inb = nearest_indices(mask.grid, [point])
     if inb[0] and mask.grid.data[tuple(idx[0])]:
         return np.asarray(point, dtype=float)
-    from scipy.spatial import cKDTree
-
     centers = mask.foreground_points()
-    _, nn = cKDTree(centers).query(np.asarray(point, float))
-    return centers[int(nn)]
+    return centers[np.argmin(((centers - point) ** 2).sum(axis=1))]
 
 
 def generate(spec: PhantomSpec, rng_seed: int = 0) -> Phantom:

@@ -9,16 +9,20 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 from scipy.linalg import null_space
 
 from tractfield import (
     Mask,
+    PhantomSpec,
     PolyField,
     Tract,
     VolumeGrid,
     divergence_constraints,
     term_count,
 )
+from tractfield.phantom import KINDS
 
 
 def make_grid(data, spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0)) -> VolumeGrid:
@@ -99,3 +103,21 @@ def random_mask(rng: np.random.Generator, dims, spacing=(1.0, 1.0, 1.0)) -> Mask
 @pytest.fixture
 def rng():
     return np.random.default_rng(90125)
+
+
+@st.composite
+def small_specs(draw, kinds=KINDS):
+    """Small phantom specs of the given kinds that PhantomSpec accepts."""
+    size = st.floats(0.5, 2.0)
+    spacing = (draw(size),) * 3 if draw(st.booleans()) else tuple(draw(size) for _ in "xyz")
+    kwargs = dict(
+        kind=draw(st.sampled_from(kinds)), radius=draw(st.floats(0.5, 4.0)),
+        spacing=spacing, length=draw(st.floats(2.0, 20.0)),
+        major_radius=draw(st.floats(1.0, 15.0)), helix_radius=draw(st.floats(1.0, 8.0)),
+        pitch=draw(st.floats(1.0, 16.0)), turns=draw(st.floats(0.2, 2.0)),
+        fan_rate=draw(st.floats(0.0, 0.1, exclude_min=True)),
+    )
+    try:
+        return PhantomSpec(**kwargs)
+    except ValueError:
+        assume(False)

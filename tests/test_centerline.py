@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings
 
 from tractfield import (
     Centerline,
@@ -24,13 +23,13 @@ from tractfield import (
     save_tract,
 )
 from tractfield.centerline import _min_energy_path
-from tractfield.phantom import KINDS
 
 from conftest import (
     brute_force_distance,
     brute_force_hausdorff,
     make_mask,
     random_mask,
+    small_specs,
     tract_from_lines,
 )
 
@@ -80,24 +79,6 @@ class TestDistanceTransform:
             pair = np.minimum(np.take(fg, range(0, fg.shape[axis] - 1), axis=axis),
                               np.take(fg, range(1, fg.shape[axis]), axis=axis))
             assert np.all(diff[pair] <= step + 1e-12)
-
-
-@st.composite
-def small_specs(draw):
-    """Small phantom specs of every kind that PhantomSpec accepts."""
-    size = st.floats(0.5, 2.0)
-    spacing = (draw(size),) * 3 if draw(st.booleans()) else tuple(draw(size) for _ in "xyz")
-    kwargs = dict(
-        kind=draw(st.sampled_from(KINDS)), radius=draw(st.floats(0.5, 4.0)),
-        spacing=spacing, length=draw(st.floats(2.0, 20.0)),
-        major_radius=draw(st.floats(1.0, 15.0)), helix_radius=draw(st.floats(1.0, 8.0)),
-        pitch=draw(st.floats(1.0, 16.0)), turns=draw(st.floats(0.2, 2.0)),
-        fan_rate=draw(st.floats(-0.1, 0.1)),
-    )
-    try:
-        return PhantomSpec(**kwargs)
-    except ValueError:
-        assume(False)
 
 
 def straight_tube(length=30):

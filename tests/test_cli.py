@@ -27,6 +27,7 @@ from tractfield import (
 )
 from tractfield import cli
 from tractfield.cli import main
+from tractfield.phantom import _VOXEL_BUDGET
 
 TRACK_FLAGS = ["--seed-count", "1", "--rng-seed", "0"]
 DATA_ARTIFACTS = [
@@ -225,11 +226,22 @@ class TestExitCodes:
             # unknown keys, as are margin and distractor_band above
             ("kind: straight-tube\nlength: 10\ndims: 20 10 10", "dims"),
             ("origin: 0 0 0", "origin"), ("distractor_count: 2", "distractor_count"),
+            ("kind: fanning\nfan_rate: -0.04", "fan_rate"), ("fan_rate: 0", "fan_rate"),
         ]:
             bad.write_text(f"{text}\n")
             assert main(["phantom", "--spec", str(bad), "--out", str(tmp_path)]) == 2
             err = capsys.readouterr().err
             assert str(bad) in err and key in err, text
+
+    def test_grid_over_the_voxel_budget_is_data_error(self, tmp_path, capsys):
+        # Never allocated: each grid would take tens of GB.
+        huge = tmp_path / "huge.spec"
+        for text, dims in [("length: 1e7", "10000005 x 11 x 11"), ("spacing: 0.001", " x ")]:
+            huge.write_text(f"{text}\n")
+            assert main(["phantom", "--spec", str(huge), "--out", str(tmp_path)]) == 2
+            err = capsys.readouterr().err
+            assert str(huge) in err and dims in err and str(_VOXEL_BUDGET) in err, text
+        assert not (tmp_path / "mask.rvf").exists()
 
     def test_malformed_endpoints_is_data_error(self, tmp_path, stages_dir, capsys):
         bad = tmp_path / "endpoints.txt"
@@ -549,8 +561,17 @@ sys.exit(code)
 """
 
 
+@pytest.fixture(scope="module")
+def helix_spec_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("spec") / "helix.spec"
+    save_phantom_spec(PhantomSpec(kind="helix", radius=2.5, helix_radius=8.0, pitch=8.0),
+                      path)
+    return str(path)
+
+
 @pytest.mark.parametrize("argv, artifact", [
     ([], None),
+    (["phantom", "--spec", "{helix}", "--out", "{out}"], None),
     (["prior", "--peaks", "{s}/peaks.rvf", "--centerline", "{s}/centerline.tract",
       "--mask", "{s}/mask.rvf", "--out", "{out}"], "prior.rvf"),
     (["fit", "--prior", "{s}/prior.rvf", "--mask", "{s}/mask.rvf", "--out", "{out}"],
@@ -559,12 +580,12 @@ sys.exit(code)
      + TRACK_FLAGS, "streamlines.tract"),
     (["baseline", "--peaks", "{s}/peaks.rvf", "--mask", "{s}/mask.rvf", "--out", "{out}"],
      "baseline.tract"),
-], ids=["import", "prior", "fit", "track", "baseline"])
-def test_stage_starts_without_scipy(tmp_path, stages_dir, argv, artifact):
+], ids=["import", "phantom", "prior", "fit", "track", "baseline"])
+def test_stage_starts_without_scipy(tmp_path, stages_dir, helix_spec_file, argv, artifact):
     src = str(Path(tractfield.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    argv = [a.format(s=stages_dir, out=tmp_path) for a in argv]
+    argv = [a.format(s=stages_dir, out=tmp_path, helix=helix_spec_file) for a in argv]
     proc = subprocess.run(
         [sys.executable, "-c", COLD_START, json.dumps(argv)],
         env=env, capture_output=True, text=True, timeout=120,

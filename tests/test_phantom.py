@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from scipy.spatial import cKDTree
 
 from tractfield import (
     FieldDescriptor,
     FormatError,
+    GeometryError,
     PhantomSpec,
     analytic_streamline,
     completion_rate,
@@ -19,9 +24,24 @@ from tractfield import (
     save_phantom_spec,
 )
 
-from tractfield.phantom import _GRID_MARGIN
+from tractfield.phantom import _GRID_MARGIN, _VOXEL_BUDGET, _grid_layout, _snap_endpoint
 
-from conftest import tract_from_lines
+from conftest import small_specs, tract_from_lines
+
+AXIS_SAMPLE_STEP = 0.02  # arc spacing of the sampled oracle's axis positions
+
+
+def sampled_axis_params(desc, points) -> tuple:
+    """Oracle projection onto axis samples at about AXIS_SAMPLE_STEP arc spacing.
+
+    Returns the nearest sample's axis parameter and distance per point, and
+    the parameter step between samples.
+    """
+    t0, t1 = desc.axis_range
+    count = max(2, int(math.ceil(desc.axis_length / AXIS_SAMPLE_STEP)) + 1)
+    ts = np.linspace(t0, t1, count)
+    dist, idx = cKDTree(desc.axis_point(ts)).query(points)
+    return ts[idx], dist, (t1 - t0) / (count - 1)
 
 
 def torus_descriptor():
@@ -89,7 +109,24 @@ class TestFieldDescriptor:
         ts = np.linspace(t0, t1, 23)
         pts = np.array([desc.axis_point(t) for t in ts])
         got = desc.axis_params(pts)
-        assert np.abs(got - ts).max() < 0.03
+        assert np.abs(got - ts).max() < 1e-9
+
+    @given(spec=small_specs(kinds=("helix",)))
+    @settings(max_examples=60, deadline=None)
+    def test_helix_projection_matches_sampled_oracle(self, spec):
+        ph = generate(spec)
+        desc = ph.field
+        dims, origin = _grid_layout(spec)
+        grid = np.asarray(origin) + np.indices(dims).reshape(3, -1).T * spec.spacing
+        assert np.isfinite(desc.axis_params(grid)).all()
+        centers = ph.mask.foreground_points()
+        t = desc.axis_params(centers)
+        dist = np.linalg.norm(centers - desc.axis_point(t), axis=1)
+        want_t, want_dist, step = sampled_axis_params(desc, centers)
+        # The distance is not symmetric about its minimum, so the nearest
+        # sample may lie a little past half a step (by up to 2e-8 rad seen).
+        assert np.abs(t - want_t).max() <= step / 2 + 1e-6
+        assert (dist <= want_dist + 1e-12).all()
 
     def test_to_polyfield_embeds_exactly(self, rng):
         desc = helix_descriptor()
@@ -179,6 +216,38 @@ class TestGenerate:
             for face, empty in (("-", filled[0]), ("+", data.shape[axis] - 1 - filled[-1])):
                 assert _GRID_MARGIN <= empty <= _GRID_MARGIN + 1, (face, axis, empty)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(kind="straight-tube", length=20.0),
+        dict(kind="quarter-torus", major_radius=12.0),
+        dict(kind="helix", helix_radius=8.0, pitch=8.0),
+        dict(kind="fanning", length=20.0),
+    ])
+    def test_snapped_endpoint_is_the_nearest_foreground_center(self, kwargs):
+        ph = generate(PhantomSpec(radius=2.5, spacing=(0.7, 1.3, 0.9), **kwargs))
+        centers = ph.mask.foreground_points()
+        tree = cKDTree(centers)
+        snapped = 0
+        for point in ph.centerline.points[[0, -1]]:
+            got = _snap_endpoint(ph.mask, point)
+            if not inside_many(ph.mask, [point])[0]:
+                snapped += 1
+                assert np.array_equal(got, centers[tree.query(point)[1]])
+            else:
+                assert np.array_equal(got, point)
+        assert snapped or kwargs["kind"] == "quarter-torus"
+
+    # Never allocated: each grid would take tens of GB.
+    @pytest.mark.parametrize("kwargs, dims", [
+        (dict(length=1e7), "10000005 x 11 x 11"),
+        (dict(spacing=1e-3), None),
+        # exp(fan_rate * length) overflows the float range
+        (dict(kind="fanning", length=1e7), "10000005 x inf x 11"),
+    ])
+    def test_grid_over_the_voxel_budget_is_rejected(self, kwargs, dims):
+        with pytest.raises(GeometryError, match=f"budget of {_VOXEL_BUDGET} voxels") as info:
+            _grid_layout(PhantomSpec(**kwargs))
+        assert dims is None or dims in str(info.value)
+
     def test_quarter_torus_descriptor_metadata(self):
         ph = generate(PhantomSpec(kind="quarter-torus", radius=3.0, major_radius=12.0))
         assert abs(ph.field.axis_length - 0.5 * np.pi * 12.0) < 1e-12
@@ -264,6 +333,9 @@ class TestSpecValidation:
             (dict(spacing=float("inf")), "spacing must be finite"),
             (dict(radius=float("inf")), "radius must be finite"),
             (dict(kind="helix", radius=4.0, pitch=8.0, turns=2.0), r"pitch - 2 \* radius"),
+            # a shrinking y and growing z would leave the grid's z bounds
+            (dict(kind="fanning", fan_rate=-0.04), "fan_rate must be positive"),
+            (dict(fan_rate=0.0), "fan_rate must be positive"),
         ],
     )
     def test_rejects_non_finite_fields(self, kwargs, match):
