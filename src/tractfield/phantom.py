@@ -4,7 +4,9 @@ Every phantom is a tube around an analytic axis curve, together with a
 closed-form divergence-free affine field whose integral curves follow the
 tube.  The generator emits the mask, a peaks field (optionally jittered and
 contaminated with crossing-fiber distractors), the analytic centerline, and
-a field descriptor that doubles as ground truth for fits and tracking.
+a field descriptor that doubles as ground truth for fits and tracking.  A
+descriptor is the phantom's kind and axis parameters; its affine field is
+derived from them.
 """
 
 from __future__ import annotations
@@ -31,7 +33,14 @@ from .grids import (
 )
 from .polyfield import PolyField, _term_index, term_count
 
-KINDS = ("straight-tube", "quarter-torus", "helix", "fanning")
+# The spec keys each kind's descriptor keeps; its affine field follows from them.
+_AXIS_KEYS = {
+    "straight-tube": ("length",),
+    "quarter-torus": ("major_radius",),
+    "helix": ("helix_radius", "pitch", "turns"),
+    "fanning": ("length", "fan_rate"),
+}
+KINDS = tuple(_AXIS_KEYS)
 _AXIS_NEWTON_STEPS = 5  # converge the helix projection near the tube to rounding
 _COMPLETION_MARGIN = 0.05  # axis-end margin of completion_rate, share of the range
 _GRID_MARGIN = 2  # all-background voxel slices padding the tube's bounds
@@ -40,30 +49,53 @@ _VOXEL_BUDGET = 2_000_000
 _DISTRACTOR_BAND = (0.4, 0.6)  # axis-range share holding the distractor peaks
 
 
+def _affine(kind: str, params: dict) -> tuple:
+    """Constant and linear part of a kind's unit-speed-on-axis field.  Every
+    linear part is traceless, so every field is divergence-free."""
+    if kind == "straight-tube":
+        return np.array([1.0, 0.0, 0.0]), np.zeros((3, 3))
+    if kind == "fanning":
+        rate = params["fan_rate"]
+        return np.array([1.0, 0.0, 0.0]), np.diag([0.0, rate, -rate])
+    # A rotation about z at angular speed omega, lifted along z on the helix.
+    if kind == "quarter-torus":
+        omega, rise = 1.0 / params["major_radius"], 0.0
+    else:
+        rise = params["pitch"] / (2 * math.pi)
+        omega = 1.0 / math.hypot(params["helix_radius"], rise)
+    linear = np.array([[0.0, -omega, 0.0], [omega, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    return np.array([0.0, 0.0, omega * rise]), linear
+
+
 @dataclass(frozen=True, eq=False)
 class FieldDescriptor:
-    """Affine flow field v(p) = constant + linear @ p with zero divergence.
+    """A phantom's kind and axis parameters, the ``_AXIS_KEYS`` of its kind.
 
-    Carries the axis-curve parameters of the generating phantom so callers
-    can evaluate axis positions, tangents, and per-point axis parameters in
-    closed form.
+    The affine flow field v(p) = constant + linear @ p, divergence-free, is
+    derived from them.  The parameters also give axis positions, tangents,
+    and per-point axis parameters in closed form.
     """
 
     kind: str
-    constant: np.ndarray
-    linear: np.ndarray
-    params: dict = dc_field(default_factory=dict)
+    params: dict
+    constant: np.ndarray = dc_field(init=False)
+    linear: np.ndarray = dc_field(init=False)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        keys = _AXIS_KEYS.get(self.kind)
+        if keys is None:
             raise ValueError(f"unknown phantom kind {self.kind!r}")
-        constant = np.asarray(self.constant, dtype=float).reshape(3)
-        linear = np.asarray(self.linear, dtype=float).reshape(3, 3)
-        if abs(np.trace(linear)) > 1e-12:
-            raise ValueError("field descriptor must be divergence-free")
+        params = dict(self.params)
+        if sorted(params) != sorted(keys):
+            raise ValueError(f"{self.kind} parameters must be {', '.join(keys)}, "
+                             f"got {', '.join(params) or 'none'}")
+        for name, value in params.items():
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        constant, linear = _affine(self.kind, params)
+        object.__setattr__(self, "params", params)
         object.__setattr__(self, "constant", constant)
         object.__setattr__(self, "linear", linear)
-        object.__setattr__(self, "params", dict(self.params))
 
     def vectors_at(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -290,41 +322,6 @@ class Phantom:
     p2: np.ndarray
 
 
-def _descriptor(spec: PhantomSpec) -> FieldDescriptor:
-    if spec.kind == "straight-tube":
-        return FieldDescriptor(
-            spec.kind, (1.0, 0.0, 0.0), np.zeros((3, 3)), {"length": spec.length}
-        )
-    if spec.kind == "quarter-torus":
-        omega = 1.0 / spec.major_radius
-        linear = np.array([[0.0, -omega, 0.0], [omega, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        return FieldDescriptor(
-            spec.kind, np.zeros(3), linear, {"major_radius": spec.major_radius}
-        )
-    if spec.kind == "helix":
-        rise = spec.pitch / (2 * math.pi)
-        speed = math.hypot(spec.helix_radius, rise)
-        k = 1.0 / speed
-        linear = np.array([[0.0, -k, 0.0], [k, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        return FieldDescriptor(
-            spec.kind,
-            (0.0, 0.0, k * rise),
-            linear,
-            {
-                "helix_radius": spec.helix_radius,
-                "pitch": spec.pitch,
-                "turns": spec.turns,
-            },
-        )
-    rate = spec.fan_rate
-    return FieldDescriptor(
-        spec.kind,
-        (1.0, 0.0, 0.0),
-        np.diag([0.0, rate, -rate]),
-        {"length": spec.length, "fan_rate": rate},
-    )
-
-
 def _tube_bounds(spec: PhantomSpec) -> tuple:
     r = spec.radius
     if spec.kind == "straight-tube":
@@ -425,7 +422,7 @@ def generate(spec: PhantomSpec, rng_seed: int = 0) -> Phantom:
     random directions orthogonal to the unjittered flow, one per voxel in
     the ``_DISTRACTOR_BAND`` share of the axis range, at ``distractor_amp``.
     """
-    desc = _descriptor(spec)
+    desc = FieldDescriptor(spec.kind, {k: getattr(spec, k) for k in _AXIS_KEYS[spec.kind]})
     dims, origin = _grid_layout(spec)
     s = np.asarray(spec.spacing)
     idx = np.indices(dims).reshape(3, -1).T
@@ -444,8 +441,8 @@ def generate(spec: PhantomSpec, rng_seed: int = 0) -> Phantom:
     rng = np.random.default_rng(np.random.SeedSequence((int(rng_seed), 0x70AD)))
     n = len(fg_centers)
     primary = flow
+    e1, e2 = _orthonormal_frame(flow)
     if spec.noise_deg > 0:
-        e1, e2 = _orthonormal_frame(flow)
         phi = rng.uniform(0.0, 2 * math.pi, size=n)
         alpha = rng.normal(0.0, math.radians(spec.noise_deg), size=n)
         axis = np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2
@@ -464,7 +461,6 @@ def generate(spec: PhantomSpec, rng_seed: int = 0) -> Phantom:
         t0, t1 = desc.axis_range
         frac = (desc.axis_params(fg_centers) - t0) / (t1 - t0)
         band = (frac >= _DISTRACTOR_BAND[0]) & (frac <= _DISTRACTOR_BAND[1])
-        e1, e2 = _orthonormal_frame(flow)
         psi = rng.uniform(0.0, 2 * math.pi, size=n)
         ortho = np.cos(psi)[:, None] * e1 + np.sin(psi)[:, None] * e2
         sel = fg_idx[band]
@@ -550,14 +546,9 @@ def load_phantom_spec(path) -> PhantomSpec:
 
 
 def save_descriptor(desc: FieldDescriptor, path):
-    """Write a field descriptor as a small key: value text file."""
-    lines = [
-        _line("kind", desc.kind),
-        _line("constant", desc.constant),
-        _line("linear", desc.linear),
-    ]
-    lines += [_line(f"param.{name}", desc.params[name]) for name in sorted(desc.params)]
-    _write_text(path, lines)
+    """Write a field descriptor as ``kind`` and sorted ``param.*`` lines."""
+    lines = [_line(f"param.{name}", desc.params[name]) for name in sorted(desc.params)]
+    _write_text(path, [_line("kind", desc.kind)] + lines)
 
 
 def load_descriptor(path) -> FieldDescriptor:
@@ -566,13 +557,10 @@ def load_descriptor(path) -> FieldDescriptor:
     kind = fields.get("kind")
     if kind not in KINDS:
         raise FormatError(f"{path}: kind must be one of {KINDS}, got {kind!r}")
-    # The param.* keys are exactly the ones the generator writes for the kind.
-    params = [f"param.{name}" for name in _descriptor(PhantomSpec(kind)).params]
-    _require_keys(fields, ["kind", "constant", "linear"] + params, path)
-    constant = _numbers(fields["constant"], "constant", path, 3)
-    linear = _numbers(fields["linear"], "linear", path, 9)
-    values = {key[len("param."):]: _numbers(fields[key], key, path, 1)[0] for key in params}
+    keys = {f"param.{name}": name for name in _AXIS_KEYS[kind]}
+    _require_keys(fields, ["kind", *keys], path)
+    values = {name: _numbers(fields[key], key, path, 1)[0] for key, name in keys.items()}
     try:
-        return FieldDescriptor(kind, constant, linear, values)
+        return FieldDescriptor(kind, values)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc

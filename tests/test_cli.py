@@ -16,8 +16,10 @@ from tractfield import (
     Mask,
     PhantomSpec,
     VolumeGrid,
+    completion_rate,
     inside_many,
     load_centerline,
+    load_descriptor,
     load_field,
     load_mask,
     load_peaks,
@@ -27,7 +29,7 @@ from tractfield import (
 )
 from tractfield import cli
 from tractfield.cli import main
-from tractfield.phantom import _VOXEL_BUDGET
+from tractfield.phantom import KINDS, _VOXEL_BUDGET
 
 TRACK_FLAGS = ["--seed-count", "1", "--rng-seed", "0"]
 DATA_ARTIFACTS = [
@@ -412,6 +414,15 @@ class TestPhantomCommand:
         main(["phantom", "--spec", spec_file, "--out", str(a), "--rng-seed", "7"])
         main(["phantom", "--spec", spec_file, "--out", str(b), "--rng-seed", "8"])
         assert read_bytes(a / "peaks.rvf") != read_bytes(b / "peaks.rvf")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_axis_completes_under_its_descriptor(self, tmp_path, kind):
+        spec = tmp_path / "tube.spec"
+        save_phantom_spec(PhantomSpec(kind=kind, radius=2.0), spec)
+        out = tmp_path / "ph"
+        assert main(["phantom", "--spec", str(spec), "--out", str(out)]) == 0
+        axis = load_tract(out / "axis.tract")
+        assert completion_rate(axis, load_descriptor(out / "descriptor.txt")) == 1.0
 
 
 class TestStageArtifacts:

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from tractfield import (
     Centerline,
+    FieldDescriptor,
     FormatError,
     PeaksField,
     PhantomSpec,
@@ -41,7 +42,6 @@ from tractfield import (
     save_volume,
 )
 from tractfield import cli
-from tractfield.phantom import _descriptor
 
 from conftest import tract_from_lines
 
@@ -56,7 +56,8 @@ def _write_spec(path):
 
 
 def _write_descriptor(path):
-    save_descriptor(_descriptor(PhantomSpec(kind="helix")), path)
+    save_descriptor(
+        FieldDescriptor("helix", {"helix_radius": 8.0, "pitch": 8.0, "turns": 1.0}), path)
 
 
 def _write_field(path):

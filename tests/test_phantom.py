@@ -24,7 +24,7 @@ from tractfield import (
     save_phantom_spec,
 )
 
-from tractfield.phantom import _GRID_MARGIN, _VOXEL_BUDGET, _grid_layout, _snap_endpoint
+from tractfield.phantom import KINDS, _GRID_MARGIN, _VOXEL_BUDGET, _grid_layout, _snap_endpoint
 
 from conftest import small_specs, tract_from_lines
 
@@ -44,6 +44,31 @@ def sampled_axis_params(desc, points) -> tuple:
     return ts[idx], dist, (t1 - t0) / (count - 1)
 
 
+# Each kind's descriptor parameters, as a caller writes them.
+PARAMS = {
+    "straight-tube": {"length": 17.0},
+    "quarter-torus": {"major_radius": 10.0},
+    "helix": {"helix_radius": 8.0, "pitch": 8.0, "turns": 1.0},
+    "fanning": {"length": 20.0, "fan_rate": 0.04},
+}
+
+
+def closed_form_flow(kind, params, pts):
+    """Each kind's flow field, written out per coordinate."""
+    x, y, z = pts.T
+    one, zero = np.ones_like(x), np.zeros_like(x)
+    if kind == "straight-tube":
+        return np.stack([one, zero, zero], axis=1)
+    if kind == "fanning":
+        rate = params["fan_rate"]
+        return np.stack([one, rate * y, -rate * z], axis=1)
+    if kind == "quarter-torus":
+        return np.stack([-y, x, zero], axis=1) / params["major_radius"]
+    rise = params["pitch"] / (2 * np.pi)
+    speed = np.hypot(params["helix_radius"], rise)
+    return np.stack([-y, x, rise * one], axis=1) / speed
+
+
 def torus_descriptor():
     ph = generate(PhantomSpec(kind="quarter-torus", radius=2.0, major_radius=10.0))
     return ph.field
@@ -54,23 +79,50 @@ def helix_descriptor():
     return ph.field
 
 
+def straight_descriptor():
+    return FieldDescriptor("straight-tube", PARAMS["straight-tube"])
+
+
+def fanning_descriptor():
+    return FieldDescriptor("fanning", PARAMS["fanning"])
+
+
 class TestFieldDescriptor:
-    def test_rejects_nonzero_trace(self):
-        with pytest.raises(ValueError, match="divergence"):
-            FieldDescriptor("straight-tube", (1, 0, 0), np.diag([0.1, 0.0, 0.0]))
+    def test_linear_part_is_traceless(self):
+        assert sorted(PARAMS) == sorted(KINDS)
+        for kind, params in PARAMS.items():
+            assert np.trace(FieldDescriptor(kind, params).linear) == 0.0, kind
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
-            FieldDescriptor("moebius", (1, 0, 0), np.zeros((3, 3)))
+            FieldDescriptor("moebius", {})
 
     def test_vectors_at_affine(self, rng):
-        lin = np.array([[0.0, -0.5, 0], [0.5, 0, 0], [0, 0, 0]])
-        desc = FieldDescriptor("quarter-torus", (0.1, 0.2, 0.3), lin)
-        pts = rng.normal(size=(20, 3))
-        want = pts @ lin.T + np.array([0.1, 0.2, 0.3])
-        assert np.allclose(desc.vectors_at(pts), want, atol=1e-15)
+        pts = rng.normal(scale=10.0, size=(20, 3))
+        for kind, params in PARAMS.items():
+            desc = FieldDescriptor(kind, params)
+            want = closed_form_flow(kind, params, pts)
+            np.testing.assert_allclose(desc.vectors_at(pts), want, rtol=1e-15, atol=1e-15,
+                                       err_msg=kind)
 
-    @pytest.mark.parametrize("maker", [torus_descriptor, helix_descriptor])
+    @pytest.mark.parametrize(
+        "params, match",
+        [
+            ({}, "helix parameters must be helix_radius, pitch, turns, got none"),
+            ({"helix_radius": 8.0, "pitch": 8.0}, "got helix_radius, pitch$"),
+            ({"helix_radius": 8.0, "pitch": 8.0, "turns": 1.0, "length": 20.0}, "length"),
+            ({"helix_radius": 8.0, "pitch": 0.0, "turns": 1.0}, "pitch must be finite"),
+            ({"helix_radius": 8.0, "pitch": 8.0, "turns": -1.0}, "turns must be finite"),
+            ({"helix_radius": np.nan, "pitch": 8.0, "turns": 1.0}, "helix_radius"),
+            ({"helix_radius": 8.0, "pitch": np.inf, "turns": 1.0}, "pitch"),
+        ],
+    )
+    def test_rejects_bad_params_at_construction(self, params, match):
+        with pytest.raises(ValueError, match=match):
+            FieldDescriptor("helix", params)
+
+    @pytest.mark.parametrize(
+        "maker", [torus_descriptor, helix_descriptor, straight_descriptor, fanning_descriptor])
     def test_flow_is_tangent_to_axis(self, maker):
         desc = maker()
         t0, t1 = desc.axis_range
@@ -255,16 +307,31 @@ class TestGenerate:
 
 class TestAnalyticStreamline:
     def test_constant_field_unit_length(self):
-        desc = FieldDescriptor("straight-tube", (1.0, 0, 0), np.zeros((3, 3)),
-                               {"length": 1.0})
+        desc = FieldDescriptor("straight-tube", {"length": 1.0})
         pts = analytic_streamline(desc, (0.0, 0, 0), 1.0, 1e-3)
         assert np.linalg.norm(pts[-1] - [1.0, 0, 0]) < 1e-12
 
     def test_partial_final_step(self):
-        desc = FieldDescriptor("straight-tube", (2.0, 0, 0), np.zeros((3, 3)),
-                               {"length": 2.0})
-        pts = analytic_streamline(desc, (0.0, 0, 0), 1.05, 0.1)
-        assert abs(pts[-1][0] - 1.05) < 1e-12
+        # Off the axis the fanning field is faster than unit speed; its
+        # streamline through (0, y0, 0) is y = y0 exp(rate x) in z = 0.
+        rate, y0 = 0.5, 2.0
+        desc = FieldDescriptor("fanning", {"length": 20.0, "fan_rate": rate})
+        assert np.linalg.norm(desc.vectors_at([(0.0, y0, 0)])[0]) > 1.4
+        pts = analytic_streamline(desc, (0.0, y0, 0), 1.05, 0.1)
+        gaps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+        assert len(gaps) == 11
+        # Chords of the bending curve fall short of each step's arc by
+        # about h^3 kappa^2 / 24, below 1e-4 here.
+        assert np.abs(gaps[:-1] - 0.1).max() < 1e-4
+        assert abs(gaps[-1] - 0.05) < 1e-4
+        # RK4 at step 0.1 keeps the end on the curve to about 5e-9.
+        x, y, z = pts[-1]
+        assert abs(y - y0 * np.exp(rate * x)) < 1e-7 and z == 0.0
+        # Arc length of the closed-form curve up to the final x.
+        u = np.linspace(0.0, x, 200_001)
+        speed = np.hypot(1.0, rate * y0 * np.exp(rate * u))
+        arc = np.sum((speed[1:] + speed[:-1]) / 2 * np.diff(u))
+        assert abs(arc - 1.05) < 1e-8
 
     def test_rotational_full_turn_returns(self):
         desc = torus_descriptor()
@@ -397,12 +464,42 @@ class TestSpecIO:
         with pytest.raises(FormatError):
             load_phantom_spec(path)
 
-    def test_descriptor_round_trip(self, tmp_path):
-        desc = helix_descriptor()
-        path = tmp_path / "d.txt"
+    @given(spec=small_specs())
+    @settings(max_examples=40, deadline=None)
+    def test_descriptor_round_trip(self, tmp_path_factory, spec):
+        ph = generate(spec)
+        desc = ph.field
+        path = tmp_path_factory.getbasetemp() / "round-trip-descriptor.txt"
         save_descriptor(desc, path)
         back = load_descriptor(path)
         assert back.kind == desc.kind
-        assert np.array_equal(back.constant, desc.constant)
-        assert np.array_equal(back.linear, desc.linear)
         assert back.params == desc.params
+        assert back.constant.tobytes() == desc.constant.tobytes()
+        assert back.linear.tobytes() == desc.linear.tobytes()
+        centers = ph.mask.foreground_points()
+        assert back.vectors_at(centers).tobytes() == desc.vectors_at(centers).tobytes()
+
+    def test_descriptor_file_is_kind_and_params(self, tmp_path):
+        path = tmp_path / "d.txt"
+        save_descriptor(helix_descriptor(), path)
+        assert path.read_text() == (
+            "kind: helix\nparam.helix_radius: 8\nparam.pitch: 8\nparam.turns: 1\n")
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (lambda text: text.replace("param.pitch: 8", "param.pitch: 0"), "pitch"),
+            (lambda text: text.replace("param.turns: 1", "param.turns: -1"), "turns"),
+            (lambda text: text.replace("param.turns: 1\n", ""), "param.turns"),
+            (lambda text: text + "param.length: 20\n", "param.length"),
+        ],
+        ids=["pitch 0", "turns -1", "missing turns", "extra length"],
+    )
+    def test_bad_descriptor_names_file_and_key(self, tmp_path, edit, key):
+        path = tmp_path / "d.txt"
+        save_descriptor(helix_descriptor(), path)
+        path.write_text(edit(path.read_text()))
+        with pytest.raises(FormatError) as exc:
+            load_descriptor(path)
+        assert str(exc.value).startswith(f"{path}: ")
+        assert key in str(exc.value)
