@@ -57,6 +57,8 @@ class Centerline:
             raise ValueError("points must be an (n, 3) array with n >= 1")
         if tan.shape != pts.shape:
             raise ValueError("tangents must match points in shape")
+        if not (np.isfinite(pts).all() and np.isfinite(tan).all()):
+            raise ValueError("points and tangents must be finite")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "tangents", tan)
         object.__setattr__(self, "delta", float(self.delta))

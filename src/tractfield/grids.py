@@ -23,24 +23,37 @@ _LINES_KEYS = ("step", "lines", "points", "dtype", "encoding")
 
 
 @dataclass(frozen=True, eq=False)
-class VolumeGrid:
-    """Regular 3-D lattice of per-voxel scalars."""
+class Lattice:
+    """Geometry of a regular 3-D grid: three positive ``dims``, three finite
+    positive ``spacing`` values (mm) and a finite ``origin``."""
 
     dims: tuple[int, int, int]
     spacing: tuple[float, float, float]
     origin: tuple[float, float, float]
+
+    def __post_init__(self):
+        dims = tuple(int(v) for v in self.dims)
+        spacing = tuple(float(v) for v in self.spacing)
+        origin = tuple(float(v) for v in self.origin)
+        if len(dims) != 3 or min(dims) < 1:
+            raise ValueError(f"dims must be three positive integers, got {dims}")
+        if len(spacing) != 3 or not all(0 < v < math.inf for v in spacing):
+            raise ValueError(f"spacing must be three finite positive reals, got {spacing}")
+        if len(origin) != 3 or not all(map(math.isfinite, origin)):
+            raise ValueError(f"origin must be three finite reals, got {origin}")
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "spacing", spacing)
+        object.__setattr__(self, "origin", origin)
+
+
+@dataclass(frozen=True, eq=False)
+class VolumeGrid(Lattice):
+    """Regular 3-D lattice of per-voxel scalars."""
+
     data: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(v) for v in self.dims))
-        object.__setattr__(self, "spacing", tuple(float(v) for v in self.spacing))
-        object.__setattr__(self, "origin", tuple(float(v) for v in self.origin))
-        if len(self.dims) != 3 or min(self.dims) < 1:
-            raise ValueError(f"dims must be three positive integers, got {self.dims}")
-        if len(self.spacing) != 3 or min(self.spacing) <= 0:
-            raise ValueError(f"spacing must be three positive reals, got {self.spacing}")
-        if len(self.origin) != 3:
-            raise ValueError(f"origin must have three components, got {self.origin}")
+        super().__post_init__()
         if self.data.shape != self.dims:
             raise ValueError(f"data shape {self.data.shape} does not match dims {self.dims}")
 
@@ -72,7 +85,7 @@ class Mask:
 
 
 @dataclass(frozen=True, eq=False)
-class PeaksField:
+class PeaksField(Lattice):
     """Per-voxel candidate fiber directions with amplitudes.
 
     Entries are zero-padded up to a fixed number of slots per voxel; a zero
@@ -80,16 +93,11 @@ class PeaksField:
     are unit length and amplitudes are sorted descending within each voxel.
     """
 
-    dims: tuple[int, int, int]
-    spacing: tuple[float, float, float]
-    origin: tuple[float, float, float]
     directions: np.ndarray
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(v) for v in self.dims))
-        object.__setattr__(self, "spacing", tuple(float(v) for v in self.spacing))
-        object.__setattr__(self, "origin", tuple(float(v) for v in self.origin))
+        super().__post_init__()
         k = self.peaks_per_voxel
         if self.directions.shape != self.dims + (k, 3):
             raise ValueError(
@@ -243,14 +251,13 @@ def _require_keys(fields: dict, expected, path):
             raise FormatError(f"{path}: unexpected line {f'{key}: {value}'!r}")
 
 
-def _numbers(text: str, what: str | None, path, count: int, conv=float) -> list:
-    """The ``count`` finite numbers in ``text``, the value of key ``what``
-    (or, with ``what`` None, a whole row).
+def _numbers(text: str, what: str, path, count: int, conv=float) -> list:
+    """The ``count`` finite numbers in ``text``, the value of key ``what``.
 
     A FormatError names the file and quotes the line.
     """
     parts = text.split()
-    line = text if what is None else f"{what}: {text}"
+    line = f"{what}: {text}"
     if len(parts) != count:
         raise FormatError(f"{path}: expected {count} values in line {line!r}")
     try:
@@ -263,20 +270,13 @@ def _numbers(text: str, what: str | None, path, count: int, conv=float) -> list:
     return out
 
 
-def _format_block(values) -> str:
-    """A scalar or 1-D array as one row of text, a 2-D array as one row per
-    line. ``%.17g`` on Python floats writes the bytes of ``format(x, ".17g")``,
-    and 17 significant digits round-trip float64 exactly through text."""
-    block = np.atleast_2d(np.asarray(values, dtype=float))
-    row = " ".join(["%.17g"] * block.shape[1])
-    return "\n".join([row] * len(block)) % tuple(block.ravel().tolist())
-
-
 def _line(key: str, values) -> str:
-    """One ``key: value`` line; numbers are written with ``_format_block``."""
+    """One ``key: value`` line: a string as it is, or numbers by ``repr``, so
+    ints stay ints and each float is the shortest text that reads back to
+    the same float64."""
     if isinstance(values, str):
         return f"{key}: {values}"
-    return f"{key}: " + _format_block(np.ravel(values))
+    return f"{key}: " + " ".join(map(repr, np.ravel(values).tolist()))
 
 
 def _write_text(path, lines):
@@ -318,23 +318,21 @@ def _save_raw(path, lines, *payloads):
 
 def _load_raw_grid(path, expected_keys, dtypes):
     fields, payload = _load_raw(path, expected_keys, dtypes)
-    dims = tuple(_numbers(fields["dims"], "dims", path, 3, int))
-    spacing = tuple(_numbers(fields["spacing"], "spacing", path, 3))
-    origin = tuple(_numbers(fields["origin"], "origin", path, 3))
-    for key, values in (("dims", dims), ("spacing", spacing)):
-        if min(values) <= 0:
-            raise FormatError(f"{path}: values must be positive in line "
-                              f"{_line(key, fields[key])!r}")
-    return fields, payload, dims, spacing, origin
+    values = [_numbers(fields[key], key, path, 3, conv)
+              for key, conv in (("dims", int), ("spacing", float), ("origin", float))]
+    try:
+        lattice = Lattice(*values)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    return fields, payload, lattice.dims, lattice.spacing, lattice.origin
 
 
 def _save_raw_grid(grid, path, dtype: str, payload: np.ndarray, *extra):
-    """Write the ``.rvf`` header (floats as ``repr``, which is lossless),
-    one blank line, then the payload bytes."""
+    """Write the ``.rvf`` header, one blank line, then the payload bytes."""
     _save_raw(path, [
         _line("dims", grid.dims),
-        _line("spacing", " ".join(map(repr, grid.spacing))),
-        _line("origin", " ".join(map(repr, grid.origin))),
+        _line("spacing", grid.spacing),
+        _line("origin", grid.origin),
         _line("dtype", dtype),
         _line("encoding", "raw"),
         *extra,
@@ -411,7 +409,7 @@ def _save_lines(path, step: float, points, counts):
     """Write polylines in the raw layout: the header, then each line's point
     count as ``<i8``, then every point as three ``<f8`` values."""
     _save_raw(path, [
-        _line("step", repr(float(step))),
+        _line("step", float(step)),
         _line("lines", len(counts)),
         _line("points", len(points)),
         _line("dtype", "f64"),

@@ -482,8 +482,10 @@ def analytic_streamline(
     Integrates dp/ds = v(p)/|v(p)| from the seed for the requested arc
     length; the final step is shortened so the total is exact.
     """
-    if fine_step <= 0:
-        raise ValueError("fine_step must be positive")
+    if not 0 < fine_step < math.inf:
+        raise ValueError("fine_step must be positive and finite")
+    if not 0 <= arc_length < math.inf:
+        raise ValueError("arc_length must be finite and >= 0")
 
     def g(p):
         v = desc.vectors_at(p[None, :])[0]

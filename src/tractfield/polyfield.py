@@ -22,7 +22,6 @@ from .errors import (
 )
 from .grids import (
     Mask,
-    _format_block,
     _line,
     _numbers,
     _parse_fields,
@@ -140,14 +139,14 @@ class PolyField:
             raise ValueError(
                 f"coeffs must have shape (3, {term_count(n)}) for order {n}"
             )
-        offset = self.offset
-        scale = self.scale
-        offset = np.zeros(3) if offset is None else np.asarray(offset, dtype=float)
-        scale = np.ones(3) if scale is None else np.asarray(scale, dtype=float)
+        offset = np.zeros(3) if self.offset is None else np.asarray(self.offset, dtype=float)
+        scale = np.ones(3) if self.scale is None else np.asarray(self.scale, dtype=float)
         if offset.shape != (3,) or scale.shape != (3,):
             raise ValueError("offset and scale must be 3-vectors")
-        if not (scale > 0).all():
-            raise ValueError("scale must be positive")
+        if not (np.isfinite(coeffs).all() and np.isfinite(offset).all()):
+            raise ValueError("coeffs and offset must be finite")
+        if not ((scale > 0) & (scale < np.inf)).all():
+            raise ValueError("scale must be positive and finite")
         object.__setattr__(self, "order", n)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "offset", offset)
@@ -334,40 +333,33 @@ def fit_bundle_field(prior, mask: Mask, order: int = ORDER_DEFAULT, ridge=None) 
     return fit_field(pts, tgt, order, offset, scale, bundle_ridge(prior, mask, ridge))
 
 
+_COEFF_KEYS = ("coeffs.x", "coeffs.y", "coeffs.z")
+_FIELD_KEYS = ("order", "terms", "offset", "scale") + _COEFF_KEYS
+
+
 def save_field(field_: PolyField, path):
-    """Write a field as a small ASCII text file."""
-    lines = [
+    """Write a field as ``key: value`` text, one ``coeffs.*`` line per
+    vector component."""
+    _write_text(path, [
         _line("order", field_.order),
         _line("terms", term_count(field_.order)),
         _line("offset", field_.offset),
         _line("scale", field_.scale),
-        "",
-        _format_block(field_.coeffs),
-    ]
-    _write_text(path, lines)
+        *(_line(key, row) for key, row in zip(_COEFF_KEYS, field_.coeffs)),
+    ])
 
 
 def load_field(path) -> PolyField:
     """Read a field written by ``save_field``."""
-    head, sep, body = _read_text(path).partition("\n\n")
-    if not sep:
-        raise FormatError(f"{path}: missing blank line after the header")
-    fields = _parse_fields(head.split("\n"), path)
-    _require_keys(fields, ("order", "terms", "offset", "scale"), path)
+    fields = _parse_fields(_read_text(path).splitlines(), path)
+    _require_keys(fields, _FIELD_KEYS, path)
     (order,) = _numbers(fields["order"], "order", path, 1, int)
     (terms,) = _numbers(fields["terms"], "terms", path, 1, int)
+    if order < 0 or terms != term_count(order):
+        raise FormatError(f"{path}: terms {terms} does not match order {order}")
     offset = _numbers(fields["offset"], "offset", path, 3)
     scale = _numbers(fields["scale"], "scale", path, 3)
-    if order < 0 or terms != term_count(order):
-        raise FormatError(
-            f"{path}: terms {terms} does not match order {order}"
-        )
-    first = head.count("\n") + 3  # line number of the first body line
-    rows = [(ln, line) for ln, line in enumerate(body.split("\n"), first)
-            if line.strip()]
-    if len(rows) != 3:
-        raise FormatError(f"{path}: expected 3 coefficient rows, found {len(rows)}")
-    coeffs = np.array([_numbers(line, None, f"{path}:{ln}", terms) for ln, line in rows])
+    coeffs = [_numbers(fields[key], key, path, terms) for key in _COEFF_KEYS]
     try:
         return PolyField(order, coeffs, offset, scale)
     except ValueError as exc:

@@ -15,13 +15,13 @@ import numpy as np
 
 from .centerline import Centerline, cross_section_normals
 from .errors import DomainError
-from .grids import Mask, PeaksField, nearest_indices, same_geometry, voxel_centers
+from .grids import Lattice, Mask, PeaksField, nearest_indices, same_geometry, voxel_centers
 
 MIN_AMP_DEFAULT = 0.05
 
 
 @dataclass(frozen=True, eq=False)
-class PriorField:
+class PriorField(Lattice):
     """Per-voxel selected direction with a validity flag.
 
     ``directions`` is (nx, ny, nz, 3); rows where ``valid`` is False are
@@ -29,16 +29,11 @@ class PriorField:
     magnitudes are accepted so synthetic priors can carry field samples.
     """
 
-    dims: tuple[int, int, int]
-    spacing: tuple[float, float, float]
-    origin: tuple[float, float, float]
     directions: np.ndarray
     valid: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(v) for v in self.dims))
-        object.__setattr__(self, "spacing", tuple(float(v) for v in self.spacing))
-        object.__setattr__(self, "origin", tuple(float(v) for v in self.origin))
+        super().__post_init__()
         directions = np.asarray(self.directions, dtype=float)
         valid = np.asarray(self.valid, dtype=bool)
         if directions.shape != self.dims + (3,):

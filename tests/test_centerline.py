@@ -93,6 +93,14 @@ class TestExtractCenterline:
         assert dev.max() <= 1.0
         assert abs(cl.length - 30.0) / 30.0 <= 0.05
 
+    @pytest.mark.parametrize("part", ["points", "tangents"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, part, bad):
+        arrays = {"points": np.zeros((3, 3)), "tangents": np.zeros((3, 3))}
+        arrays[part][1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Centerline(**arrays)
+
     def test_degenerate_endpoints(self):
         ph = straight_tube(10)
         cl = extract_centerline(ph.mask, ph.p1, ph.p1)

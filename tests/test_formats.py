@@ -41,7 +41,9 @@ from tractfield import (
     save_tract,
     save_volume,
 )
-from tractfield import cli
+from tractfield import cli, term_count
+from tractfield.grids import _line, _numbers
+from tractfield.phantom import KINDS, _AXIS_KEYS
 
 from conftest import tract_from_lines
 
@@ -109,27 +111,18 @@ RAW = ("volume", "peaks", "tract", "centerline")
 
 
 def _split(line):
-    """(prefix, value words, keyed) of a value line, or None for other lines.
-
-    Key lines are keyed: one per key and file.  Coefficient rows are not.
-    """
+    """(prefix, value words) of a ``key: value`` line, or None for other lines."""
     if not line.strip() or line.startswith("#"):
         return None
-    key, sep, value = line.partition(":")
-    if sep:
-        return key + ": ", value.split(), True
-    return "", line.split(), False
+    key, _, value = line.partition(":")
+    return key + ": ", value.split()
 
 
 def _break_one_line(data, lines, required):
     values = [i for i, line in enumerate(lines) if _split(line)]
     i = data.draw(st.sampled_from(values), label="line")
-    prefix, words, keyed = _split(lines[i])
-    actions = ["drop value", "bad number"]
-    if keyed:
-        actions.append("duplicate line")
-        if required:
-            actions.append("drop line")
+    prefix, words = _split(lines[i])
+    actions = ["drop value", "bad number", "duplicate line"] + ["drop line"] * required
     action = data.draw(st.sampled_from(actions), label="action")
     if action == "drop line":
         return lines[:i] + lines[i + 1:]
@@ -168,7 +161,7 @@ EDGE_B = np.array([[1 / 3, 0.1, -0.0], [5e-324, 0.1, -0.0]])
 
 
 def _rows(block):
-    """Coefficient rows as the per-coordinate writer built them."""
+    """Rows of numbers as the earlier text layout wrote them."""
     return [" ".join(format(float(x), ".17g") for x in row) for row in block]
 
 
@@ -191,8 +184,10 @@ def _edge_file(name):
         return Centerline(EDGE_A, np.zeros_like(EDGE_A), 0.1), _packed(0.1, [EDGE_A])
     coeffs = np.array([EDGE[:4], EDGE[1:], EDGE[::-1][:4]])
     offset, scale = (0.1, -0.0, 1 / 3), (1 / 3, 0.1, 1e308)
-    lines = ["order: 1", "terms: 4", "offset: " + _rows([offset])[0],
-             "scale: " + _rows([scale])[0], "", *_rows(coeffs)]
+    keyed = [("offset", offset), ("scale", scale),
+             *zip(("coeffs.x", "coeffs.y", "coeffs.z"), coeffs)]
+    lines = ["order: 1", "terms: 4",
+             *(f"{key}: " + " ".join(repr(float(x)) for x in row) for key, row in keyed)]
     return PolyField(1, coeffs, offset, scale), ("\n".join(lines) + "\n").encode("ascii")
 
 
@@ -203,6 +198,64 @@ def test_block_writer_matches_per_coordinate_format(tmp_path, name):
     path = tmp_path / name
     save(obj, path)
     assert path.read_bytes() == expected
+
+
+# Every finite float64, with the edge values drawn often.
+FLOATS = st.one_of(st.sampled_from(EDGE + [-5e-324, -1e308, 2.2250738585072014e-308]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@given(floats=st.lists(FLOATS, min_size=1, max_size=8),
+       ints=st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_line_numbers_round_trip_bitwise(floats, ints):
+    key, _, text = _line("k", floats).partition(": ")
+    assert _bits(_numbers(text, key, "f", len(floats))) == _bits(floats)
+    # int() reads no float spelling, so ints must be written as ints
+    key, _, text = _line("k", ints).partition(": ")
+    assert _numbers(text, key, "f", len(ints), int) == ints
+
+
+@given(data=st.data(), order=st.integers(0, 2), kind=st.sampled_from(KINDS))
+@settings(max_examples=60, deadline=None)
+def test_text_artifacts_round_trip_bitwise(tmp_path_factory, data, order, kind):
+    path = tmp_path_factory.getbasetemp() / "round-trip.txt"
+
+    def floats(n, values=FLOATS):
+        return data.draw(st.lists(values, min_size=n, max_size=n))
+
+    field = PolyField(order, np.array(floats(3 * term_count(order))).reshape(3, -1),
+                      floats(3), floats(3, POSITIVE))
+    save_field(field, path)
+    back = load_field(path)
+    assert back.order == order
+    for name in ("coeffs", "offset", "scale"):
+        assert _bits(getattr(back, name)) == _bits(getattr(field, name))
+
+    keys = _AXIS_KEYS[kind]
+    desc = FieldDescriptor(kind, dict(zip(keys, floats(len(keys), POSITIVE))))
+    save_descriptor(desc, path)
+    back = load_descriptor(path)
+    assert back.kind == kind and back.params == desc.params
+
+    p1, p2 = np.array(floats(3)), np.array(floats(3))
+    cli._save_endpoints(path, p1, p2)
+    assert list(map(_bits, cli._load_endpoints(path))) == [_bits(p1), _bits(p2)]
+
+
+def test_old_field_layout_is_format_error(tmp_path):
+    """The earlier ``field.txt`` layout, a header, a blank line and three
+    unkeyed coefficient rows, fails at its first row."""
+    path = tmp_path / "field.txt"
+    path.write_text("order: 0\nterms: 1\noffset: 0 0 0\nscale: 1 1 1\n\n1\n0\n0\n")
+    with pytest.raises(FormatError) as exc:
+        load_field(path)
+    assert str(exc.value) == f"{path}: malformed line '1'"
 
 
 def test_raw_round_trip_is_bitwise(tmp_path):
@@ -243,8 +296,8 @@ RAW_BAD = {"nan": struct.pack("<d", math.nan), "1x": b"1x", None: b""}
 @pytest.mark.parametrize("row", [0, -1])
 @pytest.mark.parametrize("bad", ["nan", "1x", None])
 def test_bad_row_names_file_and_line(tmp_path, name, row, bad):
-    """Every loader names the file; a text loader also names and quotes the
-    line, and a raw loader names a non-finite point's index."""
+    """Every loader names the file; the field loader also quotes the
+    ``coeffs.*`` line, and a raw loader names a non-finite point's index."""
     write, load, _ = LOADERS[name]
     path = tmp_path / name
     write(path)
@@ -262,14 +315,13 @@ def test_bad_row_names_file_and_line(tmp_path, name, row, bad):
             assert f"point {i} is not finite" in str(exc.value)
         return
     lines = path.read_text().split("\n")
-    rows = [i for i, line in enumerate(lines) if (s := _split(line)) and not s[2]]
-    i = rows[row]
+    i = [i for i, line in enumerate(lines) if line.startswith("coeffs.")][row]
     words = lines[i].split()
     lines[i] = " ".join(words[:-1] + ([] if bad is None else [bad]))
     path.write_text("\n".join(lines))
     with pytest.raises(FormatError) as exc:
         load(path)
-    assert f"{path}:{i + 1}: " in str(exc.value)
+    assert str(exc.value).startswith(f"{path}: ")
     assert repr(lines[i]) in str(exc.value)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from tractfield import (
     FormatError,
     Mask,
     PeaksField,
+    PriorField,
     Tract,
     TruncationError,
     VolumeGrid,
@@ -110,6 +113,31 @@ class TestTypeValidation:
         with pytest.raises(ValueError):
             VolumeGrid((2, 2, 2), (1, 0, 1), (0, 0, 0), np.zeros((2, 2, 2)))
 
+    @pytest.mark.parametrize("grid", ["volume", "peaks", "prior"])
+    @pytest.mark.parametrize("dims, spacing, origin, key", [
+        ((2, 2, 0), (1, 1, 1), (0, 0, 0), "dims"),
+        ((2, 2), (1, 1, 1), (0, 0, 0), "dims"),
+        ((2, 2, 2), (math.nan, 1, 1), (0, 0, 0), "spacing"),
+        ((2, 2, 2), (1, math.inf, 1), (0, 0, 0), "spacing"),
+        ((2, 2, 2), (1, 1, 0), (0, 0, 0), "spacing"),
+        ((2, 2, 2), (1, -1, 1), (0, 0, 0), "spacing"),
+        ((2, 2, 2), (1, 1), (0, 0, 0), "spacing"),
+        ((2, 2, 2), (1, 1, 1), (0, math.nan, 0), "origin"),
+        ((2, 2, 2), (1, 1, 1), (-math.inf, 0, 0), "origin"),
+        ((2, 2, 2), (1, 1, 1), (0, 0, 0, 0), "origin"),
+    ])
+    def test_grids_share_one_lattice_check(self, grid, dims, spacing, origin, key):
+        shape = tuple(dims)
+        with pytest.raises(ValueError, match=key):
+            if grid == "volume":
+                VolumeGrid(dims, spacing, origin, np.zeros(shape))
+            elif grid == "peaks":
+                PeaksField(dims, spacing, origin, np.zeros(shape + (1, 3)),
+                           np.zeros(shape + (1,)))
+            else:
+                PriorField(dims, spacing, origin, np.zeros(shape + (3,)),
+                           np.zeros(shape, bool))
+
     def test_grid_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             VolumeGrid((2, 2, 2), (1, 1, 1), (0, 0, 0), np.zeros((2, 2, 3)))
@@ -199,6 +227,8 @@ class TestVolumeRoundTrip:
         for header in [
             b"dims: 1 1 1\nspacing 1 1 1\n\n",
             b"dims: 1 1 1\nspacing: nan 1.0 1.0\norigin: 0 0 0\n"
+            b"dtype: u8\nencoding: raw\n\n\x01",
+            b"dims: 1 1 1\nspacing: 1.0 0.0 1.0\norigin: 0 0 0\n"
             b"dtype: u8\nencoding: raw\n\n\x01",
         ]:
             path.write_bytes(header)

@@ -311,6 +311,20 @@ class TestAnalyticStreamline:
         pts = analytic_streamline(desc, (0.0, 0, 0), 1.0, 1e-3)
         assert np.linalg.norm(pts[-1] - [1.0, 0, 0]) < 1e-12
 
+    @pytest.mark.parametrize("arc_length, fine_step, message", [
+        (1.0, np.nan, "fine_step"),
+        (1.0, np.inf, "fine_step"),
+        (1.0, 0.0, "fine_step"),
+        (1.0, -1e-3, "fine_step"),
+        (np.nan, 1e-3, "arc_length"),
+        (np.inf, 1e-3, "arc_length"),
+        (-1.0, 1e-3, "arc_length"),
+    ])
+    def test_rejects_bad_length_and_step(self, arc_length, fine_step, message):
+        desc = FieldDescriptor("straight-tube", {"length": 1.0})
+        with pytest.raises(ValueError, match=message):
+            analytic_streamline(desc, (0.0, 0, 0), arc_length, fine_step)
+
     def test_partial_final_step(self):
         # Off the axis the fanning field is faster than unit speed; its
         # streamline through (0, y0, 0) is y = y0 exp(rate x) in z = 0.
@@ -483,15 +497,15 @@ class TestSpecIO:
         path = tmp_path / "d.txt"
         save_descriptor(helix_descriptor(), path)
         assert path.read_text() == (
-            "kind: helix\nparam.helix_radius: 8\nparam.pitch: 8\nparam.turns: 1\n")
+            "kind: helix\nparam.helix_radius: 8.0\nparam.pitch: 8.0\nparam.turns: 1.0\n")
 
     @pytest.mark.parametrize(
         "edit, key",
         [
-            (lambda text: text.replace("param.pitch: 8", "param.pitch: 0"), "pitch"),
-            (lambda text: text.replace("param.turns: 1", "param.turns: -1"), "turns"),
-            (lambda text: text.replace("param.turns: 1\n", ""), "param.turns"),
-            (lambda text: text + "param.length: 20\n", "param.length"),
+            (lambda text: text.replace("param.pitch: 8.0", "param.pitch: 0.0"), "pitch"),
+            (lambda text: text.replace("param.turns: 1.0", "param.turns: -1.0"), "turns"),
+            (lambda text: text.replace("param.turns: 1.0\n", ""), "param.turns"),
+            (lambda text: text + "param.length: 20.0\n", "param.length"),
         ],
         ids=["pitch 0", "turns -1", "missing turns", "extra length"],
     )

@@ -439,6 +439,20 @@ class TestDomainAndIO:
         # floors at spacing/2
         assert np.allclose(scale, [4.0, 1.5, 0.25])
 
+    @pytest.mark.parametrize("part, index, bad, message", [
+        ("coeffs", (0, 1), np.nan, "finite"),
+        ("coeffs", (2, 3), -np.inf, "finite"),
+        ("offset", 1, np.nan, "finite"),
+        ("offset", 2, np.inf, "finite"),
+        ("scale", 0, np.inf, "scale"),
+        ("scale", 1, np.nan, "scale"),
+    ])
+    def test_rejects_non_finite_parts(self, part, index, bad, message):
+        parts = {"coeffs": np.zeros((3, 4)), "offset": np.zeros(3), "scale": np.ones(3)}
+        parts[part][index] = bad
+        with pytest.raises(ValueError, match=message):
+            PolyField(1, **parts)
+
     def test_round_trip_exact(self, tmp_path, rng):
         field = random_divfree_field(4, rng, offset=(0.5, -3, 2), scale=(7, 5, 3))
         path = tmp_path / "field.txt"
