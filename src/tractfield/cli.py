@@ -17,7 +17,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -327,6 +327,7 @@ def _add_flags(parser, names):
         parser.add_argument(name, **_FLAGS[name].options)
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="tractfield",

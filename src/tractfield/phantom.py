@@ -93,6 +93,9 @@ class FieldDescriptor:
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
         constant, linear = _affine(self.kind, params)
+        # A finite but tiny parameter can overflow 1 / radius.
+        if not (np.isfinite(constant).all() and np.isfinite(linear).all()):
+            raise ValueError(f"{self.kind} parameters {params} give a non-finite field")
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "constant", constant)
         object.__setattr__(self, "linear", linear)

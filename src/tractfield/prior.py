@@ -77,9 +77,9 @@ def select_peak(peaks: PeaksField, pts, normals, min_amp=MIN_AMP_DEFAULT):
     admissible = (amps > 0) & (amps >= min_amp)
     score = np.where(admissible, np.abs(dots), -1.0)
     best = admissible & (score == score.max(axis=1, keepdims=True))
-    slot = np.argmax(np.where(best, amps, -1.0), axis=1)[:, None]
-    d = np.take_along_axis(dirs, slot[..., None], axis=1)[:, 0]
-    dot = np.take_along_axis(dots, slot, axis=1)
+    win = (np.arange(len(dirs)), np.argmax(np.where(best, amps, -1.0), axis=1))
+    d = dirs[win]
+    dot = dots[win][:, None]
     d = np.where(dot >= 0, d, -d)
     tie = np.flatnonzero(dot[:, 0] == 0)
     if len(tie):

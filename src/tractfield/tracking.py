@@ -93,11 +93,11 @@ def sample_direction(v, prev, sigma, draw):
     # Written as "not (bad)" so that a NaN vector passes on, as NaN, to the
     # caller's stopping rules.
     ok = ~(norm < ZERO_FIELD_TOL)
-    d = np.zeros_like(v)
-    d[ok] = v[ok] / norm[ok, None]
+    d = np.divide(v, norm[:, None], out=np.zeros_like(v), where=ok[:, None])
     if sigma > 0 and ok.any():
+        every = ok.all()
         rows = np.flatnonzero(ok)
-        unit = d[rows]
+        unit = d if every else d[rows]
         p = unit + draw(rows)
         pnorm = np.sqrt(_dots(p, p))
         redo = np.flatnonzero(pnorm < ZERO_FIELD_TOL)
@@ -105,10 +105,13 @@ def sample_direction(v, prev, sigma, draw):
             p[redo] = unit[redo] + draw(rows[redo])
             pnorm[redo] = np.sqrt(_dots(p[redo], p[redo]))
             redo = redo[pnorm[redo] < ZERO_FIELD_TOL]
-        d[rows] = p / pnorm[:, None]
+        if every:
+            d = p / pnorm[:, None]
+        else:
+            d[rows] = p / pnorm[:, None]
     if prev is not None:
         flip = _dots(d, np.asarray(prev, dtype=float)) < 0
-        d[flip] = -d[flip]
+        np.negative(d, out=d, where=flip[:, None])
     return d, ok
 
 
@@ -122,12 +125,12 @@ def _rk4_many(field: PolyField, eta: np.ndarray, d0: np.ndarray, step: float):
 
     def slope(p):
         v = field.evaluate_many(p)
-        norm = np.linalg.norm(v, axis=1)
+        # the arithmetic of np.linalg.norm(v, axis=1), without its dispatch
+        norm = np.sqrt(np.add.reduce(v * v, axis=1))
         ok = norm > ZERO_FIELD_TOL
-        u = np.zeros_like(v)
-        u[ok] = v[ok] / norm[ok, None]
+        u = np.divide(v, norm[:, None], out=np.zeros_like(v), where=ok[:, None])
         flip = np.einsum("sc,sc->s", u, d0, optimize=False) < 0
-        u[flip] = -u[flip]
+        np.negative(u, out=u, where=flip[:, None])
         return u, ok
 
     k1 = d0
@@ -144,15 +147,10 @@ def _substream(rng_seed: int, seed_point: np.ndarray, rep: int):
     Keyed by the seed's coordinate bits rather than its list position, so
     permuting the seed list permutes but never changes the streamlines.
     """
-    bits = np.asarray(seed_point, dtype="<f8").view(np.uint64)
-    entropy = (
-        int(rng_seed) & 0xFFFFFFFFFFFFFFFF,
-        int(bits[0]),
-        int(bits[1]),
-        int(bits[2]),
-        int(rep),
-    )
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    bits = np.asarray(seed_point, dtype="<f8").view(np.uint64).tolist()
+    entropy = [int(rng_seed) & 0xFFFFFFFFFFFFFFFF, *bits, int(rep)]
+    # what np.random.default_rng builds from a SeedSequence, without its dispatch
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
 def _trace(mask, starts, first, alive, advance, turn, params) -> Tract:

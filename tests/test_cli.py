@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -192,6 +193,43 @@ class TestParser:
             for name, p in sub.choices.items()
         }
         assert surface == CLI_SURFACE
+
+    def test_cached_parser_is_reentrant(self, tmp_path, stages_dir, capsys, monkeypatch):
+        # Every call in one process parses with the same cached parser.  Each
+        # must give the exit code, output and files of the same call on a
+        # parser built for it alone, so no value of an earlier call, such as
+        # --ref-mask, reaches a later one.
+        assert cli._build_parser() is cli._build_parser()
+        s = str(stages_dir)
+        metrics = ["metrics", "--tract", f"{s}/streamlines.tract",
+                   "--ref-tract", f"{s}/axis.tract", "--grid", f"{s}/mask.rvf"]
+        calls = [
+            ["metrics", "--tract", f"{s}/streamlines.tract"],
+            metrics + ["--ref-mask", f"{s}/mask.rvf"],
+            metrics,
+            ["track", "--field", f"{s}/field.txt", "--mask", f"{s}/mask.rvf"] + TRACK_FLAGS,
+        ]
+
+        def run_calls():
+            results = []
+            for i, argv in enumerate(calls):
+                out = tmp_path / str(i)
+                code = main(argv + ["--out", str(out)])
+                files = {path.name: path.read_bytes() for path in sorted(out.glob("*"))}
+                results.append((code, capsys.readouterr(), files))
+                shutil.rmtree(out, ignore_errors=True)
+            return results
+
+        cached = run_calls()
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = run_calls()
+        assert cached == fresh
+        assert [code for code, _, _ in cached] == [1, 0, 0, 0]
+        assert not cached[0][2]
+        assert b"vs reference mask" in cached[1][2]["metrics.txt"]
+        assert b"vs voxelized reference tract" in cached[2][2]["metrics.txt"]
+        manifest = json.loads(cached[2][2]["manifest-metrics.json"])
+        assert manifest["inputs"]["ref_mask"] is None
 
 
 class TestExitCodes:

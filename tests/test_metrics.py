@@ -34,6 +34,22 @@ def densify_line(points, max_gap):
     return np.vstack([dense, points[-1]])
 
 
+def offset_every_segment(tract, max_gap):
+    """``_densify`` as it was written before it left unsplit segments alone:
+    every dense point is points[seg] + frac * deltas[seg], frac 0 included.
+    Its bitwise oracle for points without a -0.0 coordinate: this formula
+    turns one to +0.0 unless that coordinate's step is negative."""
+    points = tract.points
+    deltas = np.diff(points, axis=0, append=points[-1:])
+    deltas[np.cumsum(tract.counts) - 1] = 0.0
+    counts = np.maximum(1, np.ceil(np.linalg.norm(deltas, axis=1) / max_gap).astype(np.int64))
+    seg = np.repeat(np.arange(len(points)), counts)
+    frac = np.arange(len(seg), dtype=float)
+    frac -= np.repeat(np.cumsum(counts) - counts, counts)
+    frac /= counts[seg]
+    return deltas[seg] * frac[:, None] + points[seg]
+
+
 def voxelize_by_line(tract, grid):
     data = np.zeros(grid.dims, dtype=np.uint8)
     for line in tract.streamlines:
@@ -143,6 +159,22 @@ class TestVoxelize:
                                       voxelize_by_line(tract, grid))
 
 
+class TestDensify:
+    @pytest.mark.parametrize("step, max_gap, splits", [(0.2, 0.5, False), (0.9, 0.1, True)],
+                             ids=["no split segment", "some split segments"])
+    def test_matches_offset_every_segment_bit_for_bit(self, rng, step, max_gap, splits):
+        # Steps run up to 2 * step: none is split at 0.2, most at 0.9, into
+        # up to 18 pieces.
+        grown = 0
+        for _ in range(20):
+            tract = tract_from_lines(random_lines(rng, step, np.full(3, -5.0),
+                                                  np.full(3, 5.0)), step)
+            got = metrics._densify(tract, max_gap)
+            assert got.tobytes() == offset_every_segment(tract, max_gap).tobytes()
+            grown += len(got) > len(tract.points)
+        assert bool(grown) == splits
+
+
 class TestSpatialOverlap:
     def _mask_pair(self, build_a, build_b, dims=(10, 10, 10)):
         a = np.zeros(dims, dtype=np.uint8)
@@ -242,6 +274,28 @@ class TestHausdorff:
             b = self._random_tract(rng)
             expected = brute_force_hausdorff(a.points, b.points)
             assert hausdorff(a, b) == expected
+
+    @pytest.mark.parametrize("case", ["all equal", "collinear", "duplicates", "one point"])
+    def test_degenerate_sets_match_brute_force(self, rng, case):
+        # Sliding-midpoint and balanced trees split these sets differently;
+        # the nearest distances must not depend on it.
+        if case == "all equal":
+            a = np.full((40, 3), 2.5)
+            b = np.vstack([np.full((30, 3), -1.25), rng.uniform(0.0, 10.0, (30, 3))])
+        elif case == "collinear":
+            axis = np.array([1.0, -2.0, 0.5])
+            a = np.outer(rng.integers(0, 50, 80) * 0.25, axis) + 3.0
+            b = np.outer(rng.uniform(0.0, 12.0, 60), axis) + 3.0
+        elif case == "duplicates":
+            a = np.repeat(rng.uniform(0.0, 10.0, (20, 3)), 5, axis=0)
+            b = rng.uniform(0.0, 10.0, (15, 3))[rng.integers(0, 15, 90)]
+        else:
+            a = np.full((2, 3), 4.0)
+            b = rng.uniform(0.0, 10.0, (300, 3))
+        ta = tract_from_lines([rng.permutation(a)], step=100.0)
+        tb = tract_from_lines([rng.permutation(b)], step=100.0)
+        assert hausdorff(ta, tb) == brute_force_hausdorff(ta.points, tb.points)
+        assert hausdorff(tb, ta) == brute_force_hausdorff(tb.points, ta.points)
 
     def test_pools_across_streamlines(self, rng):
         points = rng.uniform(0.0, 10.0, (40, 3))

@@ -69,6 +69,13 @@ def closed_form_flow(kind, params, pts):
     return np.stack([-y, x, rise * one], axis=1) / speed
 
 
+# Finite, positive parameters whose derived affine field is not finite.
+OVERFLOWING_PARAMS = [
+    ("quarter-torus", {"major_radius": 5e-324}),
+    ("helix", {"helix_radius": 1e-320, "pitch": 1e-320, "turns": 1.0}),
+]
+
+
 def torus_descriptor():
     ph = generate(PhantomSpec(kind="quarter-torus", radius=2.0, major_radius=10.0))
     return ph.field
@@ -120,6 +127,14 @@ class TestFieldDescriptor:
     def test_rejects_bad_params_at_construction(self, params, match):
         with pytest.raises(ValueError, match=match):
             FieldDescriptor("helix", params)
+
+    @pytest.mark.parametrize("kind, params", OVERFLOWING_PARAMS,
+                             ids=[kind for kind, _ in OVERFLOWING_PARAMS])
+    def test_rejects_params_whose_field_overflows(self, kind, params):
+        # 1 / radius overflows: the field would hold inf and inf * 0 = nan.
+        with pytest.raises(ValueError) as exc:
+            FieldDescriptor(kind, params)
+        assert str(exc.value) == f"{kind} parameters {params} give a non-finite field"
 
     @pytest.mark.parametrize(
         "maker", [torus_descriptor, helix_descriptor, straight_descriptor, fanning_descriptor])
@@ -517,3 +532,14 @@ class TestSpecIO:
             load_descriptor(path)
         assert str(exc.value).startswith(f"{path}: ")
         assert key in str(exc.value)
+
+    @pytest.mark.parametrize("kind, params", OVERFLOWING_PARAMS,
+                             ids=[kind for kind, _ in OVERFLOWING_PARAMS])
+    def test_overflowing_descriptor_is_format_error(self, tmp_path, kind, params):
+        path = tmp_path / "descriptor.txt"
+        path.write_text(f"kind: {kind}\n" + "".join(
+            f"param.{key}: {value!r}\n" for key, value in params.items()))
+        with pytest.raises(FormatError) as exc:
+            load_descriptor(path)
+        assert str(exc.value).startswith(f"{path}: {kind} parameters ")
+        assert all(key in str(exc.value) for key in params)

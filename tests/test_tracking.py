@@ -28,7 +28,7 @@ from tractfield import (
 )
 from tractfield.tracking import DRAW_BLOCK, ZERO_FIELD_TOL
 
-from conftest import make_mask
+from conftest import make_mask, random_divfree_field
 from test_polyfield import direct_basis_matrix
 
 
@@ -321,6 +321,127 @@ class TestSampleDirection:
             for r in np.flatnonzero(ok):
                 if prev[r] @ d[r] == 0:
                     assert np.array_equal(d[r], unflipped[r])
+
+
+def masked_sample_direction(v, prev, sigma, draw):
+    """``sample_direction`` with boolean gathers and scatters, as it was
+    written before ``np.divide(..., where=)``: its bitwise oracle."""
+    dots = tracking._dots
+    v = np.asarray(v, dtype=float)
+    norm = np.sqrt(dots(v, v))
+    ok = ~(norm < ZERO_FIELD_TOL)
+    d = np.zeros_like(v)
+    d[ok] = v[ok] / norm[ok, None]
+    if sigma > 0 and ok.any():
+        rows = np.flatnonzero(ok)
+        unit = d[rows]
+        p = unit + draw(rows)
+        pnorm = np.sqrt(dots(p, p))
+        redo = np.flatnonzero(pnorm < ZERO_FIELD_TOL)
+        while len(redo):
+            p[redo] = unit[redo] + draw(rows[redo])
+            pnorm[redo] = np.sqrt(dots(p[redo], p[redo]))
+            redo = redo[pnorm[redo] < ZERO_FIELD_TOL]
+        d[rows] = p / pnorm[:, None]
+    if prev is not None:
+        flip = dots(d, np.asarray(prev, dtype=float)) < 0
+        d[flip] = -d[flip]
+    return d, ok
+
+
+def masked_rk4_many(field, eta, d0, step):
+    """``_rk4_many`` with ``np.linalg.norm`` and boolean gathers and
+    scatters, as it was written before: its bitwise oracle."""
+
+    def slope(p):
+        v = field.evaluate_many(p)
+        norm = np.linalg.norm(v, axis=1)
+        ok = norm > ZERO_FIELD_TOL
+        u = np.zeros_like(v)
+        u[ok] = v[ok] / norm[ok, None]
+        flip = np.einsum("sc,sc->s", u, d0, optimize=False) < 0
+        u[flip] = -u[flip]
+        return u, ok
+
+    k1 = d0
+    k2, ok2 = slope(eta + (0.5 * step) * k1)
+    k3, ok3 = slope(eta + (0.5 * step) * k2)
+    k4, ok4 = slope(eta + step * k3)
+    new = eta + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return new, ok2 & ok3 & ok4
+
+
+def kernel_rows(rng, n, all_ok):
+    """n field vectors, from 1e-10 to 100 long, and previous directions,
+    a sixth of them exactly reversed.  Unless ``all_ok``, some vectors are
+    zero, NaN (whole or in one component) or a hair under, at or over the
+    zero-field tolerance."""
+    v = rng.normal(size=(n, 3))
+    v *= 10.0 ** rng.uniform(-10, 2, (n, 1)) / np.linalg.norm(v, axis=1, keepdims=True)
+    prev = rng.normal(size=(n, 3))
+    prev[::6] = -v[::6]
+    if not all_ok:
+        v[1::7] = 0.0
+        v[2::7] = np.nan
+        v[3::7, 1] = np.nan
+        for r, scale in zip((4, 11, 18), (np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0))):
+            v[r] *= ZERO_FIELD_TOL * scale / np.linalg.norm(v[r])
+    return v, prev
+
+
+class TestKernelsMatchMaskedFormulas:
+    """The ``where=`` kernels give the masked formulas' bits."""
+
+    @pytest.mark.parametrize("all_ok", [True, False], ids=["all ok", "some not ok"])
+    @pytest.mark.parametrize("sigma", [0.0, 0.1])
+    @pytest.mark.parametrize("with_prev", [True, False], ids=["prev", "no prev"])
+    def test_sample_direction(self, rng, all_ok, sigma, with_prev):
+        v, prev = kernel_rows(rng, 60, all_ok)
+        prev = prev if with_prev else None
+        triples = [list(rng.normal(0.0, sigma, (3, 3))) for _ in v]
+        for r in range(0, len(v), 7):
+            # a first triple that cancels the unit vector forces a redraw
+            triples[r][0] = -(v[r] / np.linalg.norm(v[r]))
+        got, got_ok, stream = batched_rows(v, prev, sigma, triples)
+        want_stream = Triples(triples, sigma)
+        want, want_ok = masked_sample_direction(v, prev, sigma, want_stream.draw)
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(got_ok, want_ok)
+        assert got_ok.all() == all_ok
+        assert stream.calls == want_stream.calls
+        if sigma == 0:
+            assert not stream.calls
+        else:
+            assert len(stream.calls) > 1
+
+    @pytest.mark.parametrize("all_ok", [True, False], ids=["all ok", "some not ok"])
+    def test_rk4_many(self, rng, all_ok):
+        field = random_divfree_field(4, rng, offset=(1.0, -2.0, 0.5), scale=(4.0, 3.0, 5.0))
+        if not all_ok:
+            real = field
+
+            def evaluate_many(points):
+                # The field vanishes or turns NaN in bands across x, so rows
+                # fail at every stage.
+                v = real.evaluate_many(points)
+                band = np.floor(points[:, 0] * 3.0) % 7
+                v[band == 0] = 0.0
+                v[band == 1] = np.nan
+                v[band == 2] *= 1e-13
+                return v
+
+            field = SimpleNamespace(evaluate_many=evaluate_many)
+        eta = rng.uniform(-5.0, 5.0, (200, 3))
+        if not all_ok:
+            eta[::17] = np.nan
+        d0 = rng.normal(size=(200, 3))
+        d0 /= np.linalg.norm(d0, axis=1, keepdims=True)
+        for step in (0.3, 1.7):
+            got, got_ok = tracking._rk4_many(field, eta, d0, step)
+            want, want_ok = masked_rk4_many(field, eta, d0, step)
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(got_ok, want_ok)
+            assert got_ok.all() == all_ok
 
 
 def box_mask(lo, hi):
