@@ -30,15 +30,18 @@ def _densify(tract: Tract, max_gap: float) -> np.ndarray:
     deltas = _line_deltas(points, tract.counts)
     counts = np.linalg.norm(deltas, axis=1) / max_gap
     counts = np.maximum(1, np.ceil(counts).astype(np.int64))
-    dense = np.repeat(points, counts, axis=0)
-    # Only a split segment s gets offsets: its dense point j of c is
-    # points[s] + (j / c) * deltas[s], and j / c is exact in float64.
-    split = np.flatnonzero(counts > 1)
-    reps = counts[split]
-    seg = np.repeat(split, reps)
-    j = np.arange(len(seg)) - np.repeat(np.cumsum(reps) - reps, reps)
-    rows = (np.cumsum(counts) - counts)[seg] + j
-    dense[rows] += deltas[seg] * (j / counts[seg])[:, None]
+    # Each dense point's offset in its segment over the segment's count;
+    # these integers are exact in float64.
+    frac = np.arange(counts.sum(), dtype=float)
+    frac -= np.repeat(np.cumsum(counts) - counts, counts)
+    frac /= np.repeat(counts, counts)
+    # deltas * frac + points, built in place; np.repeat copies cost less
+    # than index gathers, and at most two dense point arrays are alive.
+    dense = np.repeat(deltas, counts, axis=0)
+    del deltas
+    dense *= frac[:, None]
+    del frac
+    dense += np.repeat(points, counts, axis=0)
     return dense
 
 

@@ -165,7 +165,7 @@ class PolyField:
         batching, which keeps the trackers' output independent of how many
         rows are live in a step.
         """
-        design = basis_matrix((points - self.offset) / self.scale, self.order)
+        design = basis_matrix(self.normalize(points), self.order)
         return np.einsum("sm,cm->sc", design, self.coeffs, optimize=False)
 
     def divergence_many(self, points) -> np.ndarray:

@@ -95,9 +95,8 @@ def sample_direction(v, prev, sigma, draw):
     ok = ~(norm < ZERO_FIELD_TOL)
     d = np.divide(v, norm[:, None], out=np.zeros_like(v), where=ok[:, None])
     if sigma > 0 and ok.any():
-        every = ok.all()
         rows = np.flatnonzero(ok)
-        unit = d if every else d[rows]
+        unit = d[rows]
         p = unit + draw(rows)
         pnorm = np.sqrt(_dots(p, p))
         redo = np.flatnonzero(pnorm < ZERO_FIELD_TOL)
@@ -105,10 +104,7 @@ def sample_direction(v, prev, sigma, draw):
             p[redo] = unit[redo] + draw(rows[redo])
             pnorm[redo] = np.sqrt(_dots(p[redo], p[redo]))
             redo = redo[pnorm[redo] < ZERO_FIELD_TOL]
-        if every:
-            d = p / pnorm[:, None]
-        else:
-            d[rows] = p / pnorm[:, None]
+        d[rows] = p / pnorm[:, None]
     if prev is not None:
         flip = _dots(d, np.asarray(prev, dtype=float)) < 0
         np.negative(d, out=d, where=flip[:, None])

@@ -34,11 +34,10 @@ def densify_line(points, max_gap):
     return np.vstack([dense, points[-1]])
 
 
-def offset_every_segment(tract, max_gap):
-    """``_densify`` as it was written before it left unsplit segments alone:
-    every dense point is points[seg] + frac * deltas[seg], frac 0 included.
-    Its bitwise oracle for points without a -0.0 coordinate: this formula
-    turns one to +0.0 unless that coordinate's step is negative."""
+def gathered_densify(tract, max_gap):
+    """``_densify`` written with index gathers, as deltas[seg] * frac +
+    points[seg]: its bitwise oracle, since ``_densify`` builds the same
+    products and sums from np.repeat copies."""
     points = tract.points
     deltas = np.diff(points, axis=0, append=points[-1:])
     deltas[np.cumsum(tract.counts) - 1] = 0.0
@@ -162,7 +161,7 @@ class TestVoxelize:
 class TestDensify:
     @pytest.mark.parametrize("step, max_gap, splits", [(0.2, 0.5, False), (0.9, 0.1, True)],
                              ids=["no split segment", "some split segments"])
-    def test_matches_offset_every_segment_bit_for_bit(self, rng, step, max_gap, splits):
+    def test_matches_gathered_formula_bit_for_bit(self, rng, step, max_gap, splits):
         # Steps run up to 2 * step: none is split at 0.2, most at 0.9, into
         # up to 18 pieces.
         grown = 0
@@ -170,7 +169,7 @@ class TestDensify:
             tract = tract_from_lines(random_lines(rng, step, np.full(3, -5.0),
                                                   np.full(3, 5.0)), step)
             got = metrics._densify(tract, max_gap)
-            assert got.tobytes() == offset_every_segment(tract, max_gap).tobytes()
+            assert got.tobytes() == gathered_densify(tract, max_gap).tobytes()
             grown += len(got) > len(tract.points)
         assert bool(grown) == splits
 
