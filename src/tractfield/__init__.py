@@ -73,14 +73,7 @@ from .polyfield import (
     save_field,
     term_count,
 )
-from .prior import (
-    PriorField,
-    build_prior,
-    prior_from_peaks,
-    prior_to_peaks,
-    select_peak,
-    synthetic_prior,
-)
+from .prior import build_prior, prior_from_peaks, select_peak, synthetic_prior
 from .tracking import (
     TrackParams,
     baseline_peak_track,

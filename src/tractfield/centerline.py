@@ -165,11 +165,11 @@ def _smooth(pts: np.ndarray) -> np.ndarray:
 
 def _pull_inside(pts: np.ndarray, mask: Mask) -> np.ndarray:
     """Replace any point outside the mask by the nearest foreground center."""
-    from scipy.spatial import cKDTree
-
     ok = inside_many(mask, pts)
     if ok.all():
         return pts
+    from scipy.spatial import cKDTree
+
     centers = mask.foreground_points()
     _, nn = cKDTree(centers).query(pts[~ok])
     out = pts.copy()

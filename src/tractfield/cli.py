@@ -44,7 +44,7 @@ from .grids import (
 from .metrics import hausdorff, spatial_overlap, voxelize
 from .phantom import generate, load_phantom_spec, save_descriptor
 from .polyfield import ORDER_DEFAULT, bundle_ridge, fit_bundle_field, load_field, save_field
-from .prior import MIN_AMP_DEFAULT, build_prior, prior_from_peaks, prior_to_peaks
+from .prior import MIN_AMP_DEFAULT, build_prior
 from .tracking import ANGLE_MAX_DEFAULT, TrackParams, baseline_peak_track, track
 
 MASK_FILE = "mask.rvf"
@@ -170,15 +170,16 @@ def _centerline(args, out):
 def _prior(args, out):
     prior = build_prior(load_peaks(args.peaks), load_centerline(args.centerline),
                         load_mask(args.mask), args.cutoff)
-    save_peaks(prior_to_peaks(prior), out["prior"])
+    save_peaks(prior, out["prior"])
     return {"cutoff": float(args.cutoff)}
 
 
 def _fit(args, out):
-    prior = prior_from_peaks(load_peaks(args.prior))
+    prior = load_peaks(args.prior)
     mask = load_mask(args.mask)
-    save_field(fit_bundle_field(prior, mask, args.order, args.ridge), out["field"])
-    return {"order": int(args.order), "ridge": float(bundle_ridge(prior, mask, args.ridge))}
+    ridge = bundle_ridge(prior, mask, args.ridge)
+    save_field(fit_bundle_field(prior, mask, args.order, ridge), out["field"])
+    return {"order": int(args.order), "ridge": float(ridge)}
 
 
 def _track_params(args, sigma=0.0, seed_count=1, rng_seed=0) -> TrackParams:

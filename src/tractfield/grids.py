@@ -89,8 +89,10 @@ class PeaksField(Lattice):
     """Per-voxel candidate fiber directions with amplitudes.
 
     Entries are zero-padded up to a fixed number of slots per voxel; a zero
-    amplitude marks an unused slot. Stored directions with positive amplitude
-    are unit length and amplitudes are sorted descending within each voxel.
+    amplitude marks an unused slot, and amplitudes are sorted descending
+    within each voxel.  ``load_peaks`` enforces unit directions in the used
+    slots; an in-memory synthetic prior may hold raw field vectors there.  A
+    prior is a one-slot field whose amplitude 1 marks a selected direction.
     """
 
     directions: np.ndarray
@@ -118,6 +120,12 @@ class PeaksField(Lattice):
         amps = self.amplitudes[i, j, k]
         keep = amps > 0
         return self.directions[i, j, k][keep], amps[keep]
+
+    def samples(self) -> tuple[np.ndarray, np.ndarray]:
+        """World points and slot-0 directions of the voxels whose slot 0 is
+        used: a prior's fit samples."""
+        idx = np.argwhere(self.amplitudes[..., 0] > 0)
+        return voxel_centers(self, idx), self.directions[idx[:, 0], idx[:, 1], idx[:, 2], 0]
 
     def validate(self):
         """Raise ValueError when the stored peaks break the format invariants."""

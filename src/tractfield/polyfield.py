@@ -22,6 +22,7 @@ from .errors import (
 )
 from .grids import (
     Mask,
+    PeaksField,
     _line,
     _numbers,
     _parse_fields,
@@ -31,6 +32,7 @@ from .grids import (
     same_geometry,
     voxel_centers,
 )
+from .prior import prior_from_peaks
 
 _RCOND_MAX = 1e12
 ORDER_DEFAULT = 4
@@ -298,27 +300,36 @@ def fit_field(
 RIDGE_PER_SAMPLE = 1e-8
 
 
-def bundle_ridge(prior, mask: Mask, ridge=None) -> float:
+def bundle_ridge(prior: PeaksField, mask: Mask, ridge=None) -> float:
     """The ridge ``fit_bundle_field`` applies: ``ridge`` when given, else
     RIDGE_PER_SAMPLE per usable voxel, a floor against rank deficiency in
     thin tubes."""
     if ridge is not None:
         return ridge
-    usable = np.asarray(prior.valid, dtype=bool) & mask.foreground
-    return RIDGE_PER_SAMPLE * int(usable.sum())
+    return RIDGE_PER_SAMPLE * int(_usable(prior, mask).sum())
 
 
-def fit_bundle_field(prior, mask: Mask, order: int = ORDER_DEFAULT, ridge=None) -> PolyField:
-    """Divergence-free fit of the selected voxel directions inside the mask.
-
-    Samples are the voxel centers that are both mask foreground and valid in
-    the prior; the domain normalization comes from the mask bounding box.
-    Requires at least term_count(order) usable voxels.  ridge=None picks
-    ``bundle_ridge``; pass 0.0 for an unregularized fit.
-    """
+def _usable(prior: PeaksField, mask: Mask) -> np.ndarray:
+    """The voxels the fit samples: mask foreground where the prior's one slot
+    is used.  Raises DomainError for any other slot count or grid."""
+    prior_from_peaks(prior)
     if not same_geometry(prior, mask.grid):
         raise DomainError("prior grid does not match the mask grid")
-    keep = np.asarray(prior.valid, dtype=bool) & mask.foreground
+    return (prior.amplitudes[..., 0] > 0) & mask.foreground
+
+
+def fit_bundle_field(
+    prior: PeaksField, mask: Mask, order: int = ORDER_DEFAULT, ridge=None
+) -> PolyField:
+    """Divergence-free fit of the selected voxel directions inside the mask.
+
+    ``prior`` is a one-slot field (see ``prior_from_peaks``).  Samples are
+    the voxel centers that are both mask foreground and used in the prior;
+    the domain normalization comes from the mask bounding box.  Requires at
+    least term_count(order) usable voxels.  ridge=None picks
+    ``bundle_ridge``; pass 0.0 for an unregularized fit.
+    """
+    keep = _usable(prior, mask)
     usable = int(keep.sum())
     m = term_count(order)
     if usable < m:
@@ -328,7 +339,7 @@ def fit_bundle_field(prior, mask: Mask, order: int = ORDER_DEFAULT, ridge=None) 
         )
     idx = np.argwhere(keep)
     pts = voxel_centers(mask.grid, idx)
-    tgt = np.asarray(prior.directions, dtype=float)[idx[:, 0], idx[:, 1], idx[:, 2]]
+    tgt = prior.directions[idx[:, 0], idx[:, 1], idx[:, 2], 0]
     offset, scale = domain_from_mask(mask)
     return fit_field(pts, tgt, order, offset, scale, bundle_ridge(prior, mask, ridge))
 

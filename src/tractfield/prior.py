@@ -9,48 +9,14 @@ consumes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .centerline import Centerline, cross_section_normals
 from .errors import DomainError
-from .grids import Lattice, Mask, PeaksField, nearest_indices, same_geometry, voxel_centers
+from .grids import Mask, PeaksField, nearest_indices, same_geometry
 
 MIN_AMP_DEFAULT = 0.05
-
-
-@dataclass(frozen=True, eq=False)
-class PriorField(Lattice):
-    """Per-voxel selected direction with a validity flag.
-
-    ``directions`` is (nx, ny, nz, 3); rows where ``valid`` is False are
-    zero.  Directions produced by ``build_prior`` are unit length, but raw
-    magnitudes are accepted so synthetic priors can carry field samples.
-    """
-
-    directions: np.ndarray
-    valid: np.ndarray
-
-    def __post_init__(self):
-        super().__post_init__()
-        directions = np.asarray(self.directions, dtype=float)
-        valid = np.asarray(self.valid, dtype=bool)
-        if directions.shape != self.dims + (3,):
-            raise ValueError(
-                f"directions shape {directions.shape} does not match dims {self.dims}"
-            )
-        if valid.shape != self.dims:
-            raise ValueError(
-                f"valid shape {valid.shape} does not match dims {self.dims}"
-            )
-        object.__setattr__(self, "directions", directions)
-        object.__setattr__(self, "valid", valid)
-
-    def samples(self) -> tuple[np.ndarray, np.ndarray]:
-        """World points and directions of the valid voxels, fit-ready."""
-        idx = np.argwhere(self.valid)
-        return voxel_centers(self, idx), self.directions[idx[:, 0], idx[:, 1], idx[:, 2]]
 
 
 def select_peak(peaks: PeaksField, pts, normals, min_amp=MIN_AMP_DEFAULT):
@@ -64,9 +30,10 @@ def select_peak(peaks: PeaksField, pts, normals, min_amp=MIN_AMP_DEFAULT):
     Ties on angle go to the larger amplitude, then to storage order.  A slot
     is admissible when its amplitude is positive (not padding) and reaches
     ``min_amp``.  Returns ``(directions (n, 3), ok (n,))``; rows without an
-    admissible peak are zero with ok False.
+    admissible peak, among them points off the grid, are zero with ok False.
     """
-    idx, _ = nearest_indices(peaks, pts)
+    idx, inb = nearest_indices(peaks, pts)
+    idx[~inb] = 0
     i, j, k = idx.T
     dirs = peaks.directions[i, j, k]
     amps = peaks.amplitudes[i, j, k]
@@ -74,7 +41,7 @@ def select_peak(peaks: PeaksField, pts, normals, min_amp=MIN_AMP_DEFAULT):
     # One (1, 3) @ (3, 1) product per slot is bitwise equal to np.dot; a
     # (k, 3) @ (3, 1) product per row is not, and that can flip near-ties.
     dots = (dirs[:, :, None, :] @ normals[:, None, :, None])[..., 0, 0]
-    admissible = (amps > 0) & (amps >= min_amp)
+    admissible = (amps > 0) & (amps >= min_amp) & inb[:, None]
     score = np.where(admissible, np.abs(dots), -1.0)
     best = admissible & (score == score.max(axis=1, keepdims=True))
     win = (np.arange(len(dirs)), np.argmax(np.where(best, amps, -1.0), axis=1))
@@ -91,62 +58,47 @@ def select_peak(peaks: PeaksField, pts, normals, min_amp=MIN_AMP_DEFAULT):
 
 def build_prior(
     peaks: PeaksField, cl: Centerline, mask: Mask, min_amp=MIN_AMP_DEFAULT
-) -> PriorField:
+) -> PeaksField:
     """Select one direction per foreground voxel using centerline normals.
 
     Each foreground voxel center takes the tangent of the nearest
     centerline point as its cross-section normal and keeps the peak closest
-    in axial angle.
+    in axial angle.  Returns a one-slot field whose amplitude is 1 where a
+    peak was selected and 0 elsewhere.
     """
     if not math.isfinite(min_amp):
         raise ValueError("min_amp must be finite")
     if not same_geometry(peaks, mask.grid):
         raise DomainError("peaks grid does not match the mask grid")
-    dims = mask.grid.dims
-    i, j, k = mask.foreground_indices().T
     pts = mask.foreground_points()
-    directions = np.zeros(dims + (3,))
-    valid = np.zeros(dims, dtype=bool)
-    directions[i, j, k], valid[i, j, k] = select_peak(
-        peaks, pts, cross_section_normals(cl, pts), min_amp
-    )
-    return PriorField(dims, mask.grid.spacing, mask.grid.origin, directions, valid)
+    return _one_slot(mask, *select_peak(peaks, pts, cross_section_normals(cl, pts), min_amp))
 
 
-def synthetic_prior(mask: Mask, vectors_at) -> PriorField:
+def synthetic_prior(mask: Mask, vectors_at) -> PeaksField:
     """Prior holding ``vectors_at(points)`` at every foreground voxel.
 
     Entries keep their raw magnitudes; use for fitting against analytically
     known fields.
     """
-    dims = mask.grid.dims
-    idx = mask.foreground_indices()
-    vecs = np.atleast_2d(np.asarray(vectors_at(mask.foreground_points()), float))
-    directions = np.zeros(dims + (3,))
-    valid = np.zeros(dims, dtype=bool)
-    directions[idx[:, 0], idx[:, 1], idx[:, 2]] = vecs
-    valid[idx[:, 0], idx[:, 1], idx[:, 2]] = True
-    return PriorField(dims, mask.grid.spacing, mask.grid.origin, directions, valid)
+    return _one_slot(mask, vectors_at(mask.foreground_points()), 1.0)
 
 
-def prior_to_peaks(prior: PriorField) -> PeaksField:
-    """Encode a prior as a one-peak field; amplitude 1 marks valid voxels."""
-    amps = prior.valid.astype(float)[..., None]
-    return PeaksField(
-        prior.dims,
-        prior.spacing,
-        prior.origin,
-        prior.directions[..., None, :].copy(),
-        amps,
-    )
+def _one_slot(mask: Mask, vectors, used) -> PeaksField:
+    """One-slot field on the mask's grid: ``vectors`` and amplitude ``used``
+    (1 or 0) at the foreground voxels, zero elsewhere."""
+    g = mask.grid
+    i, j, k = mask.foreground_indices().T
+    directions = np.zeros(g.dims + (1, 3))
+    amplitudes = np.zeros(g.dims + (1,))
+    directions[i, j, k, 0] = vectors
+    amplitudes[i, j, k, 0] = used
+    return PeaksField(g.dims, g.spacing, g.origin, directions, amplitudes)
 
 
-def prior_from_peaks(peaks: PeaksField) -> PriorField:
-    """Decode a one-peak field written by ``prior_to_peaks``."""
+def prior_from_peaks(peaks: PeaksField) -> PeaksField:
+    """``peaks`` itself once it passes as a prior: one slot per voxel."""
     if peaks.peaks_per_voxel != 1:
         raise DomainError(
             f"prior files carry one peak per voxel, found {peaks.peaks_per_voxel}"
         )
-    valid = peaks.amplitudes[..., 0] > 0
-    directions = np.where(valid[..., None], peaks.directions[..., 0, :], 0.0)
-    return PriorField(peaks.dims, peaks.spacing, peaks.origin, directions, valid)
+    return peaks

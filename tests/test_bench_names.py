@@ -18,9 +18,9 @@ import numpy as np
 import tractfield
 from tractfield import (
     Mask,
+    PeaksField,
     PhantomSpec,
     PolyField,
-    PriorField,
     TrackParams,
     baseline_peak_track,
     cli,
@@ -101,7 +101,7 @@ def test_every_module_name_the_benchmark_reads_exists():
 
 
 def test_methods_the_benchmark_calls_exist():
-    for cls, attr in ((PriorField, "samples"), (PolyField, "divergence_many"),
+    for cls, attr in ((PeaksField, "samples"), (PolyField, "divergence_many"),
                       (Mask, "foreground_points")):
         assert callable(cls.__dict__.get(attr)), (cls.__name__, attr)
 

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import tractfield
 from tractfield import (
     Centerline,
     ConnectivityError,
@@ -92,6 +99,30 @@ class TestExtractCenterline:
         dev = np.linalg.norm(cl.points[:, 1:], axis=1)
         assert dev.max() <= 1.0
         assert abs(cl.length - 30.0) / 30.0 <= 0.05
+
+    def test_axis_inside_the_mask_builds_no_kd_tree(self):
+        # Only a point outside the mask needs the nearest-center search, so a
+        # fresh process that extracts a straight tube's axis never imports
+        # scipy.spatial.  The test process cannot check this itself:
+        # conftest.py imports scipy.linalg.
+        script = (
+            "import json, sys\n"
+            "from tractfield import PhantomSpec, extract_centerline, generate, inside_many\n"
+            "ph = generate(PhantomSpec(kind='straight-tube', radius=3.0, length=30.0))\n"
+            "cl = extract_centerline(ph.mask, ph.p1, ph.p2)\n"
+            "print(json.dumps([bool(inside_many(ph.mask, cl.points).all()),\n"
+            "                  sorted(m for m in sys.modules if m.startswith('scipy.'))]))\n"
+        )
+        src = str(Path(tractfield.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        inside, loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert inside
+        assert "scipy.ndimage" in loaded
+        assert "scipy.spatial" not in loaded
 
     @pytest.mark.parametrize("part", ["points", "tangents"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

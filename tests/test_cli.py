@@ -18,6 +18,7 @@ from tractfield import (
     PhantomSpec,
     VolumeGrid,
     completion_rate,
+    fit_bundle_field,
     inside_many,
     load_centerline,
     load_descriptor,
@@ -483,6 +484,22 @@ class TestStageArtifacts:
         )
         assert manifest["parameters"]["order"] == 4
         assert manifest["parameters"]["ridge"] == pytest.approx(1e-8 * usable)
+
+    def test_fit_uses_the_ridge_it_records(self, tmp_path, stages_dir, monkeypatch):
+        used = []
+
+        def fit(prior, mask, order, ridge):
+            used.append(ridge)
+            return fit_bundle_field(prior, mask, order, ridge)
+
+        monkeypatch.setattr(cli, "fit_bundle_field", fit)
+        assert main([
+            "fit", "--prior", f"{stages_dir}/prior.rvf",
+            "--mask", f"{stages_dir}/mask.rvf", "--out", str(tmp_path),
+        ]) == 0
+        manifest = json.loads((tmp_path / "manifest-fit.json").read_text())
+        assert used == [manifest["parameters"]["ridge"]]
+        assert (tmp_path / "field.txt").read_bytes() == (stages_dir / "field.txt").read_bytes()
 
     def test_explicit_zero_ridge_recorded(self, tmp_path, stages_dir):
         out = tmp_path / "fit0"

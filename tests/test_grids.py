@@ -13,7 +13,6 @@ from tractfield import (
     FormatError,
     Mask,
     PeaksField,
-    PriorField,
     Tract,
     TruncationError,
     VolumeGrid,
@@ -113,7 +112,7 @@ class TestTypeValidation:
         with pytest.raises(ValueError):
             VolumeGrid((2, 2, 2), (1, 0, 1), (0, 0, 0), np.zeros((2, 2, 2)))
 
-    @pytest.mark.parametrize("grid", ["volume", "peaks", "prior"])
+    @pytest.mark.parametrize("grid", ["volume", "peaks"])
     @pytest.mark.parametrize("dims, spacing, origin, key", [
         ((2, 2, 0), (1, 1, 1), (0, 0, 0), "dims"),
         ((2, 2), (1, 1, 1), (0, 0, 0), "dims"),
@@ -131,12 +130,9 @@ class TestTypeValidation:
         with pytest.raises(ValueError, match=key):
             if grid == "volume":
                 VolumeGrid(dims, spacing, origin, np.zeros(shape))
-            elif grid == "peaks":
+            else:
                 PeaksField(dims, spacing, origin, np.zeros(shape + (1, 3)),
                            np.zeros(shape + (1,)))
-            else:
-                PriorField(dims, spacing, origin, np.zeros(shape + (3,)),
-                           np.zeros(shape, bool))
 
     def test_grid_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):

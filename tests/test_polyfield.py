@@ -13,6 +13,7 @@ from scipy.linalg import null_space
 from tractfield import (
     ConditioningError,
     DomainError,
+    PeaksField,
     PhantomSpec,
     PolyField,
     UnderdeterminedError,
@@ -426,6 +427,18 @@ class TestFitBundleField:
         prior = synthetic_prior(other, truth.evaluate_many)
         with pytest.raises(DomainError):
             fit_bundle_field(prior, mask, order=1)
+
+    @pytest.mark.parametrize("ridge", [None, 0.0])
+    def test_multi_slot_prior_is_refused_not_fitted_on_slot_0(self, rng, ridge):
+        mask = make_mask(np.ones((4, 4, 4)))
+        truth = random_divfree_field(1, rng)
+        one = synthetic_prior(mask, truth.evaluate_many)
+        two = PeaksField(one.dims, one.spacing, one.origin,
+                         np.concatenate([one.directions] * 2, axis=3),
+                         np.concatenate([one.amplitudes] * 2, axis=3))
+        fit_bundle_field(one, mask, order=1, ridge=ridge)
+        with pytest.raises(DomainError, match="one peak per voxel, found 2"):
+            fit_bundle_field(two, mask, order=1, ridge=ridge)
 
 
 class TestDomainAndIO:

@@ -16,8 +16,9 @@ from tractfield import (
     cross_section_normals,
     extract_centerline,
     generate,
+    load_peaks,
     prior_from_peaks,
-    prior_to_peaks,
+    save_peaks,
     select_peak,
     synthetic_prior,
 )
@@ -163,6 +164,24 @@ class TestSelectPeak:
         normals = np.array([data.draw(normal) for _ in range(rows)])
         assert matches_oracle(row_peaks(dirs, amps), normals, min_amp)
 
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_points_off_the_grid_are_not_ok(self, axis):
+        # Every voxel holds a peak, so only the bounds can refuse a point:
+        # one voxel below the grid would wrap to the opposite face through a
+        # negative index, and one past the top face would index out of range.
+        peaks = PeaksField((3, 3, 3), (1, 1, 1), (0, 0, 0),
+                           np.tile([1.0, 0, 0], (3, 3, 3, 1, 1)), np.ones((3, 3, 3, 1)))
+        pts = np.ones((3, 3))
+        pts[0, axis], pts[2, axis] = -1.0, 3.0
+        d, ok = select_peak(peaks, pts, np.tile([1.0, 0, 0], (3, 1)))
+        assert ok.tolist() == [False, True, False]
+        assert np.array_equal(d, [[0, 0, 0], [1, 0, 0], [0, 0, 0]])
+
+
+def used(prior):
+    """Where the one-slot prior holds a selected direction."""
+    return prior.amplitudes[..., 0] > 0
+
 
 def straight_phantom(length=20):
     return generate(PhantomSpec(kind="straight-tube", radius=3.0, length=length))
@@ -179,9 +198,10 @@ class TestBuildPrior:
         ph, cl = straight_prior_inputs()
         prior = build_prior(ph.peaks, cl, ph.mask)
         fg = ph.mask.foreground
-        assert prior.valid[fg].all()
-        assert not prior.valid[~fg].any()
-        dirs = prior.directions[fg]
+        assert prior.peaks_per_voxel == 1
+        assert used(prior)[fg].all()
+        assert not used(prior)[~fg].any()
+        dirs = prior.directions[fg, 0]
         assert np.allclose(dirs, [1, 0, 0], atol=1e-9)
 
     def test_axial_optimality_at_every_voxel(self):
@@ -194,13 +214,13 @@ class TestBuildPrior:
         prior = build_prior(ph.peaks, cl, ph.mask)
         from tractfield import cross_section_normals
 
-        idx = np.argwhere(prior.valid)
+        idx = np.argwhere(used(prior))
         pts = np.asarray(ph.mask.grid.origin) + idx * np.asarray(ph.mask.grid.spacing)
         normals = cross_section_normals(cl, pts)
         for voxel, n in zip(idx, normals):
             dirs, amps = ph.peaks.peaks_at(tuple(voxel))
             keep = amps >= 0.05
-            chosen = prior.directions[tuple(voxel)]
+            chosen = prior.directions[tuple(voxel)][0]
             best = np.abs(dirs[keep] @ n).max()
             assert abs(float(np.abs(np.dot(chosen, n))) - best) < 1e-9
 
@@ -215,7 +235,7 @@ class TestBuildPrior:
         )
         a = build_prior(ph.peaks, cl, ph.mask)
         b = build_prior(flipped, cl, ph.mask)
-        assert np.array_equal(a.valid, b.valid)
+        assert np.array_equal(a.amplitudes, b.amplitudes)
         assert np.allclose(a.directions, b.directions)
 
     def test_translation_invariance(self):
@@ -233,7 +253,7 @@ class TestBuildPrior:
         cl2 = Centerline(cl.points + shift, cl.tangents, cl.delta)
         a = build_prior(ph.peaks, cl, ph.mask)
         b = build_prior(peaks2, cl2, mask2)
-        assert np.array_equal(a.valid, b.valid)
+        assert np.array_equal(a.amplitudes, b.amplitudes)
         assert np.allclose(a.directions, b.directions)
 
     def test_helix_distractors_rejected(self):
@@ -261,8 +281,8 @@ class TestBuildPrior:
             ph.peaks.directions, amps,
         )
         prior = build_prior(weak, cl, ph.mask)
-        assert not prior.valid[dead]
-        assert prior.valid.sum() == int(ph.mask.foreground.sum()) - 1
+        assert not used(prior)[dead]
+        assert used(prior).sum() == int(ph.mask.foreground.sum()) - 1
         pts, _ = prior.samples()
         dead_center = np.asarray(ph.mask.grid.origin) + np.asarray(dead)
         assert not (pts == dead_center).all(axis=1).any()
@@ -293,33 +313,33 @@ class TestBuildPrior:
             d = scalar_select_peak(*ph.peaks.peaks_at(voxel), n, min_amp)
             if d is not None:
                 directions[voxel], valid[voxel] = d, True
-        assert np.array_equal(prior.valid, valid)
-        assert np.array_equal(prior.directions, directions)
+        assert np.array_equal(prior.amplitudes[..., 0], valid)
+        assert np.array_equal(prior.directions[..., 0, :], directions)
 
 
 class TestPriorPeaksRoundTrip:
-    def test_to_peaks_encodes_validity(self):
+    def test_amplitude_one_marks_a_selected_direction(self):
         ph, cl = straight_prior_inputs()
         prior = build_prior(ph.peaks, cl, ph.mask)
-        packed = prior_to_peaks(prior)
-        assert packed.peaks_per_voxel == 1
-        amps = packed.amplitudes[..., 0]
-        assert np.array_equal(amps > 0, prior.valid)
-        assert set(np.unique(amps)) <= {0.0, 1.0}
+        assert set(np.unique(prior.amplitudes)) == {0.0, 1.0}
+        assert not prior.directions[~used(prior)].any()
 
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
         ph, cl = straight_prior_inputs()
         prior = build_prior(ph.peaks, cl, ph.mask)
-        back = prior_from_peaks(prior_to_peaks(prior))
-        assert np.array_equal(back.valid, prior.valid)
-        assert np.allclose(back.directions[back.valid], prior.directions[prior.valid])
+        save_peaks(prior, tmp_path / "prior.rvf")
+        back = prior_from_peaks(load_peaks(tmp_path / "prior.rvf"))
+        assert np.array_equal(back.amplitudes, prior.amplitudes)
+        assert np.allclose(back.directions, prior.directions)
+        for got, want in zip(back.samples(), prior.samples()):
+            assert np.allclose(got, want)
 
     def test_from_peaks_requires_single_slot(self):
         dirs = np.zeros((1, 1, 1, 2, 3))
         dirs[..., 0] = 1.0
         amps = np.array([1.0, 0.5]).reshape(1, 1, 1, 2)
         two_slot = PeaksField((1, 1, 1), (1, 1, 1), (0, 0, 0), dirs, amps)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="one peak per voxel, found 2"):
             prior_from_peaks(two_slot)
 
 
@@ -327,7 +347,7 @@ class TestSyntheticPrior:
     def test_keeps_raw_magnitudes(self):
         mask = make_mask(np.ones((3, 3, 3)))
         prior = synthetic_prior(mask, lambda pts: np.tile([2.0, 0, 0], (len(pts), 1)))
-        assert prior.valid.all()
+        assert used(prior).all()
         pts, dirs = prior.samples()
         assert np.allclose(dirs, [2.0, 0, 0])
         assert len(pts) == 27
