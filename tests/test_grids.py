@@ -22,6 +22,7 @@ from tractfield import (
     load_tract,
     load_volume,
     nearest_indices,
+    prior_from_peaks,
     save_mask,
     save_peaks,
     save_tract,
@@ -112,7 +113,7 @@ class TestTypeValidation:
         with pytest.raises(ValueError):
             VolumeGrid((2, 2, 2), (1, 0, 1), (0, 0, 0), np.zeros((2, 2, 2)))
 
-    @pytest.mark.parametrize("grid", ["volume", "peaks"])
+    @pytest.mark.parametrize("grid", ["volume", "peaks", "prior"])
     @pytest.mark.parametrize("dims, spacing, origin, key", [
         ((2, 2, 0), (1, 1, 1), (0, 0, 0), "dims"),
         ((2, 2), (1, 1, 1), (0, 0, 0), "dims"),
@@ -130,9 +131,16 @@ class TestTypeValidation:
         with pytest.raises(ValueError, match=key):
             if grid == "volume":
                 VolumeGrid(dims, spacing, origin, np.zeros(shape))
-            else:
+            elif grid == "peaks":
                 PeaksField(dims, spacing, origin, np.zeros(shape + (1, 3)),
                            np.zeros(shape + (1,)))
+            else:
+                # a prior is a one-slot field whose amplitude 1 marks a
+                # selected direction; its lattice is checked before the slot rule
+                directions = np.zeros(shape + (1, 3))
+                directions[..., 0] = 1.0
+                prior_from_peaks(PeaksField(dims, spacing, origin, directions,
+                                            np.ones(shape + (1,))))
 
     def test_grid_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
