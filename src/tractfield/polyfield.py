@@ -306,7 +306,11 @@ def bundle_ridge(prior: PeaksField, mask: Mask, ridge=None) -> float:
     thin tubes."""
     if ridge is not None:
         return ridge
-    return RIDGE_PER_SAMPLE * int(_usable(prior, mask).sum())
+    return _default_ridge(int(_usable(prior, mask).sum()))
+
+
+def _default_ridge(usable: int) -> float:
+    return RIDGE_PER_SAMPLE * usable
 
 
 def _usable(prior: PeaksField, mask: Mask) -> np.ndarray:
@@ -341,7 +345,9 @@ def fit_bundle_field(
     pts = voxel_centers(mask.grid, idx)
     tgt = prior.directions[idx[:, 0], idx[:, 1], idx[:, 2], 0]
     offset, scale = domain_from_mask(mask)
-    return fit_field(pts, tgt, order, offset, scale, bundle_ridge(prior, mask, ridge))
+    if ridge is None:
+        ridge = _default_ridge(usable)
+    return fit_field(pts, tgt, order, offset, scale, ridge)
 
 
 _COEFF_KEYS = ("coeffs.x", "coeffs.y", "coeffs.z")

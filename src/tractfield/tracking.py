@@ -25,6 +25,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -137,16 +138,97 @@ def _rk4_many(field: PolyField, eta: np.ndarray, d0: np.ndarray, step: float):
     return new, ok2 & ok3 & ok4
 
 
-def _substream(rng_seed: int, seed_point: np.ndarray, rep: int):
-    """Random generator owned by one streamline.
+# SeedSequence's hash constants, from numpy/random/bit_generator.pyx.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
 
-    Keyed by the seed's coordinate bits rather than its list position, so
-    permuting the seed list permutes but never changes the streamlines.
+
+def _key_states(rng_seed: int, seeds: np.ndarray, reps: int) -> np.ndarray:
+    """PCG64 seed words of each streamline, seed-major then repetition.
+
+    Row (seed, rep) is
+    ``SeedSequence([rng_seed mod 2**64, *bits(seed), rep]).generate_state(4, np.uint64)``,
+    with SeedSequence's mixing (pool size 4) run on every line at once.
     """
-    bits = np.asarray(seed_point, dtype="<f8").view(np.uint64).tolist()
-    entropy = [int(rng_seed) & 0xFFFFFFFFFFFFFFFF, *bits, int(rep)]
-    # what np.random.default_rng builds from a SeedSequence, without its dispatch
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+    bits = np.asarray(seeds, dtype="<f8").view(np.uint64)
+    keys = np.empty((len(bits) * reps, 5), dtype=np.uint64)
+    keys[:, 0] = int(rng_seed) & 0xFFFFFFFFFFFFFFFF
+    keys[:, 1:4] = np.repeat(bits, reps, axis=0)
+    keys[:, 4] = np.tile(np.arange(reps, dtype=np.uint64), len(bits))
+    # SeedSequence coerces each key to its little-endian uint32 words,
+    # one word for a key below 2**32 (zero included), else two.
+    words = np.stack([keys & _MASK32, keys >> 32], axis=2).reshape(len(keys), 10)
+    words = words.astype(np.uint32)
+    present = words.astype(bool)
+    present[:, 0::2] = True
+    order = np.argsort(~present, axis=1, kind="stable")
+    entropy = np.take_along_axis(words, order, axis=1)
+    count = present.sum(axis=1)
+
+    def hashmix(values, start, mult, k):
+        """SeedSequence's hashmix under k successive hash constants: each
+        row of values is xored with one constant, multiplied by the next
+        and has its high half folded into its low half."""
+        consts = [start]
+        for _ in range(k):
+            consts.append(consts[-1] * mult & _MASK32)
+        c = np.array(consts, dtype=np.uint32)[:, None]
+        values = (values ^ c[:-1]) * c[1:]
+        return values ^ (values >> 16), consts[-1]
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> 16)
+
+    # mix_entropy: the first 4 words seed the pool, the pool mixes within
+    # itself, then each later word mixes into every pool word
+    pool, const = hashmix(entropy[:, :4].T, _INIT_A, _MULT_A, 4)
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        hashed, const = hashmix(pool[src], const, _MULT_A, 3)
+        pool[dst] = mix(pool[dst], hashed)
+    # every key has at least 5 words; a later word mixes into the lines that have it
+    for i in range(4, int(count.max(initial=4))):
+        hashed, const = hashmix(entropy[:, i], const, _MULT_A, 4)
+        pool = np.where(i < count, mix(pool, hashed), pool)
+    # generate_state(4, np.uint64): 8 words drawn cyclically from the pool
+    state, _ = hashmix(np.tile(pool, (2, 1)), _INIT_B, _MULT_B, 8)
+    return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
+
+
+def _substreams(rng_seed: int, seeds: np.ndarray, reps: int) -> list:
+    """The random generator of each streamline, seed-major then repetition.
+
+    Line (seed, rep) draws from ``Generator(PCG64(SeedSequence(key)))``
+    with the key of ``_key_states``: the seed's coordinate bits rather than
+    its list position, so permuting the seed list permutes but never
+    changes the streamlines.  Only the PCG64 and Generator objects are
+    built per line.
+    """
+    precomputed = _precomputed_seed_sequence()
+    states = _key_states(rng_seed, seeds, reps)
+    return [np.random.Generator(np.random.PCG64(precomputed(w))) for w in states]
+
+
+@cache
+def _precomputed_seed_sequence() -> type:
+    """A seed sequence whose ``generate_state`` returns the words it holds.
+
+    Built on first use, not at import: loading numpy.random takes longer
+    than the rest of a CLI stage's start-up.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return Words
 
 
 def _trace(mask, starts, first, alive, advance, turn, params) -> Tract:
@@ -233,11 +315,8 @@ def track(field: PolyField, mask: Mask, seeds, params: TrackParams) -> Tract:
     kept_seeds = _valid_seeds(mask, seeds)
     reps = params.seed_count
     starts = np.repeat(kept_seeds, reps, axis=0)
-    rngs = [
-        _substream(params.rng_seed, seed, rep)
-        for seed in kept_seeds
-        for rep in range(reps)
-    ]
+    # sigma=0 never draws, so it builds no generator
+    rngs = _substreams(params.rng_seed, kept_seeds, reps) if params.sigma > 0 else []
 
     def advance(eta, d):
         return _rk4_many(field, eta, d, params.step)

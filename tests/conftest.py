@@ -7,6 +7,8 @@ package have something independent to be checked against.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume
@@ -105,16 +107,41 @@ def rng():
     return np.random.default_rng(90125)
 
 
+def helix_pitch_floor(radius, helix_radius, diag):
+    """A pitch from which on ``PhantomSpec``'s turn-gap rule holds.
+
+    Two axis points an angle 2*pi + u apart, with -pi <= u <= 0, lie
+    hypot(2 R sin(u/2), rise (2 pi + u)) apart.  As sin(|u|/2) >= |u|/pi
+    there, that is at least hypot(a u, rise (2 pi + u)) with a = 2 R / pi,
+    whose least value over u is a p / hypot(a, rise) for pitch p = 2 pi rise.
+    The floor solves a p / hypot(a, p / (2 pi)) = 2 radius + diag for p.
+    """
+    gap = 2 * radius + diag
+    a = 2 * helix_radius / math.pi
+    return gap * a / math.sqrt(a * a - (gap / (2 * math.pi)) ** 2)
+
+
 @st.composite
 def small_specs(draw, kinds=KINDS):
-    """Small phantom specs of the given kinds that PhantomSpec accepts."""
+    """Small phantom specs of the given kinds that PhantomSpec accepts.
+
+    Curved kinds draw their radii and pitch inside the tube-geometry rules,
+    so that almost no draw is rejected.
+    """
     size = st.floats(0.5, 2.0)
     spacing = (draw(size),) * 3 if draw(st.booleans()) else tuple(draw(size) for _ in "xyz")
+    kind = draw(st.sampled_from(kinds))
+    half_diag = math.hypot(*spacing) / 2
+    curved = kind in ("quarter-torus", "helix")
+    radius = draw(st.floats(half_diag if curved else 0.5, 4.0))
+    around = radius + half_diag if curved else 1.0
+    helix_radius = draw(st.floats(around, 8.0))
+    pitch_floor = helix_pitch_floor(radius, helix_radius, 2 * half_diag) if curved else 1.0
     kwargs = dict(
-        kind=draw(st.sampled_from(kinds)), radius=draw(st.floats(0.5, 4.0)),
-        spacing=spacing, length=draw(st.floats(2.0, 20.0)),
-        major_radius=draw(st.floats(1.0, 15.0)), helix_radius=draw(st.floats(1.0, 8.0)),
-        pitch=draw(st.floats(1.0, 16.0)), turns=draw(st.floats(0.2, 2.0)),
+        kind=kind, radius=radius, spacing=spacing, length=draw(st.floats(2.0, 20.0)),
+        major_radius=draw(st.floats(around, 15.0)), helix_radius=helix_radius,
+        pitch=draw(st.floats(pitch_floor * (1 + 1e-9), 16.0)),
+        turns=draw(st.floats(0.2, 2.0)),
         fan_rate=draw(st.floats(0.0, 0.1, exclude_min=True)),
     )
     try:

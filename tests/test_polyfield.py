@@ -420,6 +420,23 @@ class TestFitBundleField:
         assert shapes == [divergence_constraints(order).shape]
         assert (tmp_path / "numpy.txt").read_bytes() == (tmp_path / "scipy.txt").read_bytes()
 
+    def test_default_ridge_finds_the_usable_voxels_once(self, rng, monkeypatch):
+        mask = make_mask(np.ones((6, 6, 6)))
+        truth = random_divfree_field(2, rng)
+        prior = synthetic_prior(mask, truth.evaluate_many)
+        given = fit_bundle_field(prior, mask, order=2, ridge=polyfield.bundle_ridge(prior, mask))
+        calls = []
+        usable = polyfield._usable
+
+        def counting(*args):
+            calls.append(1)
+            return usable(*args)
+
+        monkeypatch.setattr(polyfield, "_usable", counting)
+        default = fit_bundle_field(prior, mask, order=2)
+        assert len(calls) == 1
+        assert default.coeffs.tobytes() == given.coeffs.tobytes()
+
     def test_grid_mismatch(self, rng):
         mask = make_mask(np.ones((4, 4, 4)))
         other = make_mask(np.ones((4, 4, 4)), origin=(1, 0, 0))

@@ -5,6 +5,10 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
+import numpy as np
+
+from tractfield.tracking import DRAW_BLOCK, _substreams
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -14,7 +18,18 @@ def python_fences(text: str) -> list:
 
 
 def test_library_use_example_prints_a_completion(capsys):
-    (code,) = python_fences(README.read_text())
+    code, _ = python_fences(README.read_text())
     exec(compile(code, str(README), "exec"), {})
     completion = float(capsys.readouterr().out.split()[-1])
     assert 0.0 <= completion <= 1.0
+
+
+def test_keying_example_regenerates_a_lines_noise():
+    # Past one draw block, so that the tracker's block refill counts too.
+    _, code = python_fences(README.read_text())
+    x, y, z = 1.5, -0.0, 5e-324
+    scope = dict(np=np, x=x, y=y, z=z, rep=2, rng_seed=-5, sigma=0.1, turns=DRAW_BLOCK + 3)
+    exec(compile(code, str(README), "exec"), scope)
+    rng = _substreams(-5, [(x, y, z)], 3)[2]
+    blocks = np.concatenate([rng.normal(0.0, 0.1, (DRAW_BLOCK, 3)) for _ in range(2)])
+    assert scope["noise"].tobytes() == blocks[:DRAW_BLOCK + 3].tobytes()

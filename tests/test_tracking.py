@@ -603,20 +603,22 @@ class TestTrack:
         assert all(np.array_equal(line, first) for line in tract.streamlines[1:])
 
     def test_sigma_zero_leaves_substreams_untouched(self, straight, monkeypatch):
+        # sigma 0 builds no generator, so it has none to draw from either
         made = []
 
-        def recorded(*key):
-            rng = substream(*key)
-            made.append((rng, rng.bit_generator.state))
-            return rng
+        def recorded(*args):
+            rngs = substreams(*args)
+            made.append(len(rngs))
+            return rngs
 
-        substream = tracking._substream
-        monkeypatch.setattr(tracking, "_substream", recorded)
-        params = TrackParams(step=0.3, sigma=0.0, seed_count=3)
-        track(straight.field.to_polyfield(), straight.mask,
-              [(15.0, 0, 0), (30.0, 1.0, 0)], params)
-        assert len(made) == 6
-        assert all(rng.bit_generator.state == state for rng, state in made)
+        substreams = tracking._substreams
+        monkeypatch.setattr(tracking, "_substreams", recorded)
+        field = straight.field.to_polyfield()
+        seeds = [(15.0, 0, 0), (30.0, 1.0, 0)]
+        track(field, straight.mask, seeds, TrackParams(step=0.3, sigma=0.0, seed_count=3))
+        assert made == []
+        track(field, straight.mask, seeds, TrackParams(step=0.3, sigma=0.1, seed_count=3))
+        assert made == [6]
 
     def test_golden_digest(self, tube40, tmp_path):
         # sha256 of the tract written by the one-row-at-a-time sampler.
