@@ -199,9 +199,14 @@ def _unit_tangents(pts: np.ndarray) -> np.ndarray:
         t[1:-1] = pts[2:] - pts[:-2]
     norms = np.linalg.norm(t, axis=1)
     safe = norms > 1e-12
+    if not safe.any():
+        return np.tile([1.0, 0.0, 0.0], (n, 1))
     t[safe] /= norms[safe, None]
+    # A zero tangent takes its nearest nonzero predecessor's, or else the
+    # first nonzero one after it.
+    first = np.argmax(safe)
     for i in np.flatnonzero(~safe):
-        t[i] = t[i - 1] if i > 0 else np.array([1.0, 0.0, 0.0])
+        t[i] = t[i - 1] if i > first else t[first]
     for i in range(1, n):
         if float(np.dot(t[i], t[i - 1])) < 0:
             t[i] = -t[i]

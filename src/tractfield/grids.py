@@ -206,10 +206,8 @@ def inside_many(mask: Mask, pts) -> np.ndarray:
     """Per point of an (n, 3) array: True when its nearest voxel center is
     in bounds and foreground."""
     idx, inb = nearest_indices(mask.grid, pts)
-    out = np.zeros(len(idx), bool)
-    sel = idx[inb]
-    out[inb] = mask.grid.data[sel[:, 0], sel[:, 1], sel[:, 2]] != 0
-    return out
+    idx *= inb[:, None]  # an out-of-bounds point reads voxel 0, which inb masks
+    return inb & (mask.grid.data[idx[:, 0], idx[:, 1], idx[:, 2]] != 0)
 
 
 def same_geometry(a, b) -> bool:

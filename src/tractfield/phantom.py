@@ -7,6 +7,17 @@ contaminated with crossing-fiber distractors), the analytic centerline, and
 a field descriptor that doubles as ground truth for fits and tracking.  A
 descriptor is the phantom's kind and axis parameters; its affine field is
 derived from them.
+
+The four kinds fall into two axis families, and the field and the axis
+are written once per family:
+
+- an axis along x: the fanning tube, whose cross-section widens in y and
+  narrows in z at ``fan_rate``, and the straight tube, a fanning tube at
+  rate 0;
+- a coiled axis (R cos t, R sin t, rise t): the helix, and the quarter-torus,
+  a flat quarter turn (rise 0, t in [0, pi / 2]).  The quarter-torus keeps
+  its own tangent and projection, whose bits differ from the helix's, and
+  its own grid bounds and mask, which hold only the first quadrant.
 """
 
 from __future__ import annotations
@@ -49,35 +60,26 @@ _VOXEL_BUDGET = 2_000_000
 _DISTRACTOR_BAND = (0.4, 0.6)  # axis-range share holding the distractor peaks
 
 
-def _affine(kind: str, params: dict) -> tuple:
-    """Constant and linear part of a kind's unit-speed-on-axis field.  Every
-    linear part is traceless, so every field is divergence-free."""
-    if kind == "straight-tube":
-        return np.array([1.0, 0.0, 0.0]), np.zeros((3, 3))
-    if kind == "fanning":
-        rate = params["fan_rate"]
-        return np.array([1.0, 0.0, 0.0]), np.diag([0.0, rate, -rate])
-    # A rotation about z at angular speed omega, lifted along z on the helix.
-    if kind == "quarter-torus":
-        omega, rise = 1.0 / params["major_radius"], 0.0
-    else:
-        rise = params["pitch"] / (2 * math.pi)
-        omega = 1.0 / math.hypot(params["helix_radius"], rise)
-    linear = np.array([[0.0, -omega, 0.0], [omega, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    return np.array([0.0, 0.0, omega * rise]), linear
-
-
 @dataclass(frozen=True, eq=False)
 class FieldDescriptor:
     """A phantom's kind and axis parameters, the ``_AXIS_KEYS`` of its kind.
 
-    The affine flow field v(p) = constant + linear @ p, divergence-free, is
-    derived from them.  The parameters also give axis positions, tangents,
-    and per-point axis parameters in closed form.
+    Construction derives the numbers of the kind's axis family, which the
+    methods read: ``fan_rate`` on an axis (t, 0, 0) along x, whose
+    ``coil_radius`` is None, or ``coil_radius`` R and ``rise`` on a coil
+    (R cos t, R sin t, rise t).  Either axis runs over t in [0, span] at
+    ``speed`` mm per unit of t.  The affine flow field v(p) = constant +
+    linear @ p, divergence-free, follows from these numbers, as do axis
+    positions, tangents, and per-point axis parameters in closed form.
     """
 
     kind: str
     params: dict
+    fan_rate: float = dc_field(init=False)
+    coil_radius: float | None = dc_field(init=False)
+    rise: float = dc_field(init=False)
+    span: float = dc_field(init=False)
+    speed: float = dc_field(init=False)
     constant: np.ndarray = dc_field(init=False)
     linear: np.ndarray = dc_field(init=False)
 
@@ -92,13 +94,31 @@ class FieldDescriptor:
         for name, value in params.items():
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        constant, linear = _affine(self.kind, params)
+        if self.kind == "quarter-torus":
+            radius, rise, span = params["major_radius"], 0.0, math.pi / 2
+        elif self.kind == "helix":
+            radius, rise = params["helix_radius"], params["pitch"] / (2 * math.pi)
+            span = 2 * math.pi * params["turns"]
+        else:
+            radius, rise, span = None, 0.0, params["length"]
+        rate = params.get("fan_rate", 0.0)
+        # Every linear part is traceless, so every field is divergence-free.
+        if radius is None:
+            speed = 1.0
+            constant, linear = np.array([1.0, 0.0, 0.0]), np.diag([0.0, rate, -rate])
+        else:
+            # A rotation about z at angular speed omega, lifted along z.
+            speed = math.hypot(radius, rise)
+            omega = 1.0 / speed
+            constant = np.array([0.0, 0.0, omega * rise])
+            linear = np.array([[0.0, -omega, 0.0], [omega, 0.0, 0.0], [0.0, 0.0, 0.0]])
         # A finite but tiny parameter can overflow 1 / radius.
         if not (np.isfinite(constant).all() and np.isfinite(linear).all()):
             raise ValueError(f"{self.kind} parameters {params} give a non-finite field")
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "constant", constant)
-        object.__setattr__(self, "linear", linear)
+        derived = dict(params=params, fan_rate=rate, coil_radius=radius, rise=rise,
+                       span=span, speed=speed, constant=constant, linear=linear)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def vectors_at(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -106,52 +126,30 @@ class FieldDescriptor:
 
     @property
     def axis_range(self) -> tuple:
-        if self.kind == "quarter-torus":
-            return 0.0, math.pi / 2
-        if self.kind == "helix":
-            return 0.0, 2 * math.pi * self.params["turns"]
-        return 0.0, self.params["length"]
+        return 0.0, self.span
 
     @property
     def axis_length(self) -> float:
-        t0, t1 = self.axis_range
-        if self.kind == "quarter-torus":
-            return (t1 - t0) * self.params["major_radius"]
-        if self.kind == "helix":
-            radius = self.params["helix_radius"]
-            rise = self.params["pitch"] / (2 * math.pi)
-            return (t1 - t0) * math.hypot(radius, rise)
-        return t1 - t0
+        return self.span * self.speed
 
     def axis_point(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        if self.kind == "quarter-torus":
-            radius = self.params["major_radius"]
-            return np.stack(
-                [radius * np.cos(t), radius * np.sin(t), np.zeros_like(t)], axis=-1
-            )
-        if self.kind == "helix":
-            radius = self.params["helix_radius"]
-            rise = self.params["pitch"] / (2 * math.pi)
-            return np.stack(
-                [radius * np.cos(t), radius * np.sin(t), rise * t], axis=-1
-            )
-        return np.stack([t, np.zeros_like(t), np.zeros_like(t)], axis=-1)
+        if self.coil_radius is None:
+            return np.stack([t, np.zeros_like(t), np.zeros_like(t)], axis=-1)
+        radius = self.coil_radius
+        return np.stack([radius * np.cos(t), radius * np.sin(t), self.rise * t], axis=-1)
 
     def axis_tangent(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
+        if self.coil_radius is None:
+            return np.stack([np.ones_like(t), np.zeros_like(t), np.zeros_like(t)], axis=-1)
         if self.kind == "quarter-torus":
+            # The coil's formula below differs from this in the last bit.
             return np.stack([-np.sin(t), np.cos(t), np.zeros_like(t)], axis=-1)
-        if self.kind == "helix":
-            radius = self.params["helix_radius"]
-            rise = self.params["pitch"] / (2 * math.pi)
-            speed = math.hypot(radius, rise)
-            return np.stack(
-                [-radius * np.sin(t), radius * np.cos(t), np.full_like(t, rise)],
-                axis=-1,
-            ) / speed
-        ones = np.ones_like(t)
-        return np.stack([ones, np.zeros_like(t), np.zeros_like(t)], axis=-1)
+        radius = self.coil_radius
+        return np.stack(
+            [-radius * np.sin(t), radius * np.cos(t), np.full_like(t, self.rise)], axis=-1
+        ) / self.speed
 
     def axis_params(self, points) -> np.ndarray:
         """Axis parameter of the closest axis position, per point.
@@ -164,25 +162,25 @@ class FieldDescriptor:
         turn next to it: minima grow on turns farther from the nearest one.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if self.coil_radius is None:
+            return pts[:, 0]
+        theta = np.arctan2(pts[:, 1], pts[:, 0])
         if self.kind == "quarter-torus":
-            return np.arctan2(pts[:, 1], pts[:, 0])
-        if self.kind == "helix":
-            rise = self.params["pitch"] / (2 * math.pi)
-            t0, t1 = self.axis_range
-            theta = np.arctan2(pts[:, 1], pts[:, 0])
-            turn = np.round((pts[:, 2] / rise - theta) / (2 * math.pi))
-            t = self._helix_newton(pts, theta, turn)
-            past = (t < t0) | (t > t1)
-            if past.any():
-                p, theta = pts[past], theta[past]
-                turn = np.round((np.clip(p[:, 2] / rise, t0, t1) - theta) / (2 * math.pi))
-                near = self._helix_newton(p, theta, turn + [[-1], [0], [1]])
-                ends = np.broadcast_to([[t0], [t1]], (2, len(p)))
-                near = np.vstack([np.clip(near, t0, t1), ends])
-                gap = ((self.axis_point(near) - p) ** 2).sum(axis=-1)
-                t[past] = np.take_along_axis(near, gap.argmin(axis=0)[None], axis=0)[0]
-            return t
-        return pts[:, 0]
+            return theta  # on the flat coil; ``_helix_newton`` divides by the rise
+        rise = self.rise
+        t0, t1 = self.axis_range
+        turn = np.round((pts[:, 2] / rise - theta) / (2 * math.pi))
+        t = self._helix_newton(pts, theta, turn)
+        past = (t < t0) | (t > t1)
+        if past.any():
+            p, theta = pts[past], theta[past]
+            turn = np.round((np.clip(p[:, 2] / rise, t0, t1) - theta) / (2 * math.pi))
+            near = self._helix_newton(p, theta, turn + [[-1], [0], [1]])
+            ends = np.broadcast_to([[t0], [t1]], (2, len(p)))
+            near = np.vstack([np.clip(near, t0, t1), ends])
+            gap = ((self.axis_point(near) - p) ** 2).sum(axis=-1)
+            t[past] = np.take_along_axis(near, gap.argmin(axis=0)[None], axis=0)[0]
+        return t
 
     def _helix_newton(self, points, theta, turn) -> np.ndarray:
         """Newton steps on f(t) = |axis_point(t) - p|^2 / 2, starting on the
@@ -193,8 +191,8 @@ class FieldDescriptor:
         overshooting.  Elsewhere dividing by at least rise^2 keeps them
         finite.
         """
-        rise = self.params["pitch"] / (2 * math.pi)
-        pull = self.params["helix_radius"] * np.hypot(points[:, 0], points[:, 1])
+        rise = self.rise
+        pull = self.coil_radius * np.hypot(points[:, 0], points[:, 1])
         centre = theta + 2 * math.pi * turn
         lift = rise * (rise * centre - points[:, 2])
         u = np.zeros_like(centre)  # angle past the centre
@@ -271,39 +269,41 @@ class PhantomSpec:
         if not 0 <= self.distractor_amp <= 1:
             raise ValueError("distractor_amp must be in [0, 1]")
 
+    def _descriptor(self) -> FieldDescriptor:
+        return FieldDescriptor(self.kind, {k: getattr(self, k) for k in _AXIS_KEYS[self.kind]})
+
     def _check_tube_geometry(self):
-        """Reject a curved tube whose voxels need not form one chain along
+        """Reject a coiled tube whose voxels need not form one chain along
         its axis.
 
-        A straight axis runs along a row of the default grid's voxel centers.
-        A curved tube at least one voxel diagonal wide holds the voxel nearest
+        An axis along x runs along a row of the default grid's voxel centers.
+        A coiled tube at least one voxel diagonal wide holds the voxel nearest
         every axis point, and those voxels are 26-connected.  Two 26-neighbours lie at
         most one diagonal apart, so the tube widened by half a diagonal must
         still leave the axis it winds around free and must not touch another
         turn; otherwise the minimal path cuts through the filled core or
         steps across to the next turn.
         """
-        if self.kind not in ("quarter-torus", "helix"):
+        desc = self._descriptor()
+        if desc.coil_radius is None:
             return
         diag = math.hypot(*self.spacing)
         if not 2 * self.radius >= diag:
             raise ValueError(f"radius must be at least half the voxel diagonal "
                              f"({diag / 2:.4g} mm)")
-        around = "major_radius" if self.kind == "quarter-torus" else "helix_radius"
-        if not self.radius + diag / 2 <= getattr(self, around):
+        if not self.radius + diag / 2 <= desc.coil_radius:
+            around = _AXIS_KEYS[self.kind][0]  # the key holding the coil radius
             raise ValueError(
                 f"radius + half the voxel diagonal must not exceed {around}: the "
                 "tube's voxels would fill the axis it winds around")
-        if self.kind != "helix":
-            return
-        rise = self.pitch / (2 * math.pi)
         # Axis points an angle s apart lie d(s) apart; d grows until the next
         # turn draws near, and the least d past that first maximum is the
         # closest approach of two turns (or of the ends of a near-full turn).
-        # It lies within one turn, because later minima of d are farther.
-        span = 2 * math.pi * min(self.turns, 1.0)
+        # It lies within one turn, because later minima of d are farther.  On
+        # a quarter turn d only grows.
+        span = min(desc.span, 2 * math.pi)
         s = np.append(np.arange(0.0, span, 0.01), span)
-        d = np.hypot(2 * self.helix_radius * np.sin(s / 2), rise * s)
+        d = np.hypot(2 * desc.coil_radius * np.sin(s / 2), desc.rise * s)
         falls = np.flatnonzero(np.diff(d) < 0)
         gap = d[falls[0]:].min() - 2 * self.radius if len(falls) else math.inf
         if not gap >= diag:
@@ -325,28 +325,24 @@ class Phantom:
     p2: np.ndarray
 
 
-def _tube_bounds(spec: PhantomSpec) -> tuple:
-    r = spec.radius
-    if spec.kind == "straight-tube":
-        return np.array([0.0, -r, -r]), np.array([spec.length, r, r])
-    if spec.kind == "quarter-torus":
-        reach = spec.major_radius + r
+def _tube_bounds(desc: FieldDescriptor, r: float) -> tuple:
+    if desc.coil_radius is None:
+        # Along x the y half-width grows from r to spread and the z one shrinks.
+        spread = r * np.exp(desc.fan_rate * desc.span)
+        return np.array([0.0, -spread, -r]), np.array([desc.span, spread, r])
+    reach = desc.coil_radius + r
+    if desc.kind == "quarter-torus":
         return np.array([0.0, 0.0, -r]), np.array([reach, reach, r])
-    if spec.kind == "helix":
-        reach = spec.helix_radius + r
-        top = spec.pitch * spec.turns + r
-        return np.array([-reach, -reach, -r]), np.array([reach, reach, top])
-    # Along x the y half-width grows from r to spread and the z one shrinks.
-    spread = r * np.exp(spec.fan_rate * spec.length)
-    return np.array([0.0, -spread, -r]), np.array([spec.length, spread, r])
+    top = desc.params["pitch"] * desc.params["turns"] + r
+    return np.array([-reach, -reach, -r]), np.array([reach, reach, top])
 
 
-def _grid_layout(spec: PhantomSpec) -> tuple:
-    s = np.asarray(spec.spacing)
+def _grid_layout(desc: FieldDescriptor, radius: float, spacing: tuple) -> tuple:
+    s = np.asarray(spacing)
     # A bound or voxel count past the float range becomes inf, which the
     # budget check rejects.
     with np.errstate(over="ignore"):
-        lo, hi = _tube_bounds(spec)
+        lo, hi = _tube_bounds(desc, radius)
         i0 = np.floor(lo / s) - _GRID_MARGIN
         i1 = np.ceil(hi / s) + _GRID_MARGIN
     counts = i1 - i0 + 1
@@ -359,34 +355,29 @@ def _grid_layout(spec: PhantomSpec) -> tuple:
     return dims, origin
 
 
-def _foreground(spec: PhantomSpec, desc: FieldDescriptor, centers: np.ndarray):
+def _foreground(desc: FieldDescriptor, r: float, centers: np.ndarray):
     x, y, z = centers[:, 0], centers[:, 1], centers[:, 2]
-    r = spec.radius
-    if spec.kind == "straight-tube":
-        return (x >= 0) & (x <= spec.length) & (y * y + z * z <= r * r)
-    if spec.kind == "quarter-torus":
-        ring = np.hypot(x, y) - spec.major_radius
+    if desc.coil_radius is None:
+        span_y = y * np.exp(-desc.fan_rate * x)
+        span_z = z * np.exp(desc.fan_rate * x)
+        return (x >= 0) & (x <= desc.span) & (span_y ** 2 + span_z ** 2 <= r * r)
+    if desc.kind == "quarter-torus":
+        ring = np.hypot(x, y) - desc.coil_radius
         return (x >= 0) & (y >= 0) & (ring * ring + z * z <= r * r)
-    if spec.kind == "helix":
-        t0, t1 = desc.axis_range
-        dist = np.linalg.norm(centers - desc.axis_point(desc.axis_params(centers)), axis=1)
-        # Flat end caps: cut the half-ball overhangs past each axis endpoint.
-        # The cap half-space applies only near its endpoint, because for a
-        # full turn the plane would otherwise slice the tube mid-helix.
-        ends = desc.axis_point(np.array([t0, t1]))
-        tans = desc.axis_tangent(np.array([t0, t1]))
-        lo_cut = ((centers - ends[0]) @ tans[0] < 0) & (
-            np.linalg.norm(centers - ends[0], axis=1) <= 1.5 * r
-        )
-        hi_cut = ((centers - ends[1]) @ tans[1] > 0) & (
-            np.linalg.norm(centers - ends[1], axis=1) <= 1.5 * r
-        )
-        return (dist <= r) & ~lo_cut & ~hi_cut
-    span_y = y * np.exp(-spec.fan_rate * x)
-    span_z = z * np.exp(spec.fan_rate * x)
-    return (
-        (x >= 0) & (x <= spec.length) & (span_y ** 2 + span_z ** 2 <= r * r)
+    t0, t1 = desc.axis_range
+    dist = np.linalg.norm(centers - desc.axis_point(desc.axis_params(centers)), axis=1)
+    # Flat end caps: cut the half-ball overhangs past each axis endpoint.
+    # The cap half-space applies only near its endpoint, because for a
+    # full turn the plane would otherwise slice the tube mid-helix.
+    ends = desc.axis_point(np.array([t0, t1]))
+    tans = desc.axis_tangent(np.array([t0, t1]))
+    lo_cut = ((centers - ends[0]) @ tans[0] < 0) & (
+        np.linalg.norm(centers - ends[0], axis=1) <= 1.5 * r
     )
+    hi_cut = ((centers - ends[1]) @ tans[1] > 0) & (
+        np.linalg.norm(centers - ends[1], axis=1) <= 1.5 * r
+    )
+    return (dist <= r) & ~lo_cut & ~hi_cut
 
 
 def _orthonormal_frame(tangents: np.ndarray) -> tuple:
@@ -425,12 +416,12 @@ def generate(spec: PhantomSpec, rng_seed: int = 0) -> Phantom:
     random directions orthogonal to the unjittered flow, one per voxel in
     the ``_DISTRACTOR_BAND`` share of the axis range, at ``distractor_amp``.
     """
-    desc = FieldDescriptor(spec.kind, {k: getattr(spec, k) for k in _AXIS_KEYS[spec.kind]})
-    dims, origin = _grid_layout(spec)
+    desc = spec._descriptor()
+    dims, origin = _grid_layout(desc, spec.radius, spec.spacing)
     s = np.asarray(spec.spacing)
     idx = np.indices(dims).reshape(3, -1).T
     centers = np.asarray(origin) + idx * s
-    keep = _foreground(spec, desc, centers)
+    keep = _foreground(desc, spec.radius, centers)
     if not keep.any():
         raise GeometryError("phantom tube covers no voxel centers")
     data = np.zeros(dims, dtype=np.uint8)

@@ -232,6 +232,25 @@ class TestCenterlineIO:
         assert np.array_equal(back.points, cl.points)
         assert np.allclose(back.tangents, cl.tangents, atol=1e-9)
 
+    # Points along +y; where neighbours coincide, a point's difference is zero.
+    @pytest.mark.parametrize("ys, want", [
+        # the first two points coincide: point 0 takes point 1's tangent
+        ([0.0, 0.0, 0.5, 1.0], [(0, 1, 0)] * 4),
+        ([0.0, 0.0, 0.0, 1.0], [(0, 1, 0)] * 4),
+        # the last two coincide: the last point takes its predecessor's
+        ([0.0, 0.5, 1.0, 1.0], [(0, 1, 0)] * 4),
+        ([0.0, 0.0, 0.0], [(1, 0, 0)] * 3),
+        ([0.0], [(0, 0, 0)]),
+    ])
+    def test_zero_tangent_takes_a_neighbours(self, tmp_path, ys, want):
+        pts = np.array([[0.0, y, 0.0] for y in ys])
+        path = tmp_path / "cl.tract"
+        save_centerline(Centerline(pts, np.zeros_like(pts), 0.5), path)
+        back = load_centerline(path)
+        assert np.array_equal(back.tangents, np.array(want, dtype=float))
+        # The start wins a distance tie, so its tangent is the normal there.
+        assert np.array_equal(cross_section_normals(back, [(0.0, -1.0, 0.0)]), [want[0]])
+
     def test_rejects_multiple_polylines(self, tmp_path):
         path = tmp_path / "two.tract"
         line = np.array([[0.0, 0, 0], [0.5, 0, 0]])

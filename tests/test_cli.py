@@ -309,6 +309,16 @@ class TestExitCodes:
         assert code == 2
         assert str(bad) in capsys.readouterr().err
 
+    def test_mask_voxel_of_2_is_data_error(self, tmp_path, stages_dir, capsys):
+        bad = tmp_path / "mask.rvf"
+        bad.write_bytes((stages_dir / "mask.rvf").read_bytes()[:-1] + b"\x02")
+        code = main([
+            "centerline", "--mask", str(bad), "--endpoints", f"{stages_dir}/endpoints.txt",
+            "--out", str(tmp_path),
+        ])
+        assert code == 2
+        assert f"{bad}: mask values must be 0 or 1" in capsys.readouterr().err
+
     def test_empty_centerline_is_data_error(self, tmp_path, stages_dir, capsys):
         bad = tmp_path / "centerline.tract"
         bad.write_bytes(b"step: 0.5\nlines: 1\npoints: 0\ndtype: f64\nencoding: raw\n\n"

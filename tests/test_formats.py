@@ -4,8 +4,9 @@ Each case writes a valid artifact with its real writer, breaks one line of
 it (drops a value or a required line, repeats a key, or puts a non-finite
 or garbled number in a value) and asserts that the loader raises
 FormatError, never another exception and never a result.  Raw files
-(volumes, peaks, tracts, centerlines) are fuzzed in their text header; the
-payload faults of tracts and centerlines have cases of their own.
+(volumes, masks, peaks, tracts, centerlines) are fuzzed in their text
+header; the payload faults of tracts and centerlines, and the value faults
+that only one kind of file checks, have cases of their own.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from tractfield import (
     load_centerline,
     load_descriptor,
     load_field,
+    load_mask,
     load_peaks,
     load_phantom_spec,
     load_tract,
@@ -86,6 +88,12 @@ def _write_volume(path):
     save_volume(VolumeGrid((2, 3, 4), (1.0, 0.5, 2.0), (-1.0, 0.0, 3.5), data), path)
 
 
+def _write_mask(path):
+    data = np.zeros((2, 3, 4), dtype=np.uint8)
+    data[1, 1:, 2:] = 1
+    save_volume(VolumeGrid((2, 3, 4), (1.0, 0.5, 2.0), (-1.0, 0.0, 3.5), data), path)
+
+
 def _write_peaks(path):
     dirs = np.zeros((2, 2, 1, 2, 3))
     dirs[..., 0] = 1.0
@@ -103,11 +111,12 @@ LOADERS = {
     "tract": (_write_tract, load_tract, True),
     "centerline": (_write_centerline, load_centerline, True),
     "volume": (_write_volume, load_volume, True),
+    "mask": (_write_mask, load_mask, True),
     "peaks": (_write_peaks, load_peaks, True),
 }
 
 
-RAW = ("volume", "peaks", "tract", "centerline")
+RAW = ("volume", "mask", "peaks", "tract", "centerline")
 
 
 def _split(line):
@@ -344,9 +353,26 @@ def _text_layout(path, step, lines, centerline):
     path.write_text("\n".join(rows) + "\n")
 
 
+# Faults in one value that only one kind of file checks: the edit each
+# makes to the file's bytes.
+VALUE_EDITS = {
+    "voxel 2": lambda raw: raw[:-1] + b"\x02",
+    "peaks_per_voxel 0": lambda raw: raw.replace(b"peaks_per_voxel: 2", b"peaks_per_voxel: 0"),
+    # the slot-1 amplitude of the last voxel, still sorted below slot 0
+    "negative amplitude": lambda raw: raw[:-4] + struct.pack("<f", -0.5),
+    "scale 0": lambda raw: raw.replace(b"scale: 2.0 ", b"scale: 0.0 "),
+}
+
+
 def _corrupt(fault, path, name):
-    """Rewrite a valid raw tract or centerline file with one fault."""
+    """Rewrite a valid file with one fault."""
     raw = path.read_bytes()
+    if fault in VALUE_EDITS:
+        return path.write_bytes(VALUE_EDITS[fault](raw))
+    if fault == "dtype f32" and name == "mask":
+        grid = load_volume(path)
+        return save_volume(VolumeGrid(grid.dims, grid.spacing, grid.origin,
+                                      grid.data.astype(np.float32)), path)
     if fault == "one byte short":
         return path.write_bytes(raw[:-1])
     if fault == "one byte extra":
@@ -373,6 +399,8 @@ def _corrupt(fault, path, name):
         fields["dtype"] = "f32"
     elif fault == "step 0":
         fields["step"] = "0"
+    elif fault == "gap over twice step":
+        points[1, 0] += 3 * float(fields["step"])
     elif fault == "counts wrap to 0":
         # 4 * 2**62 wraps around int64 to 0, the header's points
         fields.update(lines="4", points="0")
@@ -395,8 +423,16 @@ PAYLOAD_FAULTS = [
 ]
 
 
-@pytest.mark.parametrize("name", ["tract", "centerline"])
-@pytest.mark.parametrize("fault", PAYLOAD_FAULTS)
+# Each fault on every tract and centerline file, then the faults only one
+# kind of file checks.
+FILE_FAULTS = [(name, fault) for fault in PAYLOAD_FAULTS for name in ("tract", "centerline")] + [
+    ("tract", "gap over twice step"), ("mask", "voxel 2"), ("mask", "dtype f32"),
+    ("peaks", "peaks_per_voxel 0"), ("peaks", "negative amplitude"), ("field", "scale 0"),
+]
+
+
+@pytest.mark.parametrize("name, fault", FILE_FAULTS,
+                         ids=[f"{fault}-{name}" for name, fault in FILE_FAULTS])
 def test_bad_payload_names_file(tmp_path, name, fault):
     write, load, _ = LOADERS[name]
     path = tmp_path / name

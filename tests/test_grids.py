@@ -80,7 +80,12 @@ class TestInside:
         assert not inside_many(single_voxel_mask(), [(0.9, 0, 0)])[0]
 
     def test_far_outside(self):
-        assert not inside_many(single_voxel_mask(), [(50.0, 0, 0)])[0]
+        # The single voxel is foreground, so only the bounds test says no; the
+        # non-finite and huge points have no representable voxel index.
+        pts = [(50.0, 0, 0), (np.nan, 0, 0), (np.inf, 0, 0), (0, -np.inf, 0), (0, 0, 1e300),
+               (-1e300, 0, 0)]
+        with np.errstate(invalid="ignore"):
+            assert not inside_many(single_voxel_mask(), pts).any()
 
     def test_matches_mask_value_at_voxel_centers(self, rng):
         data = rng.integers(0, 2, size=(4, 5, 3)).astype(np.uint8)

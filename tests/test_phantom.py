@@ -183,7 +183,7 @@ class TestFieldDescriptor:
     def test_helix_projection_matches_sampled_oracle(self, spec):
         ph = generate(spec)
         desc = ph.field
-        dims, origin = _grid_layout(spec)
+        dims, origin = _grid_layout(desc, spec.radius, spec.spacing)
         grid = np.asarray(origin) + np.indices(dims).reshape(3, -1).T * spec.spacing
         assert np.isfinite(desc.axis_params(grid)).all()
         centers = ph.mask.foreground_points()
@@ -312,7 +312,8 @@ class TestGenerate:
     ])
     def test_grid_over_the_voxel_budget_is_rejected(self, kwargs, dims):
         with pytest.raises(GeometryError, match=f"budget of {_VOXEL_BUDGET} voxels") as info:
-            _grid_layout(PhantomSpec(**kwargs))
+            spec = PhantomSpec(**kwargs)
+            _grid_layout(spec._descriptor(), spec.radius, spec.spacing)
         assert dims is None or dims in str(info.value)
 
     def test_quarter_torus_descriptor_metadata(self):
@@ -432,6 +433,13 @@ class TestSpecValidation:
             # a shrinking y and growing z would leave the grid's z bounds
             (dict(kind="fanning", fan_rate=-0.04), "fan_rate must be positive"),
             (dict(fan_rate=0.0), "fan_rate must be positive"),
+            (dict(radius=0.0), "radius must be positive"),
+            (dict(spacing=0.0), "spacing must be positive"),
+            (dict(distractor_amp=1.5), r"distractor_amp must be in \[0, 1\]"),
+            (dict(spacing=(1.0, 1.0)), "spacing must be a scalar or three values"),
+            # passes the coil rules at subnormal sizes, but 1 / major_radius overflows
+            (dict(kind="quarter-torus", radius=1e-320, spacing=1e-320, major_radius=2e-320),
+             "give a non-finite field"),
         ],
     )
     def test_rejects_non_finite_fields(self, kwargs, match):
