@@ -30,6 +30,9 @@ from .grids import (
 
 DT_EPS = 1e-6  # regularizes 1/DT edge weights at boundary voxels
 RESAMPLE_STEP = 0.5  # default arc-length spacing of centerline points, mm
+# Most points `_resample` writes: a tiny delta is refused before anything is
+# allocated, instead of overflowing or exhausting memory.
+_POINT_BUDGET = 1_000_000
 _SMOOTH_PASSES = 2
 
 # The 13 undirected directions of the 26-neighborhood (one per +/- pair).
@@ -182,6 +185,9 @@ def _resample(pts: np.ndarray, delta: float) -> np.ndarray:
     total = float(segs.sum())
     if total <= 0:
         return pts[:1].copy()
+    if total / delta > _POINT_BUDGET:
+        raise ValueError(f"delta {delta!r} would resample the {total:.4g} mm path into "
+                         f"{total / delta:.4g} points, over the budget of {_POINT_BUDGET}")
     cum = np.concatenate([[0.0], np.cumsum(segs)])
     count = max(1, int(round(total / delta)))
     targets = np.linspace(0.0, total, count + 1)
@@ -249,9 +255,12 @@ def extract_centerline(mask: Mask, p1, p2, delta=RESAMPLE_STEP) -> Centerline:
 def _nearest_centerline_index(cl: Centerline, pts) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     out = np.empty(len(pts), dtype=np.int64)
+    # Chunks of up to 2**20 point pairs (one row at least) bound the
+    # temporaries on a long centerline; no row's argmin depends on its chunk.
+    rows = max(1, min(2048, 2**20 // len(cl.points)))
     # argmin returns the first minimum, which is the lower-arc-length point
-    for lo in range(0, len(pts), 2048):
-        chunk = pts[lo:lo + 2048]
+    for lo in range(0, len(pts), rows):
+        chunk = pts[lo:lo + rows]
         d2 = ((chunk[:, None, :] - cl.points[None, :, :]) ** 2).sum(axis=2)
         out[lo:lo + len(chunk)] = np.argmin(d2, axis=1)
     return out

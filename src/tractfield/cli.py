@@ -2,12 +2,12 @@
 metrics, and the full pipeline.
 
 Every subcommand writes its outputs plus a ``manifest-<name>.json`` into the
-``--out`` directory.  ``STAGES`` is the one description of a stage's files:
-its input flags and the outputs it writes, which are also its manifest's
-``inputs`` and ``outputs``.  ``pipeline`` chains the stages through those
-files, so running it equals running the stages by hand with the same
-flags.  Exit codes: 0 success, 1 usage or parameter error, 2 data or
-format error, 3 numerical failure.
+``--out`` directory.  ``STAGES`` is the one description of a stage: its
+input flags, its parameter flags and the outputs it writes, which are also
+its manifest's ``inputs``, ``parameters`` and ``outputs``.  ``pipeline``
+chains the stages through those files, so running it equals running the
+stages by hand with the same flags.  Exit codes: 0 success, 1 usage or
+parameter error, 2 data or format error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
@@ -142,8 +141,9 @@ _SEEDING = "all foreground voxel centers"
 
 # Each stage function takes the parsed flags and ``out``, its stage's
 # ``outputs`` keys mapped to paths in --out; it writes those files and
-# returns the manifest's parameters.  Library calls go through this module's
-# globals at call time, so a profiler can wrap them here.
+# returns what it resolved or measured, which the manifest's parameters
+# record over the stage's flag values.  Library calls go through this
+# module's globals at call time, so a profiler can wrap them here.
 
 
 def _phantom(args, out):
@@ -153,25 +153,21 @@ def _phantom(args, out):
     save_centerline(result.centerline, out["axis"])
     save_descriptor(result.field, out["descriptor"])
     _save_endpoints(out["endpoints"], result.p1, result.p2)
-    return {"rng_seed": int(args.rng_seed)}
+    return {}
 
 
 def _centerline(args, out):
     p1, p2 = _load_endpoints(args.endpoints)
     save_centerline(extract_centerline(load_mask(args.mask), p1, p2, args.delta),
                     out["centerline"])
-    return {
-        "p1": [float(v) for v in p1],
-        "p2": [float(v) for v in p2],
-        "delta": float(args.delta),
-    }
+    return {"p1": p1.tolist(), "p2": p2.tolist()}
 
 
 def _prior(args, out):
     prior = build_prior(load_peaks(args.peaks), load_centerline(args.centerline),
                         load_mask(args.mask), args.cutoff)
     save_peaks(prior, out["prior"])
-    return {"cutoff": float(args.cutoff)}
+    return {}
 
 
 def _fit(args, out):
@@ -179,45 +175,28 @@ def _fit(args, out):
     mask = load_mask(args.mask)
     ridge = bundle_ridge(prior, mask, args.ridge)
     save_field(fit_bundle_field(prior, mask, args.order, ridge), out["field"])
-    return {"order": int(args.order), "ridge": float(ridge)}
-
-
-def _track_params(args, sigma=0.0, seed_count=1, rng_seed=0) -> TrackParams:
-    """The tracking flags; the defaults are the baseline's noise-free run."""
-    return TrackParams(
-        step=args.step,
-        sigma=sigma,
-        max_steps=args.max_steps,
-        seed_count=seed_count,
-        rng_seed=rng_seed,
-        min_len=args.min_len,
-    )
+    return {"ridge": float(ridge)}
 
 
 def _track(args, out):
-    params = _track_params(args, args.sigma, args.seed_count, args.rng_seed)
+    params = TrackParams(step=args.step, sigma=args.sigma, max_steps=args.max_steps,
+                         seed_count=args.seed_count, rng_seed=args.rng_seed,
+                         min_len=args.min_len)
     field = load_field(args.field)
     mask = load_mask(args.mask)
     save_tract(track(field, mask, mask.foreground_points(), params), out["tract"])
-    return dict(asdict(params), seeding=_SEEDING)
+    return {"min_len": params.min_len, "seeding": _SEEDING}
 
 
 def _baseline(args, out):
-    params = _track_params(args)
+    params = TrackParams(step=args.step, max_steps=args.max_steps, min_len=args.min_len)
     peaks = load_peaks(args.peaks)
     mask = load_mask(args.mask)
     tract = baseline_peak_track(
         peaks, mask, mask.foreground_points(), params, args.angle_max, args.cutoff
     )
     save_tract(tract, out["tract"])
-    return {
-        "step": params.step,
-        "max_steps": params.max_steps,
-        "min_len": params.min_len,
-        "angle_max": float(args.angle_max),
-        "cutoff": float(args.cutoff),
-        "seeding": _SEEDING,
-    }
+    return {"min_len": params.min_len, "seeding": _SEEDING}
 
 
 def _metrics(args, out):
@@ -291,8 +270,10 @@ def _run_stage(stage, args):
     os.makedirs(args.out, exist_ok=True)
     outputs = {key: os.path.join(args.out, name) for key, name in stage.outputs.items()}
     inputs = {name: getattr(args, _FLAGS[name].dest) for name in stage.inputs}
+    parameters = {_FLAGS[name].dest: getattr(args, _FLAGS[name].dest)
+                  for name in stage.params}
     try:
-        parameters = stage.run(args, outputs)
+        parameters.update(stage.run(args, outputs))
     except (DomainError, ConnectivityError, GeometryError) as exc:
         # The input data is at fault: name the files it came from.
         named = ", ".join(f"{name} {path}" for name, path in inputs.items() if path)

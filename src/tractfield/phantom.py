@@ -259,8 +259,7 @@ class PhantomSpec:
             raise ValueError("radius must be positive")
         if not min(self.spacing) > 0:
             raise ValueError("spacing must be positive")
-        for name in ("length", "major_radius", "helix_radius", "pitch", "turns",
-                     "fan_rate"):
+        for name in dict.fromkeys(k for keys in _AXIS_KEYS.values() for k in keys):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         self._check_tube_geometry()

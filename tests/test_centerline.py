@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +31,14 @@ from tractfield import (
     save_centerline,
     save_tract,
 )
-from tractfield.centerline import _min_energy_path
+from tractfield import centerline
+from tractfield.centerline import (
+    _POINT_BUDGET,
+    _min_energy_path,
+    _nearest_centerline_index,
+    _resample,
+    _unit_tangents,
+)
 
 from conftest import (
     brute_force_distance,
@@ -159,6 +168,25 @@ class TestExtractCenterline:
         dots = np.einsum("ij,ij->i", cl.tangents[:-1], cl.tangents[1:])
         assert np.all(dots >= 0)
 
+    @pytest.mark.parametrize("delta", [5e-324, 1e-300, 10 / (_POINT_BUDGET + 1)])
+    def test_delta_over_the_point_budget_raises(self, delta):
+        # Refused before any int conversion or allocation: at 5e-324 the
+        # point count is inf.
+        line = np.array([[0.0, 0, 0], [10.0, 0, 0]])
+        match = re.escape(f"delta {delta!r}") + f".* budget of {_POINT_BUDGET}"
+        with pytest.raises(ValueError, match=match):
+            _resample(line, delta)
+        ph = straight_tube(10)
+        with pytest.raises(ValueError, match=match):
+            extract_centerline(ph.mask, ph.p1, ph.p2, delta)
+
+    def test_delta_at_the_point_budget_resamples(self, monkeypatch):
+        monkeypatch.setattr(centerline, "_POINT_BUDGET", 20)
+        line = np.array([[0.0, 0, 0], [10.0, 0, 0]])
+        assert len(_resample(line, 0.5)) == 21
+        with pytest.raises(ValueError, match="budget of 20"):
+            _resample(line, 10 / 21)
+
     def test_background_endpoint_raises(self):
         ph = straight_tube(10)
         with pytest.raises(DomainError, match="p2"):
@@ -220,6 +248,27 @@ class TestCrossSectionNormal:
         want = np.array([-r * np.sin(q), r * np.cos(q), c])
         want /= np.linalg.norm(want)
         assert np.linalg.norm(cross_section_normals(cl, [p])[0] - want) < 1e-3
+
+
+    def test_long_centerline_search_stays_small(self):
+        # On a long centerline the search takes fewer query rows at a time,
+        # which bounds its temporaries and changes no row's nearest point.
+        rng = np.random.default_rng(5)
+        pts = np.cumsum(rng.normal(size=(1500, 3)), axis=0)
+        cl = Centerline(pts, _unit_tangents(pts), 1.0)
+        query = np.vstack([rng.uniform(pts.min(axis=0), pts.max(axis=0), (2000, 3)),
+                           pts[::50] + 0.5])
+        tracemalloc.start()
+        try:
+            got = _nearest_centerline_index(cl, query)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = [np.argmin(((pts - q) ** 2).sum(axis=1)) for q in query]
+        assert got.tolist() == want
+        # About 40 MiB here and at any longer centerline; 93 MiB in one
+        # 2048-row chunk.
+        assert peak < 64 * 2**20
 
 
 class TestCenterlineIO:

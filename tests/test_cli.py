@@ -31,7 +31,9 @@ from tractfield import (
 )
 from tractfield import cli
 from tractfield.cli import main
+from tractfield.metrics import hausdorff, spatial_overlap, voxelize
 from tractfield.phantom import KINDS, _VOXEL_BUDGET
+from tractfield.polyfield import bundle_ridge
 
 TRACK_FLAGS = ["--seed-count", "1", "--rng-seed", "0"]
 DATA_ARTIFACTS = [
@@ -373,6 +375,21 @@ class TestExitCodes:
             assert code == 1, (stage[0], flag, value)
             assert "invalid parameter" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("delta", ["5e-324", "1e-300"])
+    def test_tiny_delta_is_parameter_error(self, tmp_path, stages_dir, capsys, delta):
+        # 5e-324 once overflowed in the point count and 1e-300 failed inside
+        # numpy; both are refused before any allocation.
+        code = main([
+            "centerline", "--mask", f"{stages_dir}/mask.rvf",
+            "--endpoints", f"{stages_dir}/endpoints.txt", "--delta", delta,
+            "--out", str(tmp_path),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"invalid parameter: delta {float(delta)!r}" in err
+        assert "budget" in err
+        assert not (tmp_path / "centerline.tract").exists()
+
     def test_mismatched_grids_is_data_error(self, tmp_path, stages_dir, capsys):
         small = tmp_path / "small.rvf"
         save_mask(Mask(VolumeGrid((2, 2, 2), (1, 1, 1), (0, 0, 0),
@@ -564,11 +581,37 @@ class TestStageTable:
         for stage in cli.STAGES:
             manifest = json.loads((stages_dir / f"manifest-{stage.name}.json").read_text())
             assert set(manifest["inputs"]) == {cli._FLAGS[n].dest for n in stage.inputs}
+            assert {cli._FLAGS[n].dest for n in stage.params} <= set(manifest["parameters"])
             assert manifest["outputs"] == {
                 key: os.path.join(stages_dir, name) for key, name in stage.outputs.items()
             }, stage.name
             for path in manifest["outputs"].values():
                 assert os.path.isfile(path), path
+
+    def test_manifest_parameters_are_pinned(self, stages_dir):
+        # Every stage's full parameters, compared as JSON text so that an int
+        # turning into a float, or a float's last digit, shows too.
+        s = stages_dir
+        p1, p2 = cli._load_endpoints(s / "endpoints.txt")
+        mask = load_mask(s / "mask.rvf")
+        tract = load_tract(s / "streamlines.tract")
+        hd, ahd = hausdorff(tract, load_tract(s / "axis.tract"))
+        tracking = {"step": 0.3, "max_steps": 2000, "min_len": 3 * 0.3,
+                    "seeding": "all foreground voxel centers"}
+        expected = {
+            "phantom": {"rng_seed": 0},
+            "centerline": {"p1": p1.tolist(), "p2": p2.tolist(), "delta": 0.5},
+            "prior": {"cutoff": 0.05},
+            "fit": {"order": 4, "ridge": bundle_ridge(load_peaks(s / "prior.rvf"), mask)},
+            "track": dict(tracking, sigma=0.1, seed_count=1, rng_seed=0),
+            "baseline": dict(tracking, angle_max=40.0, cutoff=0.05),
+            "metrics": {"overlap": spatial_overlap(voxelize(tract, mask.grid), mask),
+                        "hd": hd, "ahd": ahd},
+        }
+        for name, parameters in expected.items():
+            manifest = json.loads((s / f"manifest-{name}.json").read_text())
+            assert json.dumps(manifest["parameters"], sort_keys=True) == json.dumps(
+                parameters, sort_keys=True), name
 
     def test_every_run_file_is_written_by_an_earlier_stage(self):
         written = set()
