@@ -162,7 +162,7 @@ class Tract:
                              "and the counts must sum to the points")
         if not np.isfinite(self.points).all():
             raise ValueError("streamline points must be finite")
-        gaps = np.linalg.norm(_line_deltas(self.points, self.counts), axis=1)
+        gaps = _line_gaps(self.points, self.counts)
         if not (gaps.max(initial=0.0) <= 2.0 * self.step + 1e-9):
             raise ValueError("consecutive streamline points exceed twice the step length")
 
@@ -178,6 +178,15 @@ def _line_deltas(points, counts) -> np.ndarray:
     np.subtract(points[1:], points[:-1], out=deltas[:-1])
     deltas[np.cumsum(counts) - 1] = 0.0
     return deltas
+
+
+def _line_gaps(points, counts) -> np.ndarray:
+    """Each point's distance to the next point of its line, 0 at a line's last
+    point: ``np.linalg.norm(_line_deltas(points, counts), axis=1)`` bit for
+    bit, with the deltas squared in place instead of in two temporaries."""
+    deltas = _line_deltas(points, counts)
+    np.multiply(deltas, deltas, out=deltas)
+    return np.sqrt(np.add.reduce(deltas, axis=1))
 
 
 def voxel_centers(grid, indices) -> np.ndarray:

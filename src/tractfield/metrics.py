@@ -15,7 +15,8 @@ import numpy as np
 # costs ~0.5 s, and `import tractfield` and most stages never call it.
 
 from .errors import DomainError
-from .grids import Mask, Tract, VolumeGrid, _line_deltas, nearest_indices, same_geometry
+from .grids import (Mask, Tract, VolumeGrid, _line_deltas, _line_gaps, nearest_indices,
+                    same_geometry)
 
 
 def _reference_grid(ref) -> VolumeGrid:
@@ -27,8 +28,7 @@ def _densify(tract: Tract, max_gap: float) -> np.ndarray:
     so consecutive gaps along a line are <= max_gap; lines stay in order."""
     points = tract.points
     # a line's last point takes a zero step: nothing is inserted after it
-    deltas = _line_deltas(points, tract.counts)
-    counts = np.linalg.norm(deltas, axis=1) / max_gap
+    counts = _line_gaps(points, tract.counts) / max_gap
     counts = np.maximum(1, np.ceil(counts).astype(np.int64))
     # Each dense point's offset in its segment over the segment's count;
     # these integers are exact in float64.
@@ -37,8 +37,7 @@ def _densify(tract: Tract, max_gap: float) -> np.ndarray:
     frac /= np.repeat(counts, counts)
     # deltas * frac + points, built in place; np.repeat copies cost less
     # than index gathers, and at most two dense point arrays are alive.
-    dense = np.repeat(deltas, counts, axis=0)
-    del deltas
+    dense = np.repeat(_line_deltas(points, tract.counts), counts, axis=0)
     dense *= frac[:, None]
     del frac
     dense += np.repeat(points, counts, axis=0)

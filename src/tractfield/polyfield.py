@@ -88,8 +88,10 @@ def basis_matrix(points: np.ndarray, order: int) -> np.ndarray:
     powers = np.empty((3, n + 1, len(pts)))
     powers[:, 0] = 1.0
     for p in range(1, n + 1):
-        powers[:, p] = powers[:, p - 1] * pts.T
-    design = powers[0, ix] * powers[1, iy] * powers[2, iz]
+        np.multiply(powers[:, p - 1], pts.T, out=powers[:, p])
+    design = powers[0].take(ix, axis=0)
+    design *= powers[1].take(iy, axis=0)
+    design *= powers[2].take(iz, axis=0)
     return np.ascontiguousarray(design.T)
 
 
@@ -265,22 +267,20 @@ def fit_field(
             f"the {free} free parameters at order {order}; add samples or "
             "lower the order"
         )
-    design = basis_matrix(probe.normalize(pts), order)
     m = term_count(order)
-    # Reduced design: rows are samples per component, columns the null basis.
-    reduced = np.vstack(
-        [
-            design @ null[:m],
-            design @ null[m:2 * m],
-            design @ null[2 * m:],
-        ]
-    )
-    rhs = np.concatenate([tgt[:, 0], tgt[:, 1], tgt[:, 2]])
-    if ridge > 0:
-        # null basis is orthonormal, so ridge on the reduced coordinates
-        # equals ridge on the full coefficient vector
-        reduced = np.vstack([reduced, np.sqrt(ridge) * np.eye(free)])
-        rhs = np.concatenate([rhs, np.zeros(free)])
+    n = len(pts)
+    # Reduced design: rows are samples per component, then one ridge row per
+    # free parameter; columns are the null basis.  The null basis is
+    # orthonormal, so ridge on the reduced coordinates equals ridge on the
+    # full coefficient vector.
+    design = basis_matrix(probe.normalize(pts), order)
+    reduced = np.zeros((3 * n + (free if ridge > 0 else 0), free))
+    for c in range(3):
+        np.matmul(design, null[c * m:(c + 1) * m], out=reduced[c * n:(c + 1) * n])
+    del design
+    np.fill_diagonal(reduced[3 * n:], np.sqrt(ridge))
+    rhs = np.zeros(len(reduced))
+    rhs[:3 * n] = tgt.T.ravel()
     sol, _, rank, svals = np.linalg.lstsq(reduced, rhs, rcond=None)
     if rank < free:
         raise ConditioningError(

@@ -30,7 +30,7 @@ from functools import cache
 import numpy as np
 
 from .errors import DomainError, EmptyTractError
-from .grids import (Mask, PeaksField, Tract, _line_deltas, inside_many, nearest_indices,
+from .grids import (Mask, PeaksField, Tract, _line_gaps, inside_many, nearest_indices,
                     same_geometry)
 from .polyfield import PolyField
 from .prior import MIN_AMP_DEFAULT, select_peak
@@ -231,15 +231,15 @@ def _precomputed_seed_sequence() -> type:
     return Words
 
 
-def _trace(mask, starts, first, alive, advance, turn, params) -> Tract:
-    """Both halves from each start, spliced at it, kept when >= min_len.
+def _lockstep(mask, starts, first, alive, advance, turn, params) -> tuple:
+    """Both halves from each start, advanced in one lockstep loop.
 
-    One lockstep loop advances 2n half-rows: row h < n is start h's forward
-    half, along ``first[h]``, and row h + n its backward half, along
-    ``-first[h]``.  A backward half goes live in the iteration after its
-    forward half stops, so each start's turns still come in step order, and
-    each half has its own budget of ``params.max_steps`` steps.  A start
-    whose ``alive`` flag is False has the start alone as its line.
+    The loop advances 2n half-rows: row h < n is start h's forward half,
+    along ``first[h]``, and row h + n its backward half, along ``-first[h]``.
+    A backward half goes live in the iteration after its forward half stops,
+    so each start's turns still come in step order, and each half has its
+    own budget of ``params.max_steps`` steps.  A start whose ``alive`` flag
+    is False moves in neither direction.
 
     ``advance(eta, d)`` gives the rows' next points and ok flags; a row
     stops when it fails or leaves the mask, and the exiting point is
@@ -247,18 +247,20 @@ def _trace(mask, starts, first, alive, advance, turn, params) -> Tract:
     directions and ok flags, given the start each row belongs to; a row
     whose flag is False stops there.
 
-    The starts are stored first, then the accepted points in step order,
-    and one sort pools the lines as ``Tract`` holds them.  A start alone
-    is never a line, even at ``min_len`` 0.
+    Returns ``(parts, handoff)``.  Each part is ``(t, rows, points)``: the
+    rows that accepted a point in iteration t, ascending, and those points.
+    A half accepts its points in consecutive iterations, from iteration 0
+    for a forward half and from ``handoff[h]``, the iteration its forward
+    half stopped in plus one, for start h's backward half.
     """
     n = len(starts)
     eta = np.concatenate([starts, starts], dtype=float)
     d = np.concatenate([first, -first], dtype=float)
     live = np.concatenate([alive, np.zeros(n, dtype=bool)])
     steps = np.zeros(2 * n, dtype=np.int64)
-    rows = [np.arange(n)]
-    points = [starts]
+    parts = []
     act = np.flatnonzero(live)
+    t = 0
     while len(act):
         new, ok = advance(eta[act], d[act])
         good = ok & inside_many(mask, new)
@@ -267,8 +269,7 @@ def _trace(mask, starts, first, alive, advance, turn, params) -> Tract:
         if len(keep):
             accepted = new[good]
             eta[keep] = accepted
-            rows.append(keep)
-            points.append(accepted)
+            parts.append((t, keep, accepted))
             nd, turned = turn(keep % n, accepted, d[keep])
             d[keep[turned]] = nd[turned]
             live[keep[~turned]] = False
@@ -278,22 +279,55 @@ def _trace(mask, starts, first, alive, advance, turn, params) -> Tract:
         ended = act[(act < n) & ~live[act]]
         live[ended + n] = True
         act = np.flatnonzero(live)
-    rows = np.concatenate(rows)
-    points = np.concatenate(points)
-    # each line as its backward half reversed (negated positions), start, forward half
-    pos = np.arange(len(rows))
-    points = points[np.lexsort((np.where(rows < n, pos, -pos), rows % n))]
-    counts = np.bincount(rows % n, minlength=n)
-    gaps = np.linalg.norm(_line_deltas(points, counts), axis=1)
-    lengths = np.add.reduceat(gaps, np.cumsum(counts) - counts)
-    kept = (counts > 1) & (lengths >= params.min_len)
+        t += 1
+    return parts, steps[:n]
+
+
+def _assemble(starts, parts, handoff, params) -> Tract:
+    """The lines of ``_lockstep``'s parts, kept when >= ``params.min_len``.
+
+    Each line is its backward half reversed, then its start, then its
+    forward half.  The output is allocated once, and each part's points are
+    written to their final places and the part released; lines are copied
+    again only when some are dropped.  A start alone is never a line, even
+    at ``min_len`` 0.
+    """
+    n = len(starts)
+    rows = np.concatenate([np.empty(0, np.intp)] + [keep for _, keep, _ in parts])
+    halves = np.bincount(rows, minlength=2 * n)
+    del rows
+    fwd, bwd = halves[:n], halves[n:]
+    moved = fwd + bwd > 0
+    counts = np.where(moved, fwd + bwd + 1, 0)
+    at_start = np.cumsum(counts) - counts + bwd
+    points = np.empty((counts.sum(), 3))
+    points[at_start[moved]] = starts[moved]
+    # half h's point accepted in iteration t goes to base[h] + sign[h] * t
+    base = np.concatenate([at_start + 1, at_start - 1 + handoff])
+    sign = np.repeat(np.array([1, -1]), n)
+    while parts:
+        t, keep, accepted = parts.pop()
+        points[base[keep] + t * sign[keep]] = accepted
+    counts = counts[moved]
+    lengths = np.add.reduceat(_line_gaps(points, counts), np.cumsum(counts) - counts)
+    kept = lengths >= params.min_len
     if not kept.any():
         raise EmptyTractError("every streamline was shorter than min_len; nothing to keep")
-    return Tract(points[np.repeat(kept, counts)], counts[kept], params.step)
+    if not kept.all():
+        points = points[np.repeat(kept, counts)]
+        counts = counts[kept]
+    return Tract(points, counts, params.step)
 
 
 def _valid_seeds(mask: Mask, seeds) -> np.ndarray:
-    seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
+    """The seeds inside the mask, as an (n, 3) array; one (x, y, z) point is
+    a list of one.  Warns for each seed outside the mask."""
+    given = np.asarray(seeds, dtype=float)
+    if given.shape == (0,):
+        raise EmptyTractError("no seeds given")
+    seeds = given.reshape(1, 3) if given.shape == (3,) else given
+    if seeds.ndim != 2 or seeds.shape[1] != 3:
+        raise ValueError(f"seeds must be (x, y, z) points, got an array of shape {given.shape}")
     ok = inside_many(mask, seeds)
     for i in np.flatnonzero(~ok):
         coords = tuple(float(c) for c in seeds[i])
@@ -341,7 +375,10 @@ def track(field: PolyField, mask: Mask, seeds, params: TrackParams) -> Tract:
         )
 
     first, alive = turn(np.arange(len(starts)), starts, None)
-    return _trace(mask, starts, first, alive, advance, turn, params)
+    parts, handoff = _lockstep(mask, starts, first, alive, advance, turn, params)
+    # ~2.6 KB per line that the assembly does not need
+    del rngs, blocks
+    return _assemble(starts, parts, handoff, params)
 
 
 def baseline_peak_track(
@@ -383,4 +420,5 @@ def baseline_peak_track(
     admissible = (amps > 0) & (amps >= min_amp)
     first = peaks.directions[i, j, k, np.argmax(admissible, axis=1)]
     alive = admissible.any(axis=1)
-    return _trace(mask, kept_seeds, first, alive, advance, turn, params)
+    parts, handoff = _lockstep(mask, kept_seeds, first, alive, advance, turn, params)
+    return _assemble(kept_seeds, parts, handoff, params)

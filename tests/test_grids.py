@@ -29,6 +29,7 @@ from tractfield import (
     save_volume,
     voxel_centers,
 )
+from tractfield.grids import _line_deltas, _line_gaps
 
 from conftest import make_grid, make_mask, tract_from_lines
 
@@ -300,6 +301,18 @@ def test_nearest_indices_matches_out_of_place_oracle(rng):
     oracle = out_of_place_nearest_indices(grid, pts)
     assert idx.dtype == oracle.dtype and idx.tobytes() == oracle.tobytes()
     assert inb.tolist() == np.all((oracle >= 0) & (oracle < grid.dims), axis=1).tolist()
+
+
+@pytest.mark.parametrize("counts", [[], [1], [2, 1, 5], [3] * 400, [1000]])
+def test_line_gaps_match_norm_bitwise(rng, counts):
+    # Magnitudes from subnormal to 1e150 round differently when squared and
+    # summed; the in-place squares must round as np.linalg.norm's do.
+    n = sum(counts)
+    points = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-160, 150, (n, 1))
+    points[::7, 1] = -0.0
+    want = np.linalg.norm(_line_deltas(points, np.asarray(counts, int)), axis=1)
+    got = _line_gaps(points, np.asarray(counts, int))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestTractRoundTrip:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -371,6 +373,37 @@ class TestFitField:
             fit_field(pts, targets, 1, (0, 0, 0), (1, 1, 1), 0.0)
 
 
+def vstack_fit_coeffs(points, targets, order, offset, scale, ridge):
+    """``fit_field``'s coefficients from the reduced system built as a chain
+    of products and stacks: the byte-for-byte oracle of the in-place build."""
+    pts = np.asarray(points, dtype=float)
+    tgt = np.asarray(targets, dtype=float)
+    probe = PolyField(order, np.zeros((3, term_count(order))), offset, scale)
+    null = _divergence_free_basis(order)
+    free = null.shape[1]
+    design = direct_basis_matrix(probe.normalize(pts), order)
+    m = term_count(order)
+    reduced = np.vstack([design @ null[:m], design @ null[m:2 * m], design @ null[2 * m:]])
+    rhs = np.concatenate([tgt[:, 0], tgt[:, 1], tgt[:, 2]])
+    if ridge > 0:
+        reduced = np.vstack([reduced, np.sqrt(ridge) * np.eye(free)])
+        rhs = np.concatenate([rhs, np.zeros(free)])
+    cvec = null @ np.linalg.lstsq(reduced, rhs, rcond=None)[0]
+    return np.vstack([cvec[:m], cvec[m:2 * m], cvec[2 * m:]])
+
+
+@pytest.mark.parametrize("ridge", [0.0, 2.5e-6, 0.3])
+@pytest.mark.parametrize("order", range(9))
+def test_fit_matches_vstack_oracle_byte_for_byte(order, ridge):
+    rng = np.random.default_rng(order)
+    offset, scale = np.array([3.0, -2.0, 5.0]), np.array([4.0, 2.5, 6.0])
+    pts = offset + scale * rng.uniform(-1, 1, (200, 3))
+    targets = rng.normal(size=(200, 3))
+    got = fit_field(pts, targets, order, offset, scale, ridge)
+    want = vstack_fit_coeffs(pts, targets, order, offset, scale, ridge)
+    assert got.coeffs.tobytes() == want.tobytes()
+
+
 class TestFitBundleField:
     def test_prior_route_recovers_field(self, rng):
         mask = make_mask(np.ones((8, 8, 8)))
@@ -419,6 +452,23 @@ class TestFitBundleField:
             _divergence_free_basis.cache_clear()
         assert shapes == [divergence_constraints(order).shape]
         assert (tmp_path / "numpy.txt").read_bytes() == (tmp_path / "scipy.txt").read_bytes()
+
+    def test_order_eight_fit_holds_one_reduced_system(self):
+        # The fit's traced peak is the reduced system, plus the design it is
+        # built from (1.14x here); stacking it piece by piece peaked at 2.14x.
+        ph = generate(PhantomSpec(kind="fanning", radius=3.0, length=30.0,
+                                  noise_deg=10.0, distractor_amp=0.8), 42)
+        prior = build_prior(ph.peaks, ph.centerline, ph.mask)
+        fit_bundle_field(prior, ph.mask, 8)  # builds the cached null basis
+        free = _divergence_free_basis(8).shape[1]
+        rows = 3 * int(polyfield._usable(prior, ph.mask).sum()) + free
+        tracemalloc.start()
+        try:
+            fit_bundle_field(prior, ph.mask, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * rows * free * 8
 
     def test_default_ridge_finds_the_usable_voxels_once(self, rng, monkeypatch):
         mask = make_mask(np.ones((6, 6, 6)))

@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from tractfield import (
     EmptyTractError,
+    Mask,
     PeaksField,
     PhantomSpec,
     PolyField,
@@ -26,6 +29,7 @@ from tractfield import (
     track,
     tracking,
 )
+from tractfield.grids import Tract, VolumeGrid, _line_deltas
 from tractfield.tracking import DRAW_BLOCK, ZERO_FIELD_TOL
 
 from conftest import make_mask, random_divfree_field
@@ -661,10 +665,11 @@ class TestTrack:
         assert fast == tract_digest(direct, tmp_path)
 
 
-def run_tracker(name, phantom, seeds, params):
+def run_tracker(name, phantom, seeds, params, mask=None):
+    mask = phantom.mask if mask is None else mask
     if name == "track":
-        return track(phantom.field.to_polyfield(), phantom.mask, seeds, params)
-    return baseline_peak_track(phantom.peaks, phantom.mask, seeds, params)
+        return track(phantom.field.to_polyfield(), mask, seeds, params)
+    return baseline_peak_track(phantom.peaks, mask, seeds, params)
 
 
 @pytest.mark.parametrize("tracker", ["track", "baseline"])
@@ -696,6 +701,154 @@ class TestLockstepHalves:
         forward = len(line) - 1 - backward
         assert forward < 10
         assert backward == 20
+
+
+def lexsort_assemble(starts, parts, handoff, params):
+    """The lines of ``tracking._lockstep``'s parts as the trackers pooled
+    them before they filled one array: every start and accepted point in
+    one concatenation, sorted into lines, with the kept lines copied out.
+    The byte-for-byte oracle of ``tracking._assemble``."""
+    n = len(starts)
+    rows = np.concatenate([np.arange(n)] + [keep for _, keep, _ in parts])
+    points = np.concatenate([starts] + [pts for _, _, pts in parts])
+    # each line as its backward half reversed (negated positions), start, forward half
+    pos = np.arange(len(rows))
+    points = points[np.lexsort((np.where(rows < n, pos, -pos), rows % n))]
+    counts = np.bincount(rows % n, minlength=n)
+    gaps = np.linalg.norm(_line_deltas(points, counts), axis=1)
+    lengths = np.add.reduceat(gaps, np.cumsum(counts) - counts)
+    kept = (counts > 1) & (lengths >= params.min_len)
+    if not kept.any():
+        raise EmptyTractError("every streamline was shorter than min_len; nothing to keep")
+    return Tract(points[np.repeat(kept, counts)], counts[kept], params.step)
+
+
+def with_island(mask):
+    """The mask plus its grid's corner voxel, away from the tube, and that
+    voxel's center; a step of more than half a voxel leaves it either way."""
+    g = mask.grid
+    data = g.data.copy()
+    assert data[0, 0, 0] == 0
+    data[0, 0, 0] = 1
+    return Mask(VolumeGrid(g.dims, g.spacing, g.origin, data)), g.origin
+
+
+def halves_of(parts, n):
+    """Points each start's forward and backward half accepted."""
+    rows = np.concatenate([np.empty(0, np.intp)] + [keep for _, keep, _ in parts])
+    halves = np.bincount(rows, minlength=2 * n)
+    return halves[:n], halves[n:]
+
+
+# name: (seeds on the 60 mm straight tube, island added, params, what the
+# case must contain, given each start's forward and backward point counts,
+# the number of lines kept and the params)
+ASSEMBLY_CASES = {
+    "lone-start": (
+        [(30.0, 0.0, 0.0)], True,
+        TrackParams(step=0.6, sigma=0.1, seed_count=2, min_len=0.0),
+        lambda fwd, bwd, kept, p: ((fwd + bwd) == 0).any(),
+    ),
+    "short-lines-dropped": (
+        [(30.0, 0.0, 0.0), (-0.4, 0.0, 0.0), (15.0, 1.0, 0.0), (60.4, 0.0, 0.0)], False,
+        TrackParams(step=0.3, sigma=0.1, seed_count=2, max_steps=3, min_len=1.5),
+        lambda fwd, bwd, kept, p: 0 < kept < ((fwd + bwd) > 0).sum(),
+    ),
+    "max-steps": (
+        [(30.0, 0.0, 0.0), (10.0, -1.0, 1.0), (58.0, 0.0, 0.0)], False,
+        TrackParams(step=0.3, sigma=0.1, seed_count=2, max_steps=40),
+        lambda fwd, bwd, kept, p: ((fwd == p.max_steps) | (bwd == p.max_steps)).any(),
+    ),
+    "backward-never-moves": (
+        [(-0.45, 0.0, 0.0), (20.0, 0.0, 0.0), (60.45, 0.0, 0.0)], False,
+        TrackParams(step=0.3, sigma=0.1, seed_count=2),
+        lambda fwd, bwd, kept, p: ((fwd > 0) & (bwd == 0)).any(),
+    ),
+    "all-kept": (
+        [(30.0, 0.0, 0.0), (20.0, 1.0, 1.0), (40.0, -1.0, 0.0)], False,
+        TrackParams(step=0.3, sigma=0.1, seed_count=3),
+        lambda fwd, bwd, kept, p: kept == len(fwd) and (bwd > 0).all(),
+    ),
+}
+
+
+@pytest.mark.parametrize("tracker", ["track", "baseline"])
+class TestAssemblyMatchesLexsortOracle:
+    @pytest.mark.parametrize("case", sorted(ASSEMBLY_CASES))
+    def test_case(self, straight, tracker, case, monkeypatch):
+        seeds, island, params, holds = ASSEMBLY_CASES[case]
+        mask = straight.mask
+        if island:
+            mask, corner = with_island(mask)
+            seeds = [corner, *seeds]
+        seen = []
+        assemble = tracking._assemble
+
+        def recorded(starts, parts, handoff, params):
+            seen.append(halves_of(parts, len(starts)))
+            return assemble(starts, parts, handoff, params)
+
+        monkeypatch.setattr(tracking, "_assemble", recorded)
+        got = run_tracker(tracker, straight, seeds, params, mask)
+        monkeypatch.setattr(tracking, "_assemble", lexsort_assemble)
+        want = run_tracker(tracker, straight, seeds, params, mask)
+        assert holds(*seen[0], len(got.counts), params)
+        assert got.counts.tolist() == want.counts.tolist()
+        assert got.points.tobytes() == want.points.tobytes()
+        assert got.step == want.step
+
+    def test_torus_every_third_voxel(self, torus, tracker, monkeypatch):
+        seeds = torus.mask.foreground_points()[::3]
+        params = TrackParams(step=0.3, sigma=0.1, seed_count=2)
+        got = run_tracker(tracker, torus, seeds, params)
+        monkeypatch.setattr(tracking, "_assemble", lexsort_assemble)
+        want = run_tracker(tracker, torus, seeds, params)
+        assert got.counts.tolist() == want.counts.tolist()
+        assert got.points.tobytes() == want.points.tobytes()
+
+    def test_only_lone_starts_raise(self, straight, tracker):
+        mask, corner = with_island(straight.mask)
+        params = TrackParams(step=0.6, sigma=0.1, seed_count=2, min_len=0.0)
+        with pytest.raises(EmptyTractError, match="shorter than min_len"):
+            run_tracker(tracker, straight, [corner], params, mask)
+
+
+
+@pytest.mark.parametrize("tracker", ["track", "baseline"])
+class TestSeedShapes:
+    @pytest.mark.parametrize("seeds", [[], np.empty((0, 3))], ids=["list", "array"])
+    def test_no_seeds_raise_empty(self, straight, tracker, seeds):
+        with pytest.raises(EmptyTractError, match="no seeds"):
+            run_tracker(tracker, straight, seeds, TrackParams(seed_count=1))
+
+    @pytest.mark.parametrize("shape", [(5, 2), (2, 4), (2,), (1, 1, 3), (0, 2)], ids=str)
+    def test_seeds_of_the_wrong_shape_raise(self, straight, tracker, shape):
+        seeds = np.full(shape, 30.0)
+        with pytest.raises(ValueError, match=f"shape {re.escape(str(shape))}"):
+            run_tracker(tracker, straight, seeds, TrackParams(seed_count=1))
+
+    def test_one_point_is_one_seed(self, straight, tracker):
+        params = TrackParams(sigma=0.1, seed_count=2)
+        one = run_tracker(tracker, straight, (30.0, 0.0, 0.0), params)
+        listed = run_tracker(tracker, straight, [(30.0, 0.0, 0.0)], params)
+        assert one.points.tobytes() == listed.points.tobytes()
+
+
+def test_track_peak_memory_stays_near_its_output():
+    # The README helix, every voxel seeded: the loop's parts and the one
+    # output array they fill peak near 2.7x the points; pooling, sorting and
+    # copying the lines peaked at 6.6x.
+    helix = generate(PhantomSpec(kind="helix", radius=2.5, helix_radius=8.0, pitch=8.0,
+                                 noise_deg=10.0, distractor_amp=0.8))
+    field = helix.field.to_polyfield()
+    seeds = helix.mask.foreground_points()
+    tracemalloc.start()
+    try:
+        tract = track(field, helix.mask, seeds, TrackParams(seed_count=2, rng_seed=42))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.2 * tract.points.nbytes
 
 
 class TestBaselinePeakTrack:
