@@ -8,14 +8,13 @@ uniform arc-length step.
 
 from __future__ import annotations
 
+import heapq
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-
-# scipy is imported inside the functions that call it: its first import
-# costs ~0.5 s, and `import tractfield` and most stages never call it.
 
 from .errors import ConnectivityError, DomainError, FormatError
 from .grids import (
@@ -25,6 +24,7 @@ from .grids import (
     _save_lines,
     inside_many,
     nearest_indices,
+    nearest_point_indices,
     voxel_centers,
 )
 
@@ -35,10 +35,8 @@ RESAMPLE_STEP = 0.5  # default arc-length spacing of centerline points, mm
 _POINT_BUDGET = 1_000_000
 _SMOOTH_PASSES = 2
 
-# The 13 undirected directions of the 26-neighborhood (one per +/- pair).
-_OFFSETS_13 = tuple(
-    off for off in product((-1, 0, 1), repeat=3) if off > (0, 0, 0)
-)
+# The 26-neighborhood's offsets.
+_OFFSETS_26 = tuple(off for off in product((-1, 0, 1), repeat=3) if any(off))
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,35 +75,60 @@ def distance_transform(mask: Mask) -> VolumeGrid:
     """Exact Euclidean distance (mm) from each foreground voxel center to the
     nearest background voxel center; zero outside the foreground, and
     out-of-bounds counts as background.
-    """
-    from scipy.ndimage import distance_transform_edt
 
+    The squared distance is a minimum over background voxels of
+    (fl(sx dx)**2 + fl(sy dy)**2) + fl(sz dz)**2, the arithmetic of
+    scipy.ndimage.distance_transform_edt, found one axis at a time: rounding
+    is monotone, so each axis's minimum carries into the next exactly.
+    """
     fg = mask.foreground
     if not fg.any():
         raise DomainError("mask has no foreground voxels")
-    padded = np.zeros(tuple(d + 2 for d in mask.grid.dims), dtype=bool)
-    padded[1:-1, 1:-1, 1:-1] = fg
-    # One padding layer suffices: any deeper out-of-bounds voxel lies farther
-    # along the same ray than the shell voxel it passes through.
-    dist = distance_transform_edt(padded, sampling=mask.grid.spacing)
-    data = np.where(fg, dist[1:-1, 1:-1, 1:-1], 0.0)
+    # The foreground's bounding box and one background shell around it: a
+    # background voxel farther out is never nearer than its clamp onto the
+    # shell, which is no farther along any axis.
+    nonzero = [np.flatnonzero(fg.any(axis=other)) for other in ((1, 2), (0, 2), (0, 1))]
+    box = tuple(slice(ix[0], ix[-1] + 1) for ix in nonzero)
+    inner = fg[box]
+    sub = np.zeros(tuple(n + 2 for n in inner.shape), dtype=bool)
+    sub[1:-1, 1:-1, 1:-1] = inner
+    squares = [np.square(np.arange(n) * s) for n, s in zip(sub.shape, mask.grid.spacing)]
+    d2 = squares[0][_steps_to_background(sub)]
+    d2 = _add_min_along(d2, squares[1], axis=1)
+    # The z pass runs only on the z lines that hold foreground.
+    lines = sub.any(axis=2)
+    d2 = _add_min_along(d2[lines], squares[2], axis=1)
     g = mask.grid
+    data = np.zeros(g.dims)
+    data[box][inner] = np.sqrt(d2[sub[lines]])  # data[box] is a view
     return VolumeGrid(g.dims, g.spacing, g.origin, data)
 
 
-def _shift_slices(off):
-    sa, sb = [], []
-    for o in off:
-        if o == 1:
-            sa.append(slice(None, -1))
-            sb.append(slice(1, None))
-        elif o == -1:
-            sa.append(slice(1, None))
-            sb.append(slice(None, -1))
-        else:
-            sa.append(slice(None))
-            sb.append(slice(None))
-    return tuple(sa), tuple(sb)
+def _steps_to_background(sub: np.ndarray) -> np.ndarray:
+    """Index steps from each voxel to the nearest False voxel along axis 0,
+    whose first and last layers are all False."""
+    n = len(sub)
+    pos = np.arange(n).reshape(n, 1, 1)
+    before = np.maximum.accumulate(np.where(sub, -n, pos), axis=0)
+    after = np.minimum.accumulate(np.where(sub, 2 * n, pos)[::-1], axis=0)[::-1]
+    return np.minimum(pos - before, after - pos)
+
+
+def _add_min_along(d2: np.ndarray, squares: np.ndarray, axis: int) -> np.ndarray:
+    """``out[.., j, ..] = min over j' of d2[.., j', ..] + squares[|j - j'|]``
+    along ``axis``.  An offset whose square reaches the largest entry cannot
+    lower any entry, so the scan stops there."""
+    out = d2.copy()
+    src = np.moveaxis(d2, axis, 0)
+    dst = np.moveaxis(out, axis, 0)
+    top = out.max()
+    for step in range(1, len(src)):
+        sq = squares[step]
+        if sq >= top:
+            break
+        np.minimum(dst[step:], src[:-step] + sq, out=dst[step:])
+        np.minimum(dst[:-step], src[step:] + sq, out=dst[:-step])
+    return out
 
 
 def path_energy(dt: VolumeGrid, voxels) -> float:
@@ -120,41 +143,67 @@ def path_energy(dt: VolumeGrid, voxels) -> float:
 
 
 def _min_energy_path(dt: VolumeGrid, start, goal) -> np.ndarray:
-    from scipy.sparse import csgraph, csr_matrix
-
-    d = dt.data
-    fg = d > 0
+    fg = dt.data > 0
     fg_idx = np.argwhere(fg)
-    n = len(fg_idx)
-    ids = np.full(d.shape, -1, dtype=np.int64)
-    ids[fg] = np.arange(n)
-    h = np.where(fg, 1.0 / (d + DT_EPS), 0.0)
+    # Flat indices into the grid padded by one background layer, where no
+    # neighbor offset wraps around a face; -1 marks background.
+    dims = np.asarray(fg.shape) + 2
+    strides = np.array([dims[1] * dims[2], dims[2], 1])
+    flat = (fg_idx + 1) @ strides
+    ids = np.full(dims.prod(), -1, dtype=np.int64)
+    ids[flat] = np.arange(len(fg_idx))
+    nbrs = ids[flat[:, None] + np.array(_OFFSETS_26) @ strides]
+    # An edge costs its length times the mean of its ends' 1/(DT + eps).
+    h = 1.0 / (dt.data[fg] + DT_EPS)
     spacing = np.asarray(dt.spacing)
-    rows, cols, weights = [], [], []
-    for off in _OFFSETS_13:
-        sa, sb = _shift_slices(off)
-        both = fg[sa] & fg[sb]
-        if not both.any():
+    half = np.array([float(np.linalg.norm(np.asarray(off) * spacing)) for off in _OFFSETS_26])
+    half *= 0.5
+    costs = half * (h[:, None] + h[nbrs])  # background neighbors are dropped next
+    edge = nbrs >= 0
+    ends = np.concatenate([[0], np.cumsum(edge.sum(axis=1))]).tolist()
+    src, dst = (int(ids[(np.asarray(v) + 1) @ strides]) for v in (start, goal))
+    # array slices copy raw memory: an edge's numbers become Python objects
+    # only when the search reads them.
+    chain = _dijkstra_chain(array("q", nbrs[edge].tobytes()), array("d", costs[edge].tobytes()),
+                            ends, src, dst)
+    return fg_idx[chain]
+
+
+def _dijkstra_chain(nbrs, costs, ends, src, dst) -> list:
+    """Node chain from ``src`` to ``dst`` of least summed cost, where node u's
+    edges lead to ``nbrs[ends[u]:ends[u + 1]]`` at ``costs`` in that range.
+
+    A node's distance is lowered only by a strictly smaller sum, and nodes of
+    equal distance leave the heap highest index first.  Equal-cost paths
+    then resolve as scipy.sparse.csgraph.dijkstra's Fibonacci heap resolves
+    them on these graphs (the tests compare the two on tie-heavy masks).
+    The search stops at ``dst``.
+    """
+    n = len(ends) - 1
+    dist = [math.inf] * n
+    pred = [-1] * n
+    dist[src] = 0.0
+    heap = [(0.0, -src)]
+    while heap:
+        du, u = heapq.heappop(heap)
+        u = -u
+        if du > dist[u]:  # a stale entry: u was pushed again, nearer
             continue
-        length = float(np.linalg.norm(np.asarray(off) * spacing))
-        rows.append(ids[sa][both])
-        cols.append(ids[sb][both])
-        weights.append(length * 0.5 * (h[sa][both] + h[sb][both]))
-    graph = csr_matrix(
-        (np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
-    src = int(ids[start])
-    dst = int(ids[goal])
-    dist, preds = csgraph.dijkstra(
-        graph, directed=False, indices=src, return_predecessors=True
-    )
-    if not np.isfinite(dist[dst]):
+        if u == dst:
+            break
+        lo, hi = ends[u], ends[u + 1]
+        for v, cost in zip(nbrs[lo:hi], costs[lo:hi]):
+            alt = du + cost
+            if alt < dist[v]:
+                dist[v] = alt
+                pred[v] = u
+                heapq.heappush(heap, (alt, -v))
+    else:
         raise ConnectivityError("endpoints are not connected inside the mask")
     chain = [dst]
     while chain[-1] != src:
-        chain.append(int(preds[chain[-1]]))
-    return fg_idx[np.array(chain[::-1])]
+        chain.append(pred[chain[-1]])
+    return chain[::-1]
 
 
 def _smooth(pts: np.ndarray) -> np.ndarray:
@@ -171,12 +220,9 @@ def _pull_inside(pts: np.ndarray, mask: Mask) -> np.ndarray:
     ok = inside_many(mask, pts)
     if ok.all():
         return pts
-    from scipy.spatial import cKDTree
-
     centers = mask.foreground_points()
-    _, nn = cKDTree(centers).query(pts[~ok])
     out = pts.copy()
-    out[~ok] = centers[nn]
+    out[~ok] = centers[nearest_point_indices(pts[~ok], centers)]
     return out
 
 
@@ -253,17 +299,8 @@ def extract_centerline(mask: Mask, p1, p2, delta=RESAMPLE_STEP) -> Centerline:
 
 
 def _nearest_centerline_index(cl: Centerline, pts) -> np.ndarray:
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    out = np.empty(len(pts), dtype=np.int64)
-    # Chunks of up to 2**20 point pairs (one row at least) bound the
-    # temporaries on a long centerline; no row's argmin depends on its chunk.
-    rows = max(1, min(2048, 2**20 // len(cl.points)))
-    # argmin returns the first minimum, which is the lower-arc-length point
-    for lo in range(0, len(pts), rows):
-        chunk = pts[lo:lo + rows]
-        d2 = ((chunk[:, None, :] - cl.points[None, :, :]) ** 2).sum(axis=2)
-        out[lo:lo + len(chunk)] = np.argmin(d2, axis=1)
-    return out
+    # a tie goes to the lower index, which is the lower-arc-length point
+    return nearest_point_indices(pts, cl.points)
 
 
 def cross_section_normals(cl: Centerline, pts) -> np.ndarray:

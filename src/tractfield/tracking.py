@@ -420,5 +420,8 @@ def baseline_peak_track(
     admissible = (amps > 0) & (amps >= min_amp)
     first = peaks.directions[i, j, k, np.argmax(admissible, axis=1)]
     alive = admissible.any(axis=1)
+    if not alive.any():
+        raise EmptyTractError(f"no seed's voxel has a peak at or above min_amp "
+                              f"(--cutoff) {min_amp!r}; nothing to track")
     parts, handoff = _lockstep(mask, kept_seeds, first, alive, advance, turn, params)
     return _assemble(kept_seeds, parts, handoff, params)

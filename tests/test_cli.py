@@ -375,6 +375,18 @@ class TestExitCodes:
             assert code == 1, (stage[0], flag, value)
             assert "invalid parameter" in capsys.readouterr().err
 
+    def test_cutoff_above_every_peak_names_the_cutoff(self, tmp_path, stages_dir, capsys):
+        # No seed can start, which is a data error, and no line was dropped
+        # as short.
+        code = main(["baseline", "--peaks", f"{stages_dir}/peaks.rvf",
+                     "--mask", f"{stages_dir}/mask.rvf", "--cutoff", "2",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "no seed's voxel has a peak at or above min_amp (--cutoff) 2.0" in err
+        assert "min_len" not in err
+        assert not (tmp_path / "baseline.tract").exists()
+
     @pytest.mark.parametrize("delta", ["5e-324", "1e-300"])
     def test_tiny_delta_is_parameter_error(self, tmp_path, stages_dir, capsys, delta):
         # 5e-324 once overflowed in the point count and 1e-300 failed inside
@@ -682,15 +694,18 @@ sys.exit(code)
 
 @pytest.fixture(scope="module")
 def helix_spec_file(tmp_path_factory):
+    # the README's quick-start spec
     path = tmp_path_factory.mktemp("spec") / "helix.spec"
-    save_phantom_spec(PhantomSpec(kind="helix", radius=2.5, helix_radius=8.0, pitch=8.0),
-                      path)
+    save_phantom_spec(PhantomSpec(kind="helix", radius=2.5, helix_radius=8.0, pitch=8.0,
+                                  noise_deg=10.0, distractor_amp=0.8), path)
     return str(path)
 
 
 @pytest.mark.parametrize("argv, artifact", [
     ([], None),
     (["phantom", "--spec", "{helix}", "--out", "{out}"], None),
+    (["centerline", "--mask", "{s}/mask.rvf", "--endpoints", "{s}/endpoints.txt",
+      "--out", "{out}"], "centerline.tract"),
     (["prior", "--peaks", "{s}/peaks.rvf", "--centerline", "{s}/centerline.tract",
       "--mask", "{s}/mask.rvf", "--out", "{out}"], "prior.rvf"),
     (["fit", "--prior", "{s}/prior.rvf", "--mask", "{s}/mask.rvf", "--out", "{out}"],
@@ -699,7 +714,14 @@ def helix_spec_file(tmp_path_factory):
      + TRACK_FLAGS, "streamlines.tract"),
     (["baseline", "--peaks", "{s}/peaks.rvf", "--mask", "{s}/mask.rvf", "--out", "{out}"],
      "baseline.tract"),
-], ids=["import", "phantom", "prior", "fit", "track", "baseline"])
+    # scored against the phantom's axis, which has fewer points than
+    # hausdorff's k-d tree threshold
+    (["metrics", "--tract", "{s}/streamlines.tract", "--ref-tract", "{s}/axis.tract",
+      "--grid", "{s}/mask.rvf", "--ref-mask", "{s}/mask.rvf", "--out", "{out}"],
+     "metrics.txt"),
+    (["pipeline", "--spec", "{helix}", "--out", "{out}"] + TRACK_FLAGS, None),
+], ids=["import", "phantom", "centerline", "prior", "fit", "track", "baseline", "metrics",
+        "pipeline"])
 def test_stage_starts_without_scipy(tmp_path, stages_dir, helix_spec_file, argv, artifact):
     src = str(Path(tractfield.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")

@@ -153,9 +153,23 @@ class TestVoxelize:
                 tract = tract_from_lines(random_lines(rng, step, low, high), step)
                 dense = np.vstack([densify_line(line, 0.25)
                                    for line in tract.streamlines])
-                assert np.array_equal(metrics._densify(tract, 0.25), dense)
+                assert np.array_equal(metrics._densify(tract.points, tract.counts, 0.25), dense)
                 assert np.array_equal(voxelize(tract, grid).grid.data,
                                       voxelize_by_line(tract, grid))
+
+    def test_chunks_of_lines_mark_the_one_pass_mask(self, rng, monkeypatch):
+        grid = VolumeGrid((9, 8, 7), (0.5, 1.0, 0.75), (-1.0, 2.0, 0.5),
+                          np.zeros((9, 8, 7), np.uint8))
+        low = np.array(grid.origin) - 1.0
+        high = low + np.array(grid.dims) * grid.spacing + 2.0
+        # at least 8 lines, some of them off the grid
+        lines = [line for _ in range(8) for line in random_lines(rng, 0.9, low, high)]
+        tract = tract_from_lines(lines, 0.9)
+        monkeypatch.setattr(metrics, "_VOXELIZE_LINES", len(lines))
+        one_pass = voxelize(tract, grid).grid.data.tobytes()
+        for chunk in (1, 3, len(lines) - 1):
+            monkeypatch.setattr(metrics, "_VOXELIZE_LINES", chunk)
+            assert voxelize(tract, grid).grid.data.tobytes() == one_pass, chunk
 
 
 class TestDensify:
@@ -168,7 +182,7 @@ class TestDensify:
         for _ in range(20):
             tract = tract_from_lines(random_lines(rng, step, np.full(3, -5.0),
                                                   np.full(3, 5.0)), step)
-            got = metrics._densify(tract, max_gap)
+            got = metrics._densify(tract.points, tract.counts, max_gap)
             assert got.tobytes() == gathered_densify(tract, max_gap).tobytes()
             grown += len(got) > len(tract.points)
         assert bool(grown) == splits
