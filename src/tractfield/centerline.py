@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
@@ -41,34 +41,32 @@ _OFFSETS_26 = tuple(off for off in product((-1, 0, 1), repeat=3) if any(off))
 
 @dataclass(frozen=True, eq=False)
 class Centerline:
-    """Ordered world-space polyline with per-point unit tangents.
+    """Ordered world-space polyline and its arc-length step ``delta``.
 
-    A degenerate single-point centerline (coincident endpoints) carries a
-    zero tangent; every multi-point centerline has unit tangents.
+    The per-point unit ``tangents`` follow from the points alone, by one rule
+    (``_unit_tangents``), so a centerline built in memory and the same points
+    loaded from a file carry the same tangents bit for bit.  A single-point
+    centerline (coincident endpoints) carries a zero tangent.
     """
 
     points: np.ndarray
-    tangents: np.ndarray
     delta: float = RESAMPLE_STEP
+    tangents: np.ndarray = field(init=False)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        tan = np.atleast_2d(np.asarray(self.tangents, dtype=float))
         if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) < 1:
             raise ValueError("points must be an (n, 3) array with n >= 1")
-        if tan.shape != pts.shape:
-            raise ValueError("tangents must match points in shape")
-        if not (np.isfinite(pts).all() and np.isfinite(tan).all()):
-            raise ValueError("points and tangents must be finite")
+        if not np.isfinite(pts).all():
+            raise ValueError("points must be finite")
+        tangents = _unit_tangents(pts)
+        # Neighbours at opposite ends of the float range overflow their difference.
+        if not np.isfinite(tangents).all():
+            raise ValueError("tangents must be finite: neighbouring points differ by "
+                             "more than the float range")
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "tangents", tan)
         object.__setattr__(self, "delta", float(self.delta))
-
-    @property
-    def length(self) -> float:
-        if len(self.points) < 2:
-            return 0.0
-        return float(np.linalg.norm(np.diff(self.points, axis=0), axis=1).sum())
+        object.__setattr__(self, "tangents", tangents)
 
 
 def distance_transform(mask: Mask) -> VolumeGrid:
@@ -256,12 +254,17 @@ def _unit_tangents(pts: np.ndarray) -> np.ndarray:
     t[safe] /= norms[safe, None]
     # A zero tangent takes its nearest nonzero predecessor's, or else the
     # first nonzero one after it.
-    first = np.argmax(safe)
-    for i in np.flatnonzero(~safe):
-        t[i] = t[i - 1] if i > first else t[first]
-    for i in range(1, n):
-        if float(np.dot(t[i], t[i - 1])) < 0:
-            t[i] = -t[i]
+    t = t[np.maximum.accumulate(np.where(safe, np.arange(n), np.argmax(safe)))]
+    # Each tangent takes the sign that agrees with its predecessor's final
+    # one.  Against the unsigned predecessor, a negative dot product toggles
+    # the sign and a positive one keeps it; a zero one agrees with neither
+    # sign, which leaves the tangent as it is and restarts the count.
+    dots = (t[1:, None, :] @ t[:-1, :, None])[:, 0, 0]  # np.dot's bits, row by row
+    toggles = np.concatenate([[0], np.cumsum(dots < 0)])
+    restart = np.concatenate([[True], dots == 0])
+    last = np.maximum.accumulate(np.where(restart, np.arange(n), 0))
+    odd = (toggles - toggles[last]) % 2 == 1
+    t[odd] = -t[odd]
     return t
 
 
@@ -287,7 +290,7 @@ def extract_centerline(mask: Mask, p1, p2, delta=RESAMPLE_STEP) -> Centerline:
     goal = _endpoint_voxel(mask, p2, "p2")
     if start == goal:
         center = voxel_centers(mask.grid, [start])
-        return Centerline(center, np.zeros((1, 3)), delta)
+        return Centerline(center, delta)
     dt = distance_transform(mask)
     chain = _min_energy_path(dt, start, goal)
     pts = voxel_centers(mask.grid, chain)
@@ -295,12 +298,7 @@ def extract_centerline(mask: Mask, p1, p2, delta=RESAMPLE_STEP) -> Centerline:
     pts = _pull_inside(pts, mask)
     pts = _resample(pts, delta)
     pts = _pull_inside(pts, mask)
-    return Centerline(pts, _unit_tangents(pts), delta)
-
-
-def _nearest_centerline_index(cl: Centerline, pts) -> np.ndarray:
-    # a tie goes to the lower index, which is the lower-arc-length point
-    return nearest_point_indices(pts, cl.points)
+    return Centerline(pts, delta)
 
 
 def cross_section_normals(cl: Centerline, pts) -> np.ndarray:
@@ -309,7 +307,7 @@ def cross_section_normals(cl: Centerline, pts) -> np.ndarray:
     The cross-section plane's normal is the local centerline tangent; when
     two centerline points are equidistant the earlier one wins.
     """
-    return cl.tangents[_nearest_centerline_index(cl, pts)]
+    return cl.tangents[nearest_point_indices(pts, cl.points)]
 
 
 def save_centerline(cl: Centerline, path):
@@ -318,9 +316,9 @@ def save_centerline(cl: Centerline, path):
 
 
 def load_centerline(path) -> Centerline:
-    """Read a centerline file; tangents are recomputed from the points."""
+    """Read a centerline file; its tangents follow from the points."""
     delta, pts, counts = _load_lines(path)
     if len(counts) != 1 or not len(pts):
         raise FormatError(f"{path}: centerline file must hold exactly one "
                           "polyline with at least one point")
-    return Centerline(pts, _unit_tangents(pts), delta)
+    return Centerline(pts, delta)

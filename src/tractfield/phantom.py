@@ -16,8 +16,8 @@ are written once per family:
   rate 0;
 - a coiled axis (R cos t, R sin t, rise t): the helix, and the quarter-torus,
   a flat quarter turn (rise 0, t in [0, pi / 2]).  The quarter-torus keeps
-  its own tangent and projection, whose bits differ from the helix's, and
-  its own grid bounds and mask, which hold only the first quadrant.
+  its own projection, the point's angle, and its own grid bounds and mask,
+  which hold only the first quadrant.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ class FieldDescriptor:
     (R cos t, R sin t, rise t).  Either axis runs over t in [0, span] at
     ``speed`` mm per unit of t.  The affine flow field v(p) = constant +
     linear @ p, divergence-free, follows from these numbers, as do axis
-    positions, tangents, and per-point axis parameters in closed form.
+    positions and per-point axis parameters in closed form.
     """
 
     kind: str
@@ -125,10 +125,6 @@ class FieldDescriptor:
         return pts @ self.linear.T + self.constant
 
     @property
-    def axis_range(self) -> tuple:
-        return 0.0, self.span
-
-    @property
     def axis_length(self) -> float:
         return self.span * self.speed
 
@@ -138,18 +134,6 @@ class FieldDescriptor:
             return np.stack([t, np.zeros_like(t), np.zeros_like(t)], axis=-1)
         radius = self.coil_radius
         return np.stack([radius * np.cos(t), radius * np.sin(t), self.rise * t], axis=-1)
-
-    def axis_tangent(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        if self.coil_radius is None:
-            return np.stack([np.ones_like(t), np.zeros_like(t), np.zeros_like(t)], axis=-1)
-        if self.kind == "quarter-torus":
-            # The coil's formula below differs from this in the last bit.
-            return np.stack([-np.sin(t), np.cos(t), np.zeros_like(t)], axis=-1)
-        radius = self.coil_radius
-        return np.stack(
-            [-radius * np.sin(t), radius * np.cos(t), np.full_like(t, self.rise)], axis=-1
-        ) / self.speed
 
     def axis_params(self, points) -> np.ndarray:
         """Axis parameter of the closest axis position, per point.
@@ -167,17 +151,16 @@ class FieldDescriptor:
         theta = np.arctan2(pts[:, 1], pts[:, 0])
         if self.kind == "quarter-torus":
             return theta  # on the flat coil; ``_helix_newton`` divides by the rise
-        rise = self.rise
-        t0, t1 = self.axis_range
+        rise, span = self.rise, self.span
         turn = np.round((pts[:, 2] / rise - theta) / (2 * math.pi))
         t = self._helix_newton(pts, theta, turn)
-        past = (t < t0) | (t > t1)
+        past = (t < 0) | (t > span)
         if past.any():
             p, theta = pts[past], theta[past]
-            turn = np.round((np.clip(p[:, 2] / rise, t0, t1) - theta) / (2 * math.pi))
+            turn = np.round((np.clip(p[:, 2] / rise, 0.0, span) - theta) / (2 * math.pi))
             near = self._helix_newton(p, theta, turn + [[-1], [0], [1]])
-            ends = np.broadcast_to([[t0], [t1]], (2, len(p)))
-            near = np.vstack([np.clip(near, t0, t1), ends])
+            ends = np.broadcast_to([[0.0], [span]], (2, len(p)))
+            near = np.vstack([np.clip(near, 0.0, span), ends])
             gap = ((self.axis_point(near) - p) ** 2).sum(axis=-1)
             t[past] = np.take_along_axis(near, gap.argmin(axis=0)[None], axis=0)[0]
         return t
@@ -314,7 +297,12 @@ class PhantomSpec:
 
 @dataclass(frozen=True, eq=False)
 class Phantom:
-    """Generated phantom bundle: mask, peaks, analytic axis, flow field."""
+    """Generated phantom bundle: mask, peaks, analytic axis, flow field.
+
+    ``centerline`` holds axis points at an arc-length step near
+    ``RESAMPLE_STEP``.  Like every centerline, its tangents follow from its
+    points, so they equal those of the ``axis.tract`` written from it.
+    """
 
     mask: Mask
     peaks: PeaksField
@@ -363,13 +351,16 @@ def _foreground(desc: FieldDescriptor, r: float, centers: np.ndarray):
     if desc.kind == "quarter-torus":
         ring = np.hypot(x, y) - desc.coil_radius
         return (x >= 0) & (y >= 0) & (ring * ring + z * z <= r * r)
-    t0, t1 = desc.axis_range
     dist = np.linalg.norm(centers - desc.axis_point(desc.axis_params(centers)), axis=1)
-    # Flat end caps: cut the half-ball overhangs past each axis endpoint.
-    # The cap half-space applies only near its endpoint, because for a
-    # full turn the plane would otherwise slice the tube mid-helix.
-    ends = desc.axis_point(np.array([t0, t1]))
-    tans = desc.axis_tangent(np.array([t0, t1]))
+    # Flat end caps: cut the half-ball overhangs past each axis endpoint,
+    # across the coil's unit tangent there.  The cap half-space applies only
+    # near its endpoint, because for a full turn the plane would otherwise
+    # slice the tube mid-helix.
+    t, radius = np.array([0.0, desc.span]), desc.coil_radius
+    ends = desc.axis_point(t)
+    tans = np.stack(
+        [-radius * np.sin(t), radius * np.cos(t), np.full_like(t, desc.rise)], axis=-1
+    ) / desc.speed
     lo_cut = ((centers - ends[0]) @ tans[0] < 0) & (
         np.linalg.norm(centers - ends[0], axis=1) <= 1.5 * r
     )
@@ -391,12 +382,9 @@ def _orthonormal_frame(tangents: np.ndarray) -> tuple:
 
 
 def _analytic_centerline(desc: FieldDescriptor) -> Centerline:
-    t0, t1 = desc.axis_range
     count = max(1, int(round(desc.axis_length / RESAMPLE_STEP)))
-    ts = np.linspace(t0, t1, count + 1)
-    return Centerline(
-        desc.axis_point(ts), desc.axis_tangent(ts), desc.axis_length / count
-    )
+    ts = np.linspace(0.0, desc.span, count + 1)
+    return Centerline(desc.axis_point(ts), desc.axis_length / count)
 
 
 def _snap_endpoint(mask: Mask, point: np.ndarray) -> np.ndarray:
@@ -451,8 +439,7 @@ def generate(spec: PhantomSpec, rng_seed: int = 0) -> Phantom:
     directions[fg_idx[:, 0], fg_idx[:, 1], fg_idx[:, 2], 0] = primary
     amplitudes[fg_idx[:, 0], fg_idx[:, 1], fg_idx[:, 2], 0] = 1.0
     if k == 2:
-        t0, t1 = desc.axis_range
-        frac = (desc.axis_params(fg_centers) - t0) / (t1 - t0)
+        frac = desc.axis_params(fg_centers) / desc.span
         band = (frac >= _DISTRACTOR_BAND[0]) & (frac <= _DISTRACTOR_BAND[1])
         psi = rng.uniform(0.0, 2 * math.pi, size=n)
         ortho = np.cos(psi)[:, None] * e1 + np.sin(psi)[:, None] * e2
@@ -507,12 +494,11 @@ def completion_rate(tract: Tract, desc: FieldDescriptor) -> float:
     """
     if not len(tract.counts):
         return 0.0
-    t0, t1 = desc.axis_range
-    pad = _COMPLETION_MARGIN * (t1 - t0)
+    pad = _COMPLETION_MARGIN * desc.span
     t = desc.axis_params(tract.points)
     starts = np.cumsum(tract.counts) - tract.counts
     lo, hi = np.minimum.reduceat(t, starts), np.maximum.reduceat(t, starts)
-    return float(np.mean((lo <= t0 + pad) & (hi >= t1 - pad)))
+    return float(np.mean((lo <= pad) & (hi >= desc.span - pad)))
 
 
 def save_phantom_spec(spec: PhantomSpec, path):

@@ -35,10 +35,10 @@ from tractfield import centerline
 from tractfield.centerline import (
     _POINT_BUDGET,
     _min_energy_path,
-    _nearest_centerline_index,
     _resample,
     _unit_tangents,
 )
+from tractfield.phantom import KINDS
 
 from conftest import (
     brute_force_distance,
@@ -101,13 +101,17 @@ def straight_tube(length=30):
     return generate(PhantomSpec(kind="straight-tube", radius=3.0, length=length))
 
 
+def polyline_length(points) -> float:
+    return float(np.linalg.norm(np.diff(points, axis=0), axis=1).sum())
+
+
 class TestExtractCenterline:
     def test_straight_tube_tracks_axis(self):
         ph = straight_tube()
         cl = extract_centerline(ph.mask, ph.p1, ph.p2)
         dev = np.linalg.norm(cl.points[:, 1:], axis=1)
         assert dev.max() <= 1.0
-        assert abs(cl.length - 30.0) / 30.0 <= 0.05
+        assert abs(polyline_length(cl.points) - 30.0) / 30.0 <= 0.05
 
     def test_axis_inside_the_mask_builds_no_kd_tree(self):
         # The distance transform, the minimal path and the nearest-center
@@ -132,26 +136,29 @@ class TestExtractCenterline:
         assert inside
         assert loaded == []
 
-    @pytest.mark.parametrize("part", ["points", "tangents"])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_rejects_non_finite(self, part, bad):
-        arrays = {"points": np.zeros((3, 3)), "tangents": np.zeros((3, 3))}
-        arrays[part][1, 2] = bad
-        with pytest.raises(ValueError, match="finite"):
-            Centerline(**arrays)
+    @pytest.mark.parametrize("values, match", [
+        pytest.param((np.nan, 0.0), "points must be finite", id="nan-points"),
+        pytest.param((np.inf, 0.0), "points must be finite", id="inf-points"),
+        # finite points whose difference overflows
+        pytest.param((1e308, -1e308), "tangents must be finite", id="overflowing-tangents"),
+    ])
+    def test_rejects_non_finite(self, values, match):
+        points = np.zeros((3, 3))
+        points[1:, 2] = values
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=match):
+            Centerline(points)
 
     def test_degenerate_endpoints(self):
         ph = straight_tube(10)
         cl = extract_centerline(ph.mask, ph.p1, ph.p1)
         assert len(cl.points) == 1
-        assert cl.length == 0.0
         assert np.all(cl.tangents == 0)
 
     def test_torus_arc_length(self):
         ph = generate(PhantomSpec(kind="quarter-torus", radius=3.0, major_radius=12.0))
         cl = extract_centerline(ph.mask, ph.p1, ph.p2)
         analytic = 0.5 * np.pi * 12.0
-        assert abs(cl.length - analytic) / analytic <= 0.05
+        assert abs(polyline_length(cl.points) - analytic) / analytic <= 0.05
 
     def test_points_inside_mask(self):
         ph = generate(PhantomSpec(kind="quarter-torus", radius=3.0, major_radius=12.0))
@@ -232,23 +239,22 @@ class TestExtractCenterline:
 class TestCrossSectionNormal:
     def test_constant_tangent(self):
         pts = np.stack([np.linspace(0, 10, 21), np.zeros(21), np.zeros(21)], axis=1)
-        tans = np.tile([1.0, 0, 0], (21, 1))
-        cl = Centerline(pts, tans, delta=0.5)
+        cl = Centerline(pts, delta=0.5)
         assert np.allclose(cross_section_normals(cl, [(3.7, 4.0, -2.0)])[0], [1, 0, 0])
 
     def test_tie_takes_earlier_point(self):
-        pts = np.array([[0.0, 0, 0], [1.0, 0, 0]])
-        tans = np.array([[1.0, 0, 0], [0.0, 1.0, 0]])
-        cl = Centerline(pts, tans, delta=1.0)
-        assert np.allclose(cross_section_normals(cl, [(0.5, 0, 0)])[0], [1, 0, 0])
+        # A corner: the tangents are +x, the diagonal and +y.
+        pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [1.0, 1.0, 0]])
+        cl = Centerline(pts, delta=1.0)
+        assert np.array_equal(cl.tangents[0], [1, 0, 0])
+        assert not np.allclose(cl.tangents[1], [1, 0, 0])
+        assert np.array_equal(cross_section_normals(cl, [(0.5, -1.0, 0)]), [[1, 0, 0]])
 
     def test_helix_tangent(self):
         t = np.linspace(0, 4 * np.pi, 12000)
         r, c = 8.0, 1.2
         pts = np.stack([r * np.cos(t), r * np.sin(t), c * t], axis=1)
-        vel = np.stack([-r * np.sin(t), r * np.cos(t), np.full_like(t, c)], axis=1)
-        tans = vel / np.linalg.norm(vel, axis=1, keepdims=True)
-        cl = Centerline(pts, tans, delta=float(np.linalg.norm(np.diff(pts, axis=0), axis=1).mean()))
+        cl = Centerline(pts, delta=polyline_length(pts) / (len(pts) - 1))
         q = 2.123
         p = (r * np.cos(q), r * np.sin(q), c * q)
         want = np.array([-r * np.sin(q), r * np.cos(q), c])
@@ -261,20 +267,66 @@ class TestCrossSectionNormal:
         # which bounds its temporaries and changes no row's nearest point.
         rng = np.random.default_rng(5)
         pts = np.cumsum(rng.normal(size=(1500, 3)), axis=0)
-        cl = Centerline(pts, _unit_tangents(pts), 1.0)
+        cl = Centerline(pts, 1.0)
         query = np.vstack([rng.uniform(pts.min(axis=0), pts.max(axis=0), (2000, 3)),
                            pts[::50] + 0.5])
         tracemalloc.start()
         try:
-            got = _nearest_centerline_index(cl, query)
+            got = cross_section_normals(cl, query)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         want = [np.argmin(((pts - q) ** 2).sum(axis=1)) for q in query]
-        assert got.tolist() == want
+        assert np.array_equal(got, cl.tangents[want])
         # About 40 MiB here and at any longer centerline; 93 MiB in one
         # 2048-row chunk.
         assert peak < 64 * 2**20
+
+
+def loop_unit_tangents(pts: np.ndarray) -> np.ndarray:
+    """``_unit_tangents`` with one Python step per filled or signed point:
+    the bitwise oracle of its loop-free zero fill and sign alignment."""
+    n = len(pts)
+    if n == 1:
+        return np.zeros((1, 3))
+    t = np.empty((n, 3))
+    t[0] = pts[1] - pts[0]
+    t[-1] = pts[-1] - pts[-2]
+    if n > 2:
+        t[1:-1] = pts[2:] - pts[:-2]
+    norms = np.linalg.norm(t, axis=1)
+    safe = norms > 1e-12
+    if not safe.any():
+        return np.tile([1.0, 0.0, 0.0], (n, 1))
+    t[safe] /= norms[safe, None]
+    first = np.argmax(safe)
+    for i in np.flatnonzero(~safe):
+        t[i] = t[i - 1] if i > first else t[first]
+    for i in range(1, n):
+        if float(np.dot(t[i], t[i - 1])) < 0:
+            t[i] = -t[i]
+    return t
+
+
+def tangent_cases(rng, n) -> tuple:
+    """Three polylines of n points: a random walk; a lattice staircase, whose
+    steps of -1, 0 or 1 along one axis give zero and axis-aligned tangents
+    with exactly zero and negative dot products; and a walk with runs of
+    coincident points."""
+    walk = np.cumsum(rng.normal(size=(n, 3)), axis=0)
+    steps = np.zeros((n, 3))
+    steps[np.arange(n), rng.integers(0, 3, n)] = rng.choice([-1.0, 0.0, 1.0], n)
+    runs = np.repeat(walk, rng.integers(1, 4, n), axis=0)[:n]
+    return walk, np.cumsum(steps, axis=0), runs
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_unit_tangents_match_loop_oracle_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    for n in range(1, 41):
+        for case, pts in enumerate(tangent_cases(rng, n)):
+            got, want = _unit_tangents(pts), loop_unit_tangents(pts)
+            assert got.tobytes() == want.tobytes(), (n, case)
 
 
 class TestCenterlineIO:
@@ -285,7 +337,16 @@ class TestCenterlineIO:
         save_centerline(cl, path)
         back = load_centerline(path)
         assert np.array_equal(back.points, cl.points)
-        assert np.allclose(back.tangents, cl.tangents, atol=1e-9)
+        assert np.array_equal(back.tangents, cl.tangents)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_phantom_axis_keeps_its_tangents_on_load(self, tmp_path, kind):
+        ph = generate(PhantomSpec(kind=kind))
+        path = tmp_path / "axis.tract"
+        save_centerline(ph.centerline, path)
+        back = load_centerline(path)
+        assert back.points.tobytes() == ph.centerline.points.tobytes()
+        assert back.tangents.tobytes() == ph.centerline.tangents.tobytes()
 
     # Points along +y; where neighbours coincide, a point's difference is zero.
     @pytest.mark.parametrize("ys, want", [
@@ -300,7 +361,7 @@ class TestCenterlineIO:
     def test_zero_tangent_takes_a_neighbours(self, tmp_path, ys, want):
         pts = np.array([[0.0, y, 0.0] for y in ys])
         path = tmp_path / "cl.tract"
-        save_centerline(Centerline(pts, np.zeros_like(pts), 0.5), path)
+        save_centerline(Centerline(pts, 0.5), path)
         back = load_centerline(path)
         assert np.array_equal(back.tangents, np.array(want, dtype=float))
         # The start wins a distance tie, so its tangent is the normal there.

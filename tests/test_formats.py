@@ -80,7 +80,7 @@ def _write_tract(path):
 
 def _write_centerline(path):
     pts = np.array([[0.0, 0, 0], [0.5, 0, 0], [1.0, 0.1, 0]])
-    save_centerline(Centerline(pts, np.zeros_like(pts), 0.5), path)
+    save_centerline(Centerline(pts, 0.5), path)
 
 
 def _write_volume(path):
@@ -190,7 +190,7 @@ def _edge_file(name):
         lines = [EDGE_A, EDGE_B]
         return tract_from_lines(lines, step=1 / 3), _packed(1 / 3, lines)
     if name == "centerline":
-        return Centerline(EDGE_A, np.zeros_like(EDGE_A), 0.1), _packed(0.1, [EDGE_A])
+        return Centerline(EDGE_A, 0.1), _packed(0.1, [EDGE_A])
     coeffs = np.array([EDGE[:4], EDGE[1:], EDGE[::-1][:4]])
     offset, scale = (0.1, -0.0, 1 / 3), (1 / 3, 0.1, 1e308)
     keyed = [("offset", offset), ("scale", scale),

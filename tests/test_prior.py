@@ -250,7 +250,7 @@ class TestBuildPrior:
             ph.peaks.dims, ph.peaks.spacing, moved(ph.peaks),
             ph.peaks.directions, ph.peaks.amplitudes,
         )
-        cl2 = Centerline(cl.points + shift, cl.tangents, cl.delta)
+        cl2 = Centerline(cl.points + shift, cl.delta)
         a = build_prior(ph.peaks, cl, ph.mask)
         b = build_prior(peaks2, cl2, mask2)
         assert np.array_equal(a.amplitudes, b.amplitudes)
