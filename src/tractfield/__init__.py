@@ -55,7 +55,6 @@ from .phantom import (
     generate,
     load_descriptor,
     load_phantom_spec,
-    save_descriptor,
     save_phantom_spec,
 )
 from .polyfield import (

@@ -20,6 +20,8 @@ from .errors import ConnectivityError, DomainError, FormatError
 from .grids import (
     Mask,
     VolumeGrid,
+    _checked,
+    _dots,
     _load_lines,
     _save_lines,
     inside_many,
@@ -59,8 +61,9 @@ class Centerline:
             raise ValueError("points must be an (n, 3) array with n >= 1")
         if not np.isfinite(pts).all():
             raise ValueError("points must be finite")
-        tangents = _unit_tangents(pts)
         # Neighbours at opposite ends of the float range overflow their difference.
+        with np.errstate(over="ignore", invalid="ignore"):
+            tangents = _unit_tangents(pts)
         if not np.isfinite(tangents).all():
             raise ValueError("tangents must be finite: neighbouring points differ by "
                              "more than the float range")
@@ -74,10 +77,12 @@ def distance_transform(mask: Mask) -> VolumeGrid:
     nearest background voxel center; zero outside the foreground, and
     out-of-bounds counts as background.
 
-    The squared distance is a minimum over background voxels of
-    (fl(sx dx)**2 + fl(sy dy)**2) + fl(sz dz)**2, the arithmetic of
-    scipy.ndimage.distance_transform_edt, found one axis at a time: rounding
-    is monotone, so each axis's minimum carries into the next exactly.
+    The squared distance is the least, over background voxels, of
+    (fl(sx dx)**2 + fl(sy dy)**2) + fl(sz dz)**2, found one axis at a time:
+    rounding is monotone, so each axis's minimum carries into the next
+    exactly.  scipy.ndimage.distance_transform_edt sums the same way but
+    reports one voxel's distance, which at offsets that tie only before
+    rounding, such as (1, 1, 2) and (2, 1, 1), can be the larger.
     """
     fg = mask.foreground
     if not fg.any():
@@ -259,7 +264,7 @@ def _unit_tangents(pts: np.ndarray) -> np.ndarray:
     # one.  Against the unsigned predecessor, a negative dot product toggles
     # the sign and a positive one keeps it; a zero one agrees with neither
     # sign, which leaves the tangent as it is and restarts the count.
-    dots = (t[1:, None, :] @ t[:-1, :, None])[:, 0, 0]  # np.dot's bits, row by row
+    dots = _dots(t[1:], t[:-1])
     toggles = np.concatenate([[0], np.cumsum(dots < 0)])
     restart = np.concatenate([[True], dots == 0])
     last = np.maximum.accumulate(np.where(restart, np.arange(n), 0))
@@ -321,4 +326,4 @@ def load_centerline(path) -> Centerline:
     if len(counts) != 1 or not len(pts):
         raise FormatError(f"{path}: centerline file must hold exactly one "
                           "polyline with at least one point")
-    return Centerline(pts, delta)
+    return _checked(path, Centerline, pts, delta)

@@ -41,8 +41,9 @@ from .grids import (
     save_tract,
 )
 from .metrics import hausdorff, spatial_overlap, voxelize
-from .phantom import generate, load_phantom_spec, save_descriptor
-from .polyfield import ORDER_DEFAULT, bundle_ridge, fit_bundle_field, load_field, save_field
+from .phantom import generate, load_phantom_spec, save_phantom_spec
+from .polyfield import (ORDER_DEFAULT, RIDGE_PER_SAMPLE, bundle_ridge, fit_bundle_field,
+                        load_field, save_field)
 from .prior import MIN_AMP_DEFAULT, build_prior
 from .tracking import ANGLE_MAX_DEFAULT, TrackParams, baseline_peak_track, track
 
@@ -114,8 +115,8 @@ _FLAGS = {
         _flag("--cutoff", "peak amplitude floor", type=float, default=MIN_AMP_DEFAULT),
         _flag("--prior", "prior volume file", PRIOR_FILE, required=True),
         _flag("--order", "polynomial order", type=int, default=ORDER_DEFAULT),
-        _flag("--ridge", "coefficient shrinkage weight (default 1e-8 per sample)",
-              type=float, default=None),
+        _flag("--ridge", f"coefficient shrinkage weight (default {RIDGE_PER_SAMPLE:g} "
+              "per sample)", type=float, default=None),
         _flag("--field", "fitted field file", FIELD_FILE, required=True),
         _flag("--step", "integration step, mm", type=float, default=TrackParams.step),
         _flag("--max-steps", "step budget per direction", type=int,
@@ -147,11 +148,12 @@ _SEEDING = "all foreground voxel centers"
 
 
 def _phantom(args, out):
-    result = generate(load_phantom_spec(args.spec), args.rng_seed)
+    spec = load_phantom_spec(args.spec)
+    result = generate(spec, args.rng_seed)
     save_mask(result.mask, out["mask"])
     save_peaks(result.peaks, out["peaks"])
     save_centerline(result.centerline, out["axis"])
-    save_descriptor(result.field, out["descriptor"])
+    save_phantom_spec(spec, out["descriptor"])
     _save_endpoints(out["endpoints"], result.p1, result.p2)
     return {}
 

@@ -189,6 +189,11 @@ def _line_gaps(points, counts) -> np.ndarray:
     return np.sqrt(np.add.reduce(deltas, axis=1))
 
 
+def _dots(a, b):
+    """Dot products over the last axis, broadcast; ``np.dot``'s bits per pair."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def voxel_centers(grid, indices) -> np.ndarray:
     """World positions (mm) of integer voxel indices, shape (n, 3). No bounds check."""
     idx = np.atleast_2d(np.asarray(indices))
@@ -271,6 +276,15 @@ def _ascii(raw: bytes, path) -> str:
         return raw.decode("ascii")
     except UnicodeDecodeError:
         raise FormatError(f"{path}: not ASCII text") from None
+
+
+def _checked(path, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with a ValueError, the rejection of a value
+    read from ``path``, raised as a FormatError that names the file."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def _read_text(path) -> str:
@@ -377,10 +391,7 @@ def _load_raw_grid(path, expected_keys, dtypes):
     fields, payload = _load_raw(path, expected_keys, dtypes)
     values = [_numbers(fields[key], key, path, 3, conv)
               for key, conv in (("dims", int), ("spacing", float), ("origin", float))]
-    try:
-        lattice = Lattice(*values)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    lattice = _checked(path, Lattice, *values)
     return fields, payload, lattice.dims, lattice.spacing, lattice.origin
 
 
@@ -422,10 +433,7 @@ def load_mask(path) -> Mask:
     grid = load_volume(path)
     if grid.data.dtype != np.uint8:
         raise FormatError(f"{path}: mask files require dtype u8")
-    try:
-        return Mask(grid)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    return _checked(path, Mask, grid)
 
 
 def save_mask(mask: Mask, path):
@@ -446,10 +454,7 @@ def load_peaks(path) -> PeaksField:
     directions = np.ascontiguousarray(arr[..., :3], dtype=float)
     amplitudes = np.ascontiguousarray(arr[..., 3], dtype=float)
     peaks = PeaksField(dims, spacing, origin, directions, amplitudes)
-    try:
-        peaks.validate()
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    _checked(path, peaks.validate)
     return peaks
 
 
@@ -501,10 +506,7 @@ def _load_lines(path) -> tuple[float, np.ndarray, np.ndarray]:
 def load_tract(path) -> Tract:
     """Read a tract file (see ``save_tract``)."""
     step, points, counts = _load_lines(path)
-    try:
-        return Tract(points, counts, step)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    return _checked(path, Tract, points, counts, step)
 
 
 def save_tract(tract: Tract, path):

@@ -6,7 +6,7 @@ tube.  The generator emits the mask, a peaks field (optionally jittered and
 contaminated with crossing-fiber distractors), the analytic centerline, and
 a field descriptor that doubles as ground truth for fits and tracking.  A
 descriptor is the phantom's kind and axis parameters; its affine field is
-derived from them.
+derived from them.  Its file is the spec itself (``load_descriptor``).
 
 The four kinds fall into two axis families, and the field and the axis
 are written once per family:
@@ -34,13 +34,14 @@ from .grids import (
     PeaksField,
     Tract,
     VolumeGrid,
+    _checked,
     _line,
     _numbers,
     _parse_fields,
     _read_text,
-    _require_keys,
     _write_text,
     nearest_indices,
+    nearest_point_indices,
 )
 from .polyfield import PolyField, _term_index, term_count
 
@@ -392,7 +393,7 @@ def _snap_endpoint(mask: Mask, point: np.ndarray) -> np.ndarray:
     if inb[0] and mask.grid.data[tuple(idx[0])]:
         return np.asarray(point, dtype=float)
     centers = mask.foreground_points()
-    return centers[np.argmin(((centers - point) ** 2).sum(axis=1))]
+    return centers[nearest_point_indices([point], centers)[0]]
 
 
 def generate(spec: PhantomSpec, rng_seed: int = 0) -> Phantom:
@@ -520,28 +521,10 @@ def load_phantom_spec(path) -> PhantomSpec:
         count = 3 if key == "spacing" and len(text.split()) != 1 else 1
         values = _numbers(text, key, path, count)
         kwargs[key] = values[0] if count == 1 else tuple(values)
-    try:
-        return PhantomSpec(**kwargs)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-
-
-def save_descriptor(desc: FieldDescriptor, path):
-    """Write a field descriptor as ``kind`` and sorted ``param.*`` lines."""
-    lines = [_line(f"param.{name}", desc.params[name]) for name in sorted(desc.params)]
-    _write_text(path, [_line("kind", desc.kind)] + lines)
+    return _checked(path, PhantomSpec, **kwargs)
 
 
 def load_descriptor(path) -> FieldDescriptor:
-    """Read a field descriptor written by ``save_descriptor``."""
-    fields = _parse_fields(_read_text(path).splitlines(), path)
-    kind = fields.get("kind")
-    if kind not in KINDS:
-        raise FormatError(f"{path}: kind must be one of {KINDS}, got {kind!r}")
-    keys = {f"param.{name}": name for name in _AXIS_KEYS[kind]}
-    _require_keys(fields, ["kind", *keys], path)
-    values = {name: _numbers(fields[key], key, path, 1)[0] for key, name in keys.items()}
-    try:
-        return FieldDescriptor(kind, values)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    """The field descriptor of the phantom spec in ``path``, such as the
+    ``descriptor.txt`` that ``tractfield phantom`` writes."""
+    return load_phantom_spec(path)._descriptor()

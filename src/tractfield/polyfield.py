@@ -23,6 +23,7 @@ from .errors import (
 from .grids import (
     Mask,
     PeaksField,
+    _checked,
     _line,
     _numbers,
     _parse_fields,
@@ -377,7 +378,4 @@ def load_field(path) -> PolyField:
     offset = _numbers(fields["offset"], "offset", path, 3)
     scale = _numbers(fields["scale"], "scale", path, 3)
     coeffs = [_numbers(fields[key], key, path, terms) for key in _COEFF_KEYS]
-    try:
-        return PolyField(order, coeffs, offset, scale)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    return _checked(path, PolyField, order, coeffs, offset, scale)

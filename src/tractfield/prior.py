@@ -14,7 +14,7 @@ import numpy as np
 
 from .centerline import Centerline, cross_section_normals
 from .errors import DomainError
-from .grids import Mask, PeaksField, nearest_indices, same_geometry
+from .grids import Mask, PeaksField, _dots, nearest_indices, same_geometry
 
 MIN_AMP_DEFAULT = 0.05
 
@@ -38,9 +38,9 @@ def select_peak(peaks: PeaksField, pts, normals, min_amp=MIN_AMP_DEFAULT):
     dirs = peaks.directions[i, j, k]
     amps = peaks.amplitudes[i, j, k]
     normals = np.asarray(normals, dtype=float)
-    # One (1, 3) @ (3, 1) product per slot is bitwise equal to np.dot; a
-    # (k, 3) @ (3, 1) product per row is not, and that can flip near-ties.
-    dots = (dirs[:, :, None, :] @ normals[:, None, :, None])[..., 0, 0]
+    # One np.dot per slot: a (k, 3) @ (3, 1) product per row rounds
+    # otherwise, and that can flip near-ties.
+    dots = _dots(dirs, normals[:, None, :])
     admissible = (amps > 0) & (amps >= min_amp) & inb[:, None]
     score = np.where(admissible, np.abs(dots), -1.0)
     best = admissible & (score == score.max(axis=1, keepdims=True))

@@ -30,7 +30,7 @@ from functools import cache
 import numpy as np
 
 from .errors import DomainError, EmptyTractError
-from .grids import (Mask, PeaksField, Tract, _line_gaps, inside_many, nearest_indices,
+from .grids import (Mask, PeaksField, Tract, _dots, _line_gaps, inside_many, nearest_indices,
                     same_geometry)
 from .polyfield import PolyField
 from .prior import MIN_AMP_DEFAULT, select_peak
@@ -71,11 +71,6 @@ class TrackParams:
         elif not 0 <= self.min_len < math.inf:
             raise ValueError("min_len must be finite and >= 0")
         object.__setattr__(self, "min_len", float(self.min_len))
-
-
-def _dots(a, b):
-    """Row-wise dot products; bitwise equal to ``np.dot`` on each row pair."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def sample_direction(v, prev, sigma, draw):

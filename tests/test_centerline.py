@@ -145,7 +145,7 @@ class TestExtractCenterline:
     def test_rejects_non_finite(self, values, match):
         points = np.zeros((3, 3))
         points[1:, 2] = values
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match=match):
             Centerline(points)
 
     def test_degenerate_endpoints(self):

@@ -31,6 +31,7 @@ from tractfield import (
 )
 from tractfield import cli
 from tractfield.cli import main
+from tractfield.grids import _save_lines
 from tractfield.metrics import hausdorff, spatial_overlap, voxelize
 from tractfield.phantom import KINDS, _VOXEL_BUDGET
 from tractfield.polyfield import bundle_ridge
@@ -387,6 +388,18 @@ class TestExitCodes:
         assert "min_len" not in err
         assert not (tmp_path / "baseline.tract").exists()
 
+    def test_overflowing_centerline_is_format_error(self, tmp_path, stages_dir, capsys):
+        # Finite points at opposite ends of the float range: their difference
+        # overflows, and the tangents built from it are not finite.
+        bad = tmp_path / "bad.tract"
+        _save_lines(bad, 0.5, [[0.0, 0.0, 0.0], [0.0, 0.0, 1e308], [0.0, 0.0, -1e308]], [3])
+        code = main(["prior", "--peaks", f"{stages_dir}/peaks.rvf", "--centerline", str(bad),
+                     "--mask", f"{stages_dir}/mask.rvf", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"tractfield: {bad}: tangents must be finite")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
     @pytest.mark.parametrize("delta", ["5e-324", "1e-300"])
     def test_tiny_delta_is_parameter_error(self, tmp_path, stages_dir, capsys, delta):
         # 5e-324 once overflowed in the point count and 1e-300 failed inside
@@ -501,6 +514,8 @@ class TestPhantomCommand:
         assert main(["phantom", "--spec", str(spec), "--out", str(out)]) == 0
         axis = load_tract(out / "axis.tract")
         assert completion_rate(axis, load_descriptor(out / "descriptor.txt")) == 1.0
+        # descriptor.txt is the spec the phantom was generated from
+        assert (out / "descriptor.txt").read_bytes() == spec.read_bytes()
 
 
 class TestStageArtifacts:

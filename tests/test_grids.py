@@ -29,7 +29,7 @@ from tractfield import (
     save_volume,
     voxel_centers,
 )
-from tractfield.grids import _line_deltas, _line_gaps
+from tractfield.grids import _dots, _line_deltas, _line_gaps
 
 from conftest import make_grid, make_mask, tract_from_lines
 
@@ -313,6 +313,23 @@ def test_line_gaps_match_norm_bitwise(rng, counts):
     want = np.linalg.norm(_line_deltas(points, np.asarray(counts, int)), axis=1)
     got = _line_gaps(points, np.asarray(counts, int))
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_dots_match_np_dot_bitwise(rng):
+    # The tracker, the peak selection and the centerline tangent signs take
+    # their dot products from _dots; each must round as np.dot's does.  Rows
+    # near a right angle cancel, where another summation order shows.
+    a = rng.normal(size=(600, 3)) * 10.0 ** rng.integers(-100, 100, (600, 1))
+    b = rng.normal(size=(600, 3)) * 10.0 ** rng.integers(-100, 100, (600, 1))
+    b[::2] = np.cross(a[::2], b[::2]) + 1e-9 * a[::2]
+    want = np.array([np.dot(x, y) for x, y in zip(a, b)])
+    assert _dots(a, b).tobytes() == want.tobytes()
+    # (n, k, 3) slots against one (n, 1, 3) normal per row, as select_peak
+    dirs = rng.normal(size=(300, 4, 3))
+    normals = rng.normal(size=(300, 3))
+    dirs[:, 1] = np.cross(dirs[:, 0], normals) + 1e-12 * normals
+    want = np.array([[np.dot(d, n) for d in row] for row, n in zip(dirs, normals)])
+    assert _dots(dirs, normals[:, None, :]).tobytes() == want.tobytes()
 
 
 class TestTractRoundTrip:

@@ -20,7 +20,6 @@ from tractfield import (
     inside_many,
     load_descriptor,
     load_phantom_spec,
-    save_descriptor,
     save_phantom_spec,
 )
 
@@ -492,10 +491,11 @@ class TestSpecIO:
     @given(spec=small_specs())
     @settings(max_examples=40, deadline=None)
     def test_descriptor_round_trip(self, tmp_path_factory, spec):
+        # spec -> descriptor.txt -> the generated phantom's field, bit for bit
         ph = generate(spec)
         desc = ph.field
         path = tmp_path_factory.getbasetemp() / "round-trip-descriptor.txt"
-        save_descriptor(desc, path)
+        save_phantom_spec(spec, path)
         back = load_descriptor(path)
         assert back.kind == desc.kind
         assert back.params == desc.params
@@ -504,25 +504,19 @@ class TestSpecIO:
         centers = ph.mask.foreground_points()
         assert back.vectors_at(centers).tobytes() == desc.vectors_at(centers).tobytes()
 
-    def test_descriptor_file_is_kind_and_params(self, tmp_path):
-        path = tmp_path / "d.txt"
-        save_descriptor(helix_descriptor(), path)
-        assert path.read_text() == (
-            "kind: helix\nparam.helix_radius: 8.0\nparam.pitch: 8.0\nparam.turns: 1.0\n")
-
     @pytest.mark.parametrize(
         "edit, key",
         [
-            (lambda text: text.replace("param.pitch: 8.0", "param.pitch: 0.0"), "pitch"),
-            (lambda text: text.replace("param.turns: 1.0", "param.turns: -1.0"), "turns"),
-            (lambda text: text.replace("param.turns: 1.0\n", ""), "param.turns"),
-            (lambda text: text + "param.length: 20.0\n", "param.length"),
+            (lambda text: text.replace("pitch: 8.0", "pitch: 0.0"), "pitch"),
+            (lambda text: text.replace("turns: 1.0", "turns: -1.0"), "turns"),
+            (lambda text: text.replace("turns: 1.0", "turns:"), "turns"),
+            (lambda text: text + "length: 20.0\n", "length"),
         ],
         ids=["pitch 0", "turns -1", "missing turns", "extra length"],
     )
     def test_bad_descriptor_names_file_and_key(self, tmp_path, edit, key):
-        path = tmp_path / "d.txt"
-        save_descriptor(helix_descriptor(), path)
+        path = tmp_path / "descriptor.txt"
+        save_phantom_spec(PhantomSpec(kind="helix", radius=2.0), path)
         path.write_text(edit(path.read_text()))
         with pytest.raises(FormatError) as exc:
             load_descriptor(path)
@@ -534,7 +528,7 @@ class TestSpecIO:
     def test_overflowing_descriptor_is_format_error(self, tmp_path, kind, params):
         path = tmp_path / "descriptor.txt"
         path.write_text(f"kind: {kind}\n" + "".join(
-            f"param.{key}: {value!r}\n" for key, value in params.items()))
+            f"{key}: {value!r}\n" for key, value in params.items()))
         with pytest.raises(FormatError) as exc:
             load_descriptor(path)
         assert str(exc.value).startswith(f"{path}: {kind} parameters ")
