@@ -39,7 +39,6 @@ from .grids import (
     load_volume,
     nearest_indices,
     same_geometry,
-    save_mask,
     save_peaks,
     save_tract,
     save_volume,

@@ -61,6 +61,9 @@ class Centerline:
             raise ValueError("points must be an (n, 3) array with n >= 1")
         if not np.isfinite(pts).all():
             raise ValueError("points must be finite")
+        delta = float(self.delta)
+        if not 0 < delta < math.inf:
+            raise ValueError("delta must be positive and finite")
         # Neighbours at opposite ends of the float range overflow their difference.
         with np.errstate(over="ignore", invalid="ignore"):
             tangents = _unit_tangents(pts)
@@ -68,7 +71,7 @@ class Centerline:
             raise ValueError("tangents must be finite: neighbouring points differ by "
                              "more than the float range")
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "delta", float(self.delta))
+        object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "tangents", tangents)
 
 
@@ -95,16 +98,15 @@ def distance_transform(mask: Mask) -> VolumeGrid:
     inner = fg[box]
     sub = np.zeros(tuple(n + 2 for n in inner.shape), dtype=bool)
     sub[1:-1, 1:-1, 1:-1] = inner
-    squares = [np.square(np.arange(n) * s) for n, s in zip(sub.shape, mask.grid.spacing)]
+    squares = [np.square(np.arange(n) * s) for n, s in zip(sub.shape, mask.spacing)]
     d2 = squares[0][_steps_to_background(sub)]
     d2 = _add_min_along(d2, squares[1], axis=1)
     # The z pass runs only on the z lines that hold foreground.
     lines = sub.any(axis=2)
     d2 = _add_min_along(d2[lines], squares[2], axis=1)
-    g = mask.grid
-    data = np.zeros(g.dims)
+    data = np.zeros(mask.dims)
     data[box][inner] = np.sqrt(d2[sub[lines]])  # data[box] is a view
-    return VolumeGrid(g.dims, g.spacing, g.origin, data)
+    return VolumeGrid(mask.dims, mask.spacing, mask.origin, data)
 
 
 def _steps_to_background(sub: np.ndarray) -> np.ndarray:
@@ -232,8 +234,6 @@ def _pull_inside(pts: np.ndarray, mask: Mask) -> np.ndarray:
 def _resample(pts: np.ndarray, delta: float) -> np.ndarray:
     segs = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     total = float(segs.sum())
-    if total <= 0:
-        return pts[:1].copy()
     if total / delta > _POINT_BUDGET:
         raise ValueError(f"delta {delta!r} would resample the {total:.4g} mm path into "
                          f"{total / delta:.4g} points, over the budget of {_POINT_BUDGET}")
@@ -274,8 +274,8 @@ def _unit_tangents(pts: np.ndarray) -> np.ndarray:
 
 
 def _endpoint_voxel(mask: Mask, p, name: str) -> tuple:
-    idx, inb = nearest_indices(mask.grid, [p])
-    if not inb[0] or not mask.grid.data[tuple(idx[0])]:
+    idx, inb = nearest_indices(mask, [p])
+    if not inb[0] or not mask.data[tuple(idx[0])]:
         coords = tuple(float(c) for c in np.asarray(p, dtype=float))
         raise DomainError(f"{name} at {coords} is not inside the mask foreground")
     return tuple(int(v) for v in idx[0])
@@ -294,11 +294,11 @@ def extract_centerline(mask: Mask, p1, p2, delta=RESAMPLE_STEP) -> Centerline:
     start = _endpoint_voxel(mask, p1, "p1")
     goal = _endpoint_voxel(mask, p2, "p2")
     if start == goal:
-        center = voxel_centers(mask.grid, [start])
+        center = voxel_centers(mask, [start])
         return Centerline(center, delta)
     dt = distance_transform(mask)
     chain = _min_energy_path(dt, start, goal)
-    pts = voxel_centers(mask.grid, chain)
+    pts = voxel_centers(mask, chain)
     pts = _smooth(pts)
     pts = _pull_inside(pts, mask)
     pts = _resample(pts, delta)

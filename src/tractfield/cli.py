@@ -36,9 +36,9 @@ from .grids import (
     load_peaks,
     load_tract,
     load_volume,
-    save_mask,
     save_peaks,
     save_tract,
+    save_volume,
 )
 from .metrics import hausdorff, spatial_overlap, voxelize
 from .phantom import generate, load_phantom_spec, save_phantom_spec
@@ -150,7 +150,7 @@ _SEEDING = "all foreground voxel centers"
 def _phantom(args, out):
     spec = load_phantom_spec(args.spec)
     result = generate(spec, args.rng_seed)
-    save_mask(result.mask, out["mask"])
+    save_volume(result.mask, out["mask"])
     save_peaks(result.peaks, out["peaks"])
     save_centerline(result.centerline, out["axis"])
     save_phantom_spec(spec, out["descriptor"])
@@ -276,7 +276,7 @@ def _run_stage(stage, args):
                   for name in stage.params}
     try:
         parameters.update(stage.run(args, outputs))
-    except (DomainError, ConnectivityError, GeometryError) as exc:
+    except (DomainError, ConnectivityError, GeometryError, FloatingPointError) as exc:
         # The input data is at fault: name the files it came from.
         named = ", ".join(f"{name} {path}" for name, path in inputs.items() if path)
         raise type(exc)(f"{exc} (inputs: {named})") from exc
@@ -341,7 +341,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (UnderdeterminedError, ConditioningError, np.linalg.LinAlgError) as exc:
+    except (UnderdeterminedError, ConditioningError, np.linalg.LinAlgError,
+            FloatingPointError) as exc:
         print(f"tractfield: numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .grids import (_PAIR_BLOCK, Mask, Tract, VolumeGrid, _line_deltas, _line_gaps,
+from .grids import (_PAIR_BLOCK, Lattice, Mask, Tract, _line_deltas, _line_gaps,
                     _sq_distance_blocks, nearest_indices, same_geometry)
 
 # Lines that `voxelize` densifies at a time.  A mask is a union, so the chunks
@@ -24,10 +24,6 @@ _VOXELIZE_LINES = 256
 _BRUTE_FORCE_POINTS = 128
 # Cells per side of the box by which that search sorts the larger set.
 _CELLS = 8
-
-
-def _reference_grid(ref) -> VolumeGrid:
-    return ref.grid if isinstance(ref, Mask) else ref
 
 
 def _densify(points, counts, max_gap: float) -> np.ndarray:
@@ -50,30 +46,31 @@ def _densify(points, counts, max_gap: float) -> np.ndarray:
     return dense
 
 
-def voxelize(tract: Tract, ref) -> Mask:
-    """Mask of reference-grid voxels visited by the tract.
+def voxelize(tract: Tract, ref: Lattice) -> Mask:
+    """Mask of the voxels of grid ``ref`` that the tract visits.
 
-    Streamline segments are densified to at most half the smallest voxel
-    spacing before binning so thin diagonal runs cannot skip voxels; points
-    outside the grid are ignored.  An empty tract gives an empty mask.
+    Only ``ref``'s geometry is read, so any grid serves: a volume, a mask or
+    a peaks field.  Streamline segments are densified to at most half the
+    smallest voxel spacing before binning so thin diagonal runs cannot skip
+    voxels; points outside the grid are ignored.  An empty tract gives an
+    empty mask.
     """
-    grid = _reference_grid(ref)
-    data = np.zeros(grid.dims, dtype=np.uint8)
+    data = np.zeros(ref.dims, dtype=np.uint8)
     ends = np.cumsum(tract.counts)
     for lo in range(0, len(ends), _VOXELIZE_LINES):
         hi = min(lo + _VOXELIZE_LINES, len(ends))
         start = ends[lo - 1] if lo else 0
         dense = _densify(tract.points[start:ends[hi - 1]], tract.counts[lo:hi],
-                         0.5 * min(grid.spacing))
-        idx, inb = nearest_indices(grid, dense)
+                         0.5 * min(ref.spacing))
+        idx, inb = nearest_indices(ref, dense)
         hits = idx[inb]
         data[hits[:, 0], hits[:, 1], hits[:, 2]] = 1
-    return Mask(VolumeGrid(grid.dims, grid.spacing, grid.origin, data))
+    return Mask(ref.dims, ref.spacing, ref.origin, data)
 
 
 def spatial_overlap(a: Mask, b: Mask) -> float:
     """Dice coefficient of two masks as a percentage; 0 when both are empty."""
-    if not same_geometry(a.grid, b.grid):
+    if not same_geometry(a, b):
         raise DomainError("masks live on different grids")
     fa = a.foreground
     fb = b.foreground

@@ -33,7 +33,6 @@ from .grids import (
     Mask,
     PeaksField,
     Tract,
-    VolumeGrid,
     _checked,
     _line,
     _numbers,
@@ -389,8 +388,8 @@ def _analytic_centerline(desc: FieldDescriptor) -> Centerline:
 
 
 def _snap_endpoint(mask: Mask, point: np.ndarray) -> np.ndarray:
-    idx, inb = nearest_indices(mask.grid, [point])
-    if inb[0] and mask.grid.data[tuple(idx[0])]:
+    idx, inb = nearest_indices(mask, [point])
+    if inb[0] and mask.data[tuple(idx[0])]:
         return np.asarray(point, dtype=float)
     centers = mask.foreground_points()
     return centers[nearest_point_indices([point], centers)[0]]
@@ -412,9 +411,7 @@ def generate(spec: PhantomSpec, rng_seed: int = 0) -> Phantom:
     keep = _foreground(desc, spec.radius, centers)
     if not keep.any():
         raise GeometryError("phantom tube covers no voxel centers")
-    data = np.zeros(dims, dtype=np.uint8)
-    data[idx[keep, 0], idx[keep, 1], idx[keep, 2]] = 1
-    mask = Mask(VolumeGrid(dims, tuple(spec.spacing), origin, data))
+    mask = Mask(dims, spec.spacing, origin, keep.reshape(dims))
 
     fg_idx = idx[keep]
     fg_centers = centers[keep]

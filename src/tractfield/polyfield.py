@@ -193,7 +193,7 @@ def domain_from_mask(mask: Mask) -> tuple:
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     offset = 0.5 * (lo + hi)
-    floor = 0.5 * np.asarray(mask.grid.spacing)
+    floor = 0.5 * np.asarray(mask.spacing)
     scale = np.maximum(0.5 * (hi - lo), floor)
     return offset, scale
 
@@ -318,7 +318,7 @@ def _usable(prior: PeaksField, mask: Mask) -> np.ndarray:
     """The voxels the fit samples: mask foreground where the prior's one slot
     is used.  Raises DomainError for any other slot count or grid."""
     prior_from_peaks(prior)
-    if not same_geometry(prior, mask.grid):
+    if not same_geometry(prior, mask):
         raise DomainError("prior grid does not match the mask grid")
     return (prior.amplitudes[..., 0] > 0) & mask.foreground
 
@@ -343,7 +343,7 @@ def fit_bundle_field(
             f"{order}; lower the order or widen the prior"
         )
     idx = np.argwhere(keep)
-    pts = voxel_centers(mask.grid, idx)
+    pts = voxel_centers(mask, idx)
     tgt = prior.directions[idx[:, 0], idx[:, 1], idx[:, 2], 0]
     offset, scale = domain_from_mask(mask)
     if ridge is None:

@@ -68,7 +68,7 @@ def build_prior(
     """
     if not math.isfinite(min_amp):
         raise ValueError("min_amp must be finite")
-    if not same_geometry(peaks, mask.grid):
+    if not same_geometry(peaks, mask):
         raise DomainError("peaks grid does not match the mask grid")
     pts = mask.foreground_points()
     return _one_slot(mask, *select_peak(peaks, pts, cross_section_normals(cl, pts), min_amp))
@@ -86,13 +86,12 @@ def synthetic_prior(mask: Mask, vectors_at) -> PeaksField:
 def _one_slot(mask: Mask, vectors, used) -> PeaksField:
     """One-slot field on the mask's grid: ``vectors`` and amplitude ``used``
     (1 or 0) at the foreground voxels, zero elsewhere."""
-    g = mask.grid
     i, j, k = mask.foreground_indices().T
-    directions = np.zeros(g.dims + (1, 3))
-    amplitudes = np.zeros(g.dims + (1,))
+    directions = np.zeros(mask.dims + (1, 3))
+    amplitudes = np.zeros(mask.dims + (1,))
     directions[i, j, k, 0] = vectors
     amplitudes[i, j, k, 0] = used
-    return PeaksField(g.dims, g.spacing, g.origin, directions, amplitudes)
+    return PeaksField(mask.dims, mask.spacing, mask.origin, directions, amplitudes)
 
 
 def prior_from_peaks(peaks: PeaksField) -> PeaksField:

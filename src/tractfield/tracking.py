@@ -82,10 +82,12 @@ def sample_direction(v, prev, sigma, draw):
     whose perturbed vector is numerically zero draws again.  ``draw(rows)``
     returns the next triple of each listed row.  Returns the directions and
     ok flags; a row whose field vector is numerically zero is not ok, gets a
-    zero direction and draws nothing, and sigma=0 never calls ``draw``.
+    zero direction and draws nothing, and sigma=0 never calls ``draw``.  A
+    row whose squared norm overflows raises FloatingPointError.
     """
     v = np.asarray(v, dtype=float)
     norm = np.sqrt(_dots(v, v))
+    _check_norms(norm)
     # Written as "not (bad)" so that a NaN vector passes on, as NaN, to the
     # caller's stopping rules.
     ok = ~(norm < ZERO_FIELD_TOL)
@@ -112,13 +114,15 @@ def _rk4_many(field: PolyField, eta: np.ndarray, d0: np.ndarray, step: float):
 
     The slope at stages 2..4 is the normalized field vector sign-aligned to
     each row's d0; stage 1 is d0 itself.  Failed rows carry a zero slope so
-    later stages stay finite, and are reported through the ok flags.
+    later stages stay finite, and are reported through the ok flags.  A
+    field vector whose squared norm overflows raises FloatingPointError.
     """
 
     def slope(p):
         v = field.evaluate_many(p)
         # the arithmetic of np.linalg.norm(v, axis=1), without its dispatch
         norm = np.sqrt(np.add.reduce(v * v, axis=1))
+        _check_norms(norm)
         ok = norm > ZERO_FIELD_TOL
         u = np.divide(v, norm[:, None], out=np.zeros_like(v), where=ok[:, None])
         flip = np.einsum("sc,sc->s", u, d0, optimize=False) < 0
@@ -131,6 +135,15 @@ def _rk4_many(field: PolyField, eta: np.ndarray, d0: np.ndarray, step: float):
     k4, ok4 = slope(eta + step * k3)
     new = eta + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return new, ok2 & ok3 & ok4
+
+
+def _check_norms(norm):
+    """Raise FloatingPointError when a field vector's norm is infinite: its
+    unit vector would read as zero, not as a stop.  NaN rows pass on to the
+    stopping rules; ``fmax`` skips them."""
+    if np.fmax.reduce(norm, initial=0.0) == math.inf:
+        raise FloatingPointError("field vectors overflow: their squared norm exceeds "
+                                 "the float range")
 
 
 # SeedSequence's hash constants, from numpy/random/bit_generator.pyx.
@@ -369,8 +382,11 @@ def track(field: PolyField, mask: Mask, seeds, params: TrackParams) -> Tract:
             field.evaluate_many(pts), prev, params.sigma, lambda r: draw(rows[r])
         )
 
-    first, alive = turn(np.arange(len(starts)), starts, None)
-    parts, handoff = _lockstep(mask, starts, first, alive, advance, turn, params)
+    # A field whose squared norms overflow stops the run with _check_norms's
+    # error instead of numpy's overflow warnings.
+    with np.errstate(over="ignore"):
+        first, alive = turn(np.arange(len(starts)), starts, None)
+        parts, handoff = _lockstep(mask, starts, first, alive, advance, turn, params)
     # ~2.6 KB per line that the assembly does not need
     del rngs, blocks
     return _assemble(starts, parts, handoff, params)
@@ -397,7 +413,7 @@ def baseline_peak_track(
         raise ValueError("min_amp must be finite")
     if not 0 <= angle_max <= 180:
         raise ValueError("angle_max must be in [0, 180] degrees")
-    if not same_geometry(peaks, mask.grid):
+    if not same_geometry(peaks, mask):
         raise DomainError("peaks grid does not match the mask grid")
     kept_seeds = _valid_seeds(mask, seeds)
     cos_stop = math.cos(math.radians(angle_max)) - 1e-9

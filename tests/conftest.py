@@ -33,7 +33,8 @@ def make_grid(data, spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0)) -> VolumeGr
 
 
 def make_mask(data, spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0)) -> Mask:
-    return Mask(make_grid(np.asarray(data, dtype=np.uint8), spacing, origin))
+    data = np.asarray(data, dtype=np.uint8)
+    return Mask(data.shape, spacing, origin, data)
 
 
 def tract_from_lines(lines, step) -> Tract:
@@ -51,11 +52,11 @@ def brute_force_distance(mask: Mask) -> np.ndarray:
     from it in each coordinate by at most one step.
     """
     fg = mask.foreground
-    spacing = np.asarray(mask.grid.spacing, dtype=float)
-    padded = np.zeros(tuple(d + 2 for d in mask.grid.dims), dtype=bool)
+    spacing = np.asarray(mask.spacing, dtype=float)
+    padded = np.zeros(tuple(d + 2 for d in mask.dims), dtype=bool)
     padded[1:-1, 1:-1, 1:-1] = fg
     bg = (np.argwhere(~padded) - 1) * spacing
-    out = np.zeros(mask.grid.dims)
+    out = np.zeros(mask.dims)
     for idx in np.argwhere(fg):
         delta = bg - idx * spacing
         out[tuple(idx)] = np.sqrt((delta * delta).sum(axis=1)).min()

@@ -106,6 +106,17 @@ def test_methods_the_benchmark_calls_exist():
         assert callable(cls.__dict__.get(attr)), (cls.__name__, attr)
 
 
+def test_benchmark_reads_a_mask_through_grid():
+    # ``perfbench/harness.py`` checks that every tracked point is inside the
+    # mask through ``mask.grid``'s origin, spacing, dims and data; without
+    # them every benchmark iteration would fail that check.
+    mask = generate(PhantomSpec(kind="straight-tube", radius=2.0, length=8.0)).mask
+    grid = mask.grid
+    assert (grid.origin, grid.spacing, grid.dims) == (mask.origin, mask.spacing, mask.dims)
+    assert grid.data.dtype == mask.data.dtype
+    assert grid.data.tobytes() == mask.data.tobytes()
+
+
 def test_benchmark_reads_a_tract_as_lines(tmp_path):
     # ``perfbench/layers.py`` counts ``len(result.streamlines)`` and their
     # points, the harness stacks ``tract.streamlines`` and falls back to a

@@ -89,7 +89,7 @@ class TestDistanceTransform:
         mask = random_mask(rng, (10, 9, 8))
         d = distance_transform(mask).data
         for axis in range(3):
-            step = mask.grid.spacing[axis]
+            step = mask.spacing[axis]
             diff = np.abs(np.diff(d, axis=axis))
             fg = mask.foreground
             pair = np.minimum(np.take(fg, range(0, fg.shape[axis] - 1), axis=axis),
@@ -216,8 +216,8 @@ class TestExtractCenterline:
     def test_energy_not_worse_than_straight_chain(self):
         ph = generate(PhantomSpec(kind="quarter-torus", radius=3.0, major_radius=12.0))
         dt = distance_transform(ph.mask)
-        origin = np.asarray(ph.mask.grid.origin)
-        spacing = np.asarray(ph.mask.grid.spacing)
+        origin = np.asarray(ph.mask.origin)
+        spacing = np.asarray(ph.mask.spacing)
         a = np.rint((ph.p1 - origin) / spacing).astype(int)
         b = np.rint((ph.p2 - origin) / spacing).astype(int)
         path = _min_energy_path(dt, tuple(a), tuple(b))
@@ -366,6 +366,13 @@ class TestCenterlineIO:
         assert np.array_equal(back.tangents, np.array(want, dtype=float))
         # The start wins a distance tie, so its tangent is the normal there.
         assert np.array_equal(cross_section_normals(back, [(0.0, -1.0, 0.0)]), [want[0]])
+
+    @pytest.mark.parametrize("delta", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_a_delta_no_file_can_hold(self, delta):
+        # save_centerline writes delta as the file's step, which must be
+        # positive and finite for load_centerline to read it back.
+        with pytest.raises(ValueError, match="delta"):
+            Centerline([[0.0, 0, 0], [0.5, 0, 0]], delta)
 
     def test_rejects_multiple_polylines(self, tmp_path):
         path = tmp_path / "two.tract"

@@ -16,7 +16,6 @@ import tractfield
 from tractfield import (
     Mask,
     PhantomSpec,
-    VolumeGrid,
     completion_rate,
     fit_bundle_field,
     inside_many,
@@ -26,8 +25,8 @@ from tractfield import (
     load_mask,
     load_peaks,
     load_tract,
-    save_mask,
     save_phantom_spec,
+    save_volume,
 )
 from tractfield import cli
 from tractfield.cli import main
@@ -417,8 +416,8 @@ class TestExitCodes:
 
     def test_mismatched_grids_is_data_error(self, tmp_path, stages_dir, capsys):
         small = tmp_path / "small.rvf"
-        save_mask(Mask(VolumeGrid((2, 2, 2), (1, 1, 1), (0, 0, 0),
-                                  np.ones((2, 2, 2), np.uint8))), small)
+        save_volume(Mask((2, 2, 2), (1, 1, 1), (0, 0, 0), np.ones((2, 2, 2), np.uint8)),
+                    small)
         peaks, mask = f"{stages_dir}/peaks.rvf", f"{stages_dir}/mask.rvf"
         prior = f"{stages_dir}/prior.rvf"
         metrics = ["metrics", "--tract", f"{stages_dir}/streamlines.tract",
@@ -463,6 +462,25 @@ class TestExitCodes:
         ] + TRACK_FLAGS)
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_overflowing_field_is_numerical_error(self, tmp_path, stages_dir, capsys):
+        # One finite coefficient of 1e308: the field's values stay finite, but
+        # their squared norms overflow, which read as zero slopes and let the
+        # run finish.
+        field = tmp_path / "field.txt"
+        lines = (stages_dir / "field.txt").read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith("coeffs.x:"))
+        values = lines[row].split()
+        values[1] = "1e308"
+        lines[row] = " ".join(values)
+        field.write_text("\n".join(lines) + "\n")
+        code = main(["track", "--field", str(field), "--mask", f"{stages_dir}/mask.rvf",
+                     "--out", str(tmp_path / "run")] + TRACK_FLAGS)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("tractfield: numerical failure: field vectors overflow")
+        assert err.count("\n") == 1 and str(field) in err
+        assert not (tmp_path / "run" / "streamlines.tract").exists()
 
 
 class TestPhantomCommand:
@@ -632,7 +650,7 @@ class TestStageTable:
             "fit": {"order": 4, "ridge": bundle_ridge(load_peaks(s / "prior.rvf"), mask)},
             "track": dict(tracking, sigma=0.1, seed_count=1, rng_seed=0),
             "baseline": dict(tracking, angle_max=40.0, cutoff=0.05),
-            "metrics": {"overlap": spatial_overlap(voxelize(tract, mask.grid), mask),
+            "metrics": {"overlap": spatial_overlap(voxelize(tract, mask), mask),
                         "hd": hd, "ahd": ahd},
         }
         for name, parameters in expected.items():

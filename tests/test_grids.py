@@ -23,7 +23,6 @@ from tractfield import (
     load_volume,
     nearest_indices,
     prior_from_peaks,
-    save_mask,
     save_peaks,
     save_tract,
     save_volume,
@@ -65,9 +64,9 @@ def brute_force_inside(mask, pts):
     """Foreground flag of each point's nearest voxel center, found by
     distance over every center of the grid padded by one ring of
     background voxels."""
-    padded = np.pad(mask.grid.data, 1)
+    padded = np.pad(mask.data, 1)
     idx = np.argwhere(np.ones(padded.shape, dtype=bool))
-    centers = np.asarray(mask.grid.origin) + (idx - 1) * np.asarray(mask.grid.spacing)
+    centers = np.asarray(mask.origin) + (idx - 1) * np.asarray(mask.spacing)
     nearest = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
     i, j, k = idx[nearest].T
     return padded[i, j, k] != 0
@@ -91,15 +90,15 @@ class TestInside:
     def test_matches_mask_value_at_voxel_centers(self, rng):
         data = rng.integers(0, 2, size=(4, 5, 3)).astype(np.uint8)
         mask = make_mask(data, spacing=(0.9, 1.3, 1.0), origin=(-2, 0, 1))
-        ijk = list(np.ndindex(mask.grid.dims))
-        got = inside_many(mask, voxel_centers(mask.grid, ijk))
+        ijk = list(np.ndindex(mask.dims))
+        got = inside_many(mask, voxel_centers(mask, ijk))
         assert got.tolist() == [bool(data[v]) for v in ijk]
 
     def test_inside_many_matches_brute_force(self, rng):
         data = rng.integers(0, 2, size=(4, 4, 4)).astype(np.uint8)
         mask = make_mask(data, spacing=(0.9, 1.3, 1.0), origin=(-2, 0, 1))
-        lo = np.asarray(mask.grid.origin) - 1.0
-        hi = lo + 2.0 + 3 * np.asarray(mask.grid.spacing)
+        lo = np.asarray(mask.origin) - 1.0
+        hi = lo + 2.0 + 3 * np.asarray(mask.spacing)
         pts = rng.uniform(lo, hi, size=(500, 3))
         assert inside_many(mask, pts).tolist() == brute_force_inside(mask, pts).tolist()
 
@@ -114,12 +113,28 @@ class TestTypeValidation:
     def test_mask_rejects_other_values(self):
         with pytest.raises(ValueError):
             make_mask(np.full((2, 2, 2), 3))
+        for bad in (0.5, np.nan, -1.0):
+            data = np.ones((2, 2, 2))
+            data[1, 0, 1] = bad
+            with pytest.raises(ValueError, match="0 or 1"):
+                Mask((2, 2, 2), (1, 1, 1), (0, 0, 0), data)
+
+    def test_mask_is_a_grid_of_uint8(self):
+        data = np.zeros((2, 3, 4))
+        data[1, 2, 3] = 1.0
+        mask = Mask((2, 3, 4), (0.5, 1, 2), (1, 2, 3), data)
+        assert isinstance(mask, VolumeGrid)
+        assert mask.data.dtype == np.uint8
+        assert np.array_equal(mask.data, data)
+        assert (mask.dims, mask.spacing, mask.origin) == ((2, 3, 4), (0.5, 1.0, 2.0),
+                                                          (1.0, 2.0, 3.0))
+        assert mask.foreground_points().tolist() == [[1.5, 4.0, 9.0]]
 
     def test_grid_rejects_bad_spacing(self):
         with pytest.raises(ValueError):
             VolumeGrid((2, 2, 2), (1, 0, 1), (0, 0, 0), np.zeros((2, 2, 2)))
 
-    @pytest.mark.parametrize("grid", ["volume", "peaks", "prior"])
+    @pytest.mark.parametrize("grid", ["volume", "mask", "peaks", "prior"])
     @pytest.mark.parametrize("dims, spacing, origin, key", [
         ((2, 2, 0), (1, 1, 1), (0, 0, 0), "dims"),
         ((2, 2), (1, 1, 1), (0, 0, 0), "dims"),
@@ -135,8 +150,9 @@ class TestTypeValidation:
     def test_grids_share_one_lattice_check(self, grid, dims, spacing, origin, key):
         shape = tuple(dims)
         with pytest.raises(ValueError, match=key):
-            if grid == "volume":
-                VolumeGrid(dims, spacing, origin, np.zeros(shape))
+            if grid in ("volume", "mask"):
+                (VolumeGrid if grid == "volume" else Mask)(dims, spacing, origin,
+                                                           np.zeros(shape))
             elif grid == "peaks":
                 PeaksField(dims, spacing, origin, np.zeros(shape + (1, 3)),
                            np.zeros(shape + (1,)))
@@ -257,10 +273,10 @@ class TestVolumeRoundTrip:
     def test_mask_round_trip(self, tmp_path, rng):
         path = tmp_path / "mask.rvf"
         mask = make_mask(rng.integers(0, 2, size=(3, 6, 2)))
-        save_mask(mask, path)
+        save_volume(mask, path)
         back = load_mask(path)
-        assert np.array_equal(back.grid.data, mask.grid.data)
-        assert back.grid.data.dtype == np.uint8
+        assert np.array_equal(back.data, mask.data)
+        assert back.data.dtype == np.uint8
 
     def test_peaks_round_trip(self, tmp_path, rng):
         path = tmp_path / "peaks.rvf"

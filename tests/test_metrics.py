@@ -13,7 +13,7 @@ from tractfield import (
     voxelize,
 )
 
-from conftest import brute_force_hausdorff, make_mask, tract_from_lines
+from conftest import brute_force_hausdorff, make_grid, make_mask, tract_from_lines
 
 
 def two_point_tract(points, step=1.0):
@@ -109,7 +109,7 @@ class TestVoxelize:
         mask = make_mask(np.zeros((5, 5, 5), dtype=np.uint8))
         tract = two_point_tract([(0.0, 0, 0), (4.0, 4.0, 4.0)], step=4.0)
         via_mask = voxelize(tract, mask)
-        via_grid = voxelize(tract, mask.grid)
+        via_grid = voxelize(tract, make_grid(np.full((5, 5, 5), 0.25)))
         assert np.array_equal(via_mask.foreground, via_grid.foreground)
 
     def test_output_inherits_reference_geometry(self):
@@ -117,9 +117,9 @@ class TestVoxelize:
             (4, 5, 6), (0.5, 1.0, 2.0), (-1.0, 3.0, 0.0), np.zeros((4, 5, 6), np.uint8)
         )
         out = voxelize(two_point_tract([(-1.0, 3.0, 0.0), (0.0, 3.0, 0.0)]), grid)
-        assert out.grid.dims == grid.dims
-        assert out.grid.spacing == grid.spacing
-        assert out.grid.origin == grid.origin
+        assert out.dims == grid.dims
+        assert out.spacing == grid.spacing
+        assert out.origin == grid.origin
 
     def test_respects_spacing_and_origin(self):
         grid = VolumeGrid(
@@ -154,7 +154,7 @@ class TestVoxelize:
                 dense = np.vstack([densify_line(line, 0.25)
                                    for line in tract.streamlines])
                 assert np.array_equal(metrics._densify(tract.points, tract.counts, 0.25), dense)
-                assert np.array_equal(voxelize(tract, grid).grid.data,
+                assert np.array_equal(voxelize(tract, grid).data,
                                       voxelize_by_line(tract, grid))
 
     def test_chunks_of_lines_mark_the_one_pass_mask(self, rng, monkeypatch):
@@ -166,10 +166,10 @@ class TestVoxelize:
         lines = [line for _ in range(8) for line in random_lines(rng, 0.9, low, high)]
         tract = tract_from_lines(lines, 0.9)
         monkeypatch.setattr(metrics, "_VOXELIZE_LINES", len(lines))
-        one_pass = voxelize(tract, grid).grid.data.tobytes()
+        one_pass = voxelize(tract, grid).data.tobytes()
         for chunk in (1, 3, len(lines) - 1):
             monkeypatch.setattr(metrics, "_VOXELIZE_LINES", chunk)
-            assert voxelize(tract, grid).grid.data.tobytes() == one_pass, chunk
+            assert voxelize(tract, grid).data.tobytes() == one_pass, chunk
 
 
 class TestDensify:

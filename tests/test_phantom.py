@@ -207,8 +207,8 @@ class TestGenerate:
             ph = generate(PhantomSpec(kind=kind, radius=2.5, major_radius=10.0,
                                       helix_radius=8.0, pitch=8.0))
             assert inside_many(ph.mask, [ph.p1, ph.p2]).all()
-            origin = np.asarray(ph.mask.grid.origin)
-            spacing = np.asarray(ph.mask.grid.spacing)
+            origin = np.asarray(ph.mask.origin)
+            spacing = np.asarray(ph.mask.spacing)
             for p in (ph.p1, ph.p2):
                 idx = np.floor((p - origin) / spacing + 0.5)
                 center = origin + idx * spacing
@@ -232,8 +232,8 @@ class TestGenerate:
         assert ph.peaks.peaks_per_voxel == 2
         two = ph.mask.foreground & (amps[..., 1] > 0)
         assert two.any()
-        centers = np.asarray(ph.mask.grid.origin) + np.argwhere(two) * np.asarray(
-            ph.mask.grid.spacing
+        centers = np.asarray(ph.mask.origin) + np.argwhere(two) * np.asarray(
+            ph.mask.spacing
         )
         frac = centers[:, 0] / 20.0
         assert frac.min() >= 0.4 - 1e-9 and frac.max() <= 0.6 + 1e-9
@@ -251,7 +251,7 @@ class TestGenerate:
         b = generate(spec, rng_seed=9)
         c = generate(spec, rng_seed=10)
         assert np.array_equal(a.peaks.directions, b.peaks.directions)
-        assert np.array_equal(a.mask.grid.data, b.mask.grid.data)
+        assert np.array_equal(a.mask.data, b.mask.data)
         assert not np.array_equal(a.peaks.directions, c.peaks.directions)
 
     @pytest.mark.parametrize("spacing", [1.0, (0.7, 1.3, 0.9)])
@@ -264,7 +264,7 @@ class TestGenerate:
         # The tube's bounds, rounded out to whole voxels, leave at most one
         # more background slice than the margin on each face.
         data = generate(PhantomSpec(kind=kind, radius=radius, length=length,
-                                    spacing=spacing, fan_rate=fan_rate)).mask.grid.data
+                                    spacing=spacing, fan_rate=fan_rate)).mask.data
         for axis in range(3):
             filled = np.flatnonzero(data.any(axis=tuple({0, 1, 2} - {axis})))
             for face, empty in (("-", filled[0]), ("+", data.shape[axis] - 1 - filled[-1])):

@@ -215,7 +215,7 @@ class TestBuildPrior:
         from tractfield import cross_section_normals
 
         idx = np.argwhere(used(prior))
-        pts = np.asarray(ph.mask.grid.origin) + idx * np.asarray(ph.mask.grid.spacing)
+        pts = np.asarray(ph.mask.origin) + idx * np.asarray(ph.mask.spacing)
         normals = cross_section_normals(cl, pts)
         for voxel, n in zip(idx, normals):
             dirs, amps = ph.peaks.peaks_at(tuple(voxel))
@@ -245,7 +245,7 @@ class TestBuildPrior:
         def moved(obj):
             return tuple(np.asarray(obj.origin) + shift)
 
-        mask2 = make_mask(ph.mask.grid.data, ph.mask.grid.spacing, moved(ph.mask.grid))
+        mask2 = make_mask(ph.mask.data, ph.mask.spacing, moved(ph.mask))
         peaks2 = PeaksField(
             ph.peaks.dims, ph.peaks.spacing, moved(ph.peaks),
             ph.peaks.directions, ph.peaks.amplitudes,
@@ -284,7 +284,7 @@ class TestBuildPrior:
         assert not used(prior)[dead]
         assert used(prior).sum() == int(ph.mask.foreground.sum()) - 1
         pts, _ = prior.samples()
-        dead_center = np.asarray(ph.mask.grid.origin) + np.asarray(dead)
+        dead_center = np.asarray(ph.mask.origin) + np.asarray(dead)
         assert not (pts == dead_center).all(axis=1).any()
 
     def test_grid_mismatch_raises(self):
@@ -305,8 +305,8 @@ class TestBuildPrior:
         )
         cl = extract_centerline(ph.mask, ph.p1, ph.p2)
         prior = build_prior(ph.peaks, cl, ph.mask, min_amp)
-        directions = np.zeros(ph.mask.grid.dims + (3,))
-        valid = np.zeros(ph.mask.grid.dims, dtype=bool)
+        directions = np.zeros(ph.mask.dims + (3,))
+        valid = np.zeros(ph.mask.dims, dtype=bool)
         fg = ph.mask.foreground_indices()
         normals = cross_section_normals(cl, ph.mask.foreground_points())
         for voxel, n in zip(map(tuple, fg), normals):

@@ -44,9 +44,9 @@ def oracle_mask(seed: int):
 
 
 def scipy_distance(mask) -> np.ndarray:
-    padded = np.zeros(tuple(d + 2 for d in mask.grid.dims), dtype=bool)
+    padded = np.zeros(tuple(d + 2 for d in mask.dims), dtype=bool)
     padded[1:-1, 1:-1, 1:-1] = mask.foreground
-    dist = distance_transform_edt(padded, sampling=mask.grid.spacing)
+    dist = distance_transform_edt(padded, sampling=mask.spacing)
     return np.where(mask.foreground, dist[1:-1, 1:-1, 1:-1], 0.0)
 
 
@@ -64,7 +64,7 @@ def exact_distance(mask) -> np.ndarray:
     padded = np.zeros(tuple(3 * dims), dtype=bool)
     padded[tuple(slice(n, 2 * n) for n in dims)] = fg
     offsets = np.indices(tuple(2 * dims + 1)).reshape(3, -1).T - dims
-    sq = np.square(np.abs(offsets) * np.asarray(mask.grid.spacing))
+    sq = np.square(np.abs(offsets) * np.asarray(mask.spacing))
     d2 = (sq[:, 0] + sq[:, 1]) + sq[:, 2]
     strides = np.array(padded.strides) // padded.itemsize
     steps = offsets @ strides
@@ -158,7 +158,7 @@ def test_min_energy_path_matches_scipy_on_phantoms(spec):
     # scipy reports the distance to one background voxel, in the same
     # arithmetic, so it is never below the least one.
     assert (dt.data <= scipy_distance(ph.mask)).all()
-    start, goal = (tuple(nearest_indices(ph.mask.grid, [p])[0][0]) for p in (ph.p1, ph.p2))
+    start, goal = (tuple(nearest_indices(ph.mask, [p])[0][0]) for p in (ph.p1, ph.p2))
     assert_same_path(dt, start, goal)
 
 
@@ -223,8 +223,8 @@ def test_nearest_point_takes_the_lowest_index_on_a_tie(monkeypatch):
 @pytest.mark.parametrize("seed", range(20))
 def test_pulled_points_match_kd_tree(seed):
     mask, rng = oracle_mask(seed)
-    lo = np.asarray(mask.grid.origin) - 1.0
-    hi = lo + np.asarray(mask.grid.dims) * np.asarray(mask.grid.spacing) + 1.0
+    lo = np.asarray(mask.origin) - 1.0
+    hi = lo + np.asarray(mask.dims) * np.asarray(mask.spacing) + 1.0
     pts = rng.uniform(lo, hi, (200, 3))
     centers = mask.foreground_points()
     got = _pull_inside(pts, mask)

@@ -29,7 +29,7 @@ from tractfield import (
     track,
     tracking,
 )
-from tractfield.grids import Tract, VolumeGrid, _line_deltas
+from tractfield.grids import Tract, _line_deltas
 from tractfield.tracking import DRAW_BLOCK, ZERO_FIELD_TOL
 
 from conftest import make_mask, random_divfree_field
@@ -448,6 +448,17 @@ class TestKernelsMatchMaskedFormulas:
             assert got_ok.all() == all_ok
 
 
+def test_overflowing_norms_raise():
+    # A huge but finite field vector: v / |v| would be zero, not a stop.
+    v = np.array([[0.0, 1.0, 0.0], [1e200, 0.0, 0.0]])
+    field = SimpleNamespace(evaluate_many=lambda points: v)
+    with np.errstate(over="ignore"):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            sample_direction(v, None, 0.0, None)
+        with pytest.raises(FloatingPointError, match="overflow"):
+            tracking._rk4_many(field, np.zeros((2, 3)), np.eye(3)[:2], 0.3)
+
+
 def box_mask(lo, hi):
     """All-foreground unit-spacing mask whose voxel centers span lo..hi."""
     lo = np.asarray(lo, dtype=float)
@@ -726,11 +737,10 @@ def lexsort_assemble(starts, parts, handoff, params):
 def with_island(mask):
     """The mask plus its grid's corner voxel, away from the tube, and that
     voxel's center; a step of more than half a voxel leaves it either way."""
-    g = mask.grid
-    data = g.data.copy()
+    data = mask.data.copy()
     assert data[0, 0, 0] == 0
     data[0, 0, 0] = 1
-    return Mask(VolumeGrid(g.dims, g.spacing, g.origin, data)), g.origin
+    return Mask(mask.dims, mask.spacing, mask.origin, data), mask.origin
 
 
 def halves_of(parts, n):
