@@ -46,7 +46,6 @@ from .grids import (
 )
 from .metrics import hausdorff, spatial_overlap, voxelize
 from .phantom import (
-    FieldDescriptor,
     Phantom,
     PhantomSpec,
     analytic_streamline,

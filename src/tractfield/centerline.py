@@ -23,6 +23,7 @@ from .grids import (
     _checked,
     _dots,
     _load_lines,
+    _on_grid,
     _save_lines,
     inside_many,
     nearest_indices,
@@ -274,11 +275,12 @@ def _unit_tangents(pts: np.ndarray) -> np.ndarray:
 
 
 def _endpoint_voxel(mask: Mask, p, name: str) -> tuple:
-    idx, inb = nearest_indices(mask, [p])
-    if not inb[0] or not mask.data[tuple(idx[0])]:
-        coords = tuple(float(c) for c in np.asarray(p, dtype=float))
-        raise DomainError(f"{name} at {coords} is not inside the mask foreground")
-    return tuple(int(v) for v in idx[0])
+    if _on_grid(mask, [p])[0]:
+        idx = nearest_indices(mask, [p])[0][0]
+        if mask.data[tuple(idx)]:
+            return tuple(int(v) for v in idx)
+    coords = tuple(float(c) for c in np.asarray(p, dtype=float))
+    raise DomainError(f"{name} at {coords} is not inside the mask foreground")
 
 
 def extract_centerline(mask: Mask, p1, p2, delta=RESAMPLE_STEP) -> Centerline:

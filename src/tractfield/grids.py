@@ -167,7 +167,9 @@ class Tract:
                              "and the counts must sum to the points")
         if not np.isfinite(self.points).all():
             raise ValueError("streamline points must be finite")
-        gaps = _line_gaps(self.points, self.counts)
+        # Points far apart overflow to an infinite gap, which fails the check.
+        with np.errstate(over="ignore"):
+            gaps = _line_gaps(self.points, self.counts)
         if not (gaps.max(initial=0.0) <= 2.0 * self.step + 1e-9):
             raise ValueError("consecutive streamline points exceed twice the step length")
 
@@ -219,6 +221,17 @@ def nearest_indices(grid, pts) -> tuple[np.ndarray, np.ndarray]:
     idx = q.astype(np.int64)
     inb = np.all((idx >= 0) & (idx < np.asarray(grid.dims)), axis=1)
     return idx, inb
+
+
+def _on_grid(grid, pts) -> np.ndarray:
+    """The ``inbounds`` of ``nearest_indices``, decided before the integer
+    cast: a point read from a file may lie past the int64 range, where the
+    cast is undefined and numpy warns."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    with np.errstate(over="ignore"):  # an infinite q is off the grid
+        q = (pts - np.asarray(grid.origin)) / np.asarray(grid.spacing) + 0.5
+    # floor(q) lies in [0, dims) exactly when q does.
+    return np.all((q >= 0) & (q < np.asarray(grid.dims)), axis=1)
 
 
 # Most query-reference pairs one block of `_sq_distance_blocks` holds: two

@@ -9,6 +9,8 @@ distances, both in mm.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DomainError
@@ -85,20 +87,26 @@ def hausdorff(a: Tract, b: Tract) -> tuple:
 
     Distances run between the pooled point sets of the two tracts: HD is
     the larger of the two directed maxima, AHD the mean of the two directed
-    averages.
+    averages.  Points too far apart for a squared distance in float64 raise
+    FloatingPointError.
     """
     if not len(a.points) or not len(b.points):
         raise DomainError("hausdorff needs two nonempty tracts")
-    if min(len(a.points), len(b.points)) > _BRUTE_FORCE_POINTS:
-        from scipy.spatial import cKDTree
+    # An overflowing squared distance is inf, which the check below rejects.
+    with np.errstate(over="ignore"):
+        if min(len(a.points), len(b.points)) > _BRUTE_FORCE_POINTS:
+            from scipy.spatial import cKDTree
 
-        # Unbalanced, uncompacted trees build faster and find the same distances.
-        d_ab = cKDTree(b.points, balanced_tree=False, compact_nodes=False).query(a.points)[0]
-        d_ba = cKDTree(a.points, balanced_tree=False, compact_nodes=False).query(b.points)[0]
-    else:
-        d_ab, d_ba = _closest_distances(a.points, b.points)
-    hd = max(float(d_ab.max()), float(d_ba.max()))
-    ahd = 0.5 * (float(d_ab.mean()) + float(d_ba.mean()))
+            # Unbalanced, uncompacted trees build faster and find the same distances.
+            d_ab = cKDTree(b.points, balanced_tree=False, compact_nodes=False).query(a.points)[0]
+            d_ba = cKDTree(a.points, balanced_tree=False, compact_nodes=False).query(b.points)[0]
+        else:
+            d_ab, d_ba = _closest_distances(a.points, b.points)
+        hd = max(float(d_ab.max()), float(d_ba.max()))
+        ahd = 0.5 * (float(d_ab.mean()) + float(d_ba.mean()))
+    if not (math.isfinite(hd) and math.isfinite(ahd)):
+        raise FloatingPointError("hausdorff distances overflow: the tracts' points lie "
+                                 "too far apart for float64")
     return hd, ahd
 
 

@@ -3,10 +3,10 @@
 Every phantom is a tube around an analytic axis curve, together with a
 closed-form divergence-free affine field whose integral curves follow the
 tube.  The generator emits the mask, a peaks field (optionally jittered and
-contaminated with crossing-fiber distractors), the analytic centerline, and
-a field descriptor that doubles as ground truth for fits and tracking.  A
-descriptor is the phantom's kind and axis parameters; its affine field is
-derived from them.  Its file is the spec itself (``load_descriptor``).
+contaminated with crossing-fiber distractors) and the analytic centerline.
+The ``PhantomSpec`` it generates from is the one phantom object: it derives
+the affine field, the ground truth for fits and tracking, from its kind's
+axis keys, and ``descriptor.txt`` is the spec itself (``load_descriptor``).
 
 The four kinds fall into two axis families, and the field and the axis
 are written once per family:
@@ -44,7 +44,7 @@ from .grids import (
 )
 from .polyfield import PolyField, _term_index, term_count
 
-# The spec keys each kind's descriptor keeps; its affine field follows from them.
+# The spec keys each kind's axis and flow field are derived from.
 _AXIS_KEYS = {
     "straight-tube": ("length",),
     "quarter-torus": ("major_radius",),
@@ -58,50 +58,72 @@ _GRID_MARGIN = 2  # all-background voxel slices padding the tube's bounds
 # Largest grid `generate` builds: at up to ~450 B per voxel, under 1 GB.
 _VOXEL_BUDGET = 2_000_000
 _DISTRACTOR_BAND = (0.4, 0.6)  # axis-range share holding the distractor peaks
+# A number derived from the spec keys is no key: not in equality, hash or repr.
+_DERIVED = dict(init=False, compare=False, repr=False)
 
 
-@dataclass(frozen=True, eq=False)
-class FieldDescriptor:
-    """A phantom's kind and axis parameters, the ``_AXIS_KEYS`` of its kind.
+@dataclass(frozen=True)
+class PhantomSpec:
+    """Geometry, spacing and corruption of a synthetic tube, and its flow
+    field; its grid is the tube's bounds padded by ``_GRID_MARGIN`` voxels.
 
-    Construction derives the numbers of the kind's axis family, which the
-    methods read: ``fan_rate`` on an axis (t, 0, 0) along x, whose
-    ``coil_radius`` is None, or ``coil_radius`` R and ``rise`` on a coil
-    (R cos t, R sin t, rise t).  Either axis runs over t in [0, span] at
+    The init fields are the spec keys.  Construction checks them and derives
+    the numbers of the kind's axis family, which the methods read: ``rate``
+    (``fan_rate`` on a fanning tube, else 0) on an axis (t, 0, 0) along x,
+    whose ``coil_radius`` is None, or ``coil_radius`` R and ``rise`` on a
+    coil (R cos t, R sin t, rise t).  Either axis runs over t in [0, span] at
     ``speed`` mm per unit of t.  The affine flow field v(p) = constant +
     linear @ p, divergence-free, follows from these numbers, as do axis
     positions and per-point axis parameters in closed form.
     """
 
-    kind: str
-    params: dict
-    fan_rate: float = dc_field(init=False)
-    coil_radius: float | None = dc_field(init=False)
-    rise: float = dc_field(init=False)
-    span: float = dc_field(init=False)
-    speed: float = dc_field(init=False)
-    constant: np.ndarray = dc_field(init=False)
-    linear: np.ndarray = dc_field(init=False)
+    kind: str = "straight-tube"
+    radius: float = 3.0
+    spacing: tuple = (1.0, 1.0, 1.0)
+    length: float = 20.0
+    major_radius: float = 12.0
+    helix_radius: float = 8.0
+    pitch: float = 8.0
+    turns: float = 1.0
+    fan_rate: float = 0.04
+    noise_deg: float = 0.0
+    distractor_amp: float = 0.0
+    rate: float = dc_field(**_DERIVED)
+    coil_radius: float | None = dc_field(**_DERIVED)
+    rise: float = dc_field(**_DERIVED)
+    span: float = dc_field(**_DERIVED)
+    speed: float = dc_field(**_DERIVED)
+    constant: np.ndarray = dc_field(**_DERIVED)
+    linear: np.ndarray = dc_field(**_DERIVED)
 
     def __post_init__(self):
-        keys = _AXIS_KEYS.get(self.kind)
-        if keys is None:
-            raise ValueError(f"unknown phantom kind {self.kind!r}")
-        params = dict(self.params)
-        if sorted(params) != sorted(keys):
-            raise ValueError(f"{self.kind} parameters must be {', '.join(keys)}, "
-                             f"got {', '.join(params) or 'none'}")
-        for name, value in params.items():
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if self.kind not in KINDS:
+            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        spacing = self.spacing
+        if np.isscalar(spacing):
+            spacing = (float(spacing),) * 3
+        object.__setattr__(self, "spacing", tuple(float(v) for v in spacing))
+        if len(self.spacing) != 3:
+            raise ValueError("spacing must be a scalar or three values")
+        for name in _SPEC_KEYS[1:]:  # every key but kind holds numbers
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
+        # Written as "not (ok)" so that NaN fails every check too.
+        if not self.radius > 0:
+            raise ValueError("radius must be positive")
+        if not min(self.spacing) > 0:
+            raise ValueError("spacing must be positive")
+        for name in dict.fromkeys(k for keys in _AXIS_KEYS.values() for k in keys):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
         if self.kind == "quarter-torus":
-            radius, rise, span = params["major_radius"], 0.0, math.pi / 2
+            radius, rise, span = self.major_radius, 0.0, math.pi / 2
         elif self.kind == "helix":
-            radius, rise = params["helix_radius"], params["pitch"] / (2 * math.pi)
-            span = 2 * math.pi * params["turns"]
+            radius, rise = self.helix_radius, self.pitch / (2 * math.pi)
+            span = 2 * math.pi * self.turns
         else:
-            radius, rise, span = None, 0.0, params["length"]
-        rate = params.get("fan_rate", 0.0)
+            radius, rise, span = None, 0.0, self.length
+        rate = self.fan_rate if self.kind == "fanning" else 0.0
         # Every linear part is traceless, so every field is divergence-free.
         if radius is None:
             speed = 1.0
@@ -114,11 +136,56 @@ class FieldDescriptor:
             linear = np.array([[0.0, -omega, 0.0], [omega, 0.0, 0.0], [0.0, 0.0, 0.0]])
         # A finite but tiny parameter can overflow 1 / radius.
         if not (np.isfinite(constant).all() and np.isfinite(linear).all()):
+            params = {k: getattr(self, k) for k in _AXIS_KEYS[self.kind]}
             raise ValueError(f"{self.kind} parameters {params} give a non-finite field")
-        derived = dict(params=params, fan_rate=rate, coil_radius=radius, rise=rise,
-                       span=span, speed=speed, constant=constant, linear=linear)
+        derived = dict(rate=rate, coil_radius=radius, rise=rise, span=span, speed=speed,
+                       constant=constant, linear=linear)
         for name, value in derived.items():
             object.__setattr__(self, name, value)
+        self._check_tube_geometry()
+        if not self.noise_deg >= 0:
+            raise ValueError("noise_deg must be >= 0")
+        if not 0 <= self.distractor_amp <= 1:
+            raise ValueError("distractor_amp must be in [0, 1]")
+
+    def _check_tube_geometry(self):
+        """Reject a coiled tube whose voxels need not form one chain along
+        its axis.
+
+        An axis along x runs along a row of the default grid's voxel centers.
+        A coiled tube at least one voxel diagonal wide holds the voxel nearest
+        every axis point, and those voxels are 26-connected.  Two 26-neighbours lie at
+        most one diagonal apart, so the tube widened by half a diagonal must
+        still leave the axis it winds around free and must not touch another
+        turn; otherwise the minimal path cuts through the filled core or
+        steps across to the next turn.
+        """
+        if self.coil_radius is None:
+            return
+        diag = math.hypot(*self.spacing)
+        if not 2 * self.radius >= diag:
+            raise ValueError(f"radius must be at least half the voxel diagonal "
+                             f"({diag / 2:.4g} mm)")
+        if not self.radius + diag / 2 <= self.coil_radius:
+            around = _AXIS_KEYS[self.kind][0]  # the key holding the coil radius
+            raise ValueError(
+                f"radius + half the voxel diagonal must not exceed {around}: the "
+                "tube's voxels would fill the axis it winds around")
+        # Axis points an angle s apart lie d(s) apart; d grows until the next
+        # turn draws near, and the least d past that first maximum is the
+        # closest approach of two turns (or of the ends of a near-full turn).
+        # It lies within one turn, because later minima of d are farther.  On
+        # a quarter turn d only grows.
+        span = min(self.span, 2 * math.pi)
+        s = np.append(np.arange(0.0, span, 0.01), span)
+        d = np.hypot(2 * self.coil_radius * np.sin(s / 2), self.rise * s)
+        falls = np.flatnonzero(np.diff(d) < 0)
+        gap = d[falls[0]:].min() - 2 * self.radius if len(falls) else math.inf
+        if not gap >= diag:
+            raise ValueError(
+                f"helix turns touch: pitch - 2 * radius, measured between the "
+                f"tilted turns, is {gap:.4g} mm, less than the voxel diagonal "
+                f"({diag:.4g} mm)")
 
     def vectors_at(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -208,96 +275,17 @@ class FieldDescriptor:
         return PolyField(order, coeffs, offset, scale)
 
 
-@dataclass(frozen=True)
-class PhantomSpec:
-    """Geometry, spacing and corruption of a synthetic tube; its grid is the
-    tube's bounds padded by ``_GRID_MARGIN`` voxels."""
-
-    kind: str = "straight-tube"
-    radius: float = 3.0
-    spacing: tuple = (1.0, 1.0, 1.0)
-    length: float = 20.0
-    major_radius: float = 12.0
-    helix_radius: float = 8.0
-    pitch: float = 8.0
-    turns: float = 1.0
-    fan_rate: float = 0.04
-    noise_deg: float = 0.0
-    distractor_amp: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        spacing = self.spacing
-        if np.isscalar(spacing):
-            spacing = (float(spacing),) * 3
-        object.__setattr__(self, "spacing", tuple(float(v) for v in spacing))
-        if len(self.spacing) != 3:
-            raise ValueError("spacing must be a scalar or three values")
-        for f in fields(self):
-            if f.name != "kind" and not np.all(np.isfinite(getattr(self, f.name))):
-                raise ValueError(f"{f.name} must be finite")
-        # Written as "not (ok)" so that NaN fails every check too.
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
-        if not min(self.spacing) > 0:
-            raise ValueError("spacing must be positive")
-        for name in dict.fromkeys(k for keys in _AXIS_KEYS.values() for k in keys):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        self._check_tube_geometry()
-        if not self.noise_deg >= 0:
-            raise ValueError("noise_deg must be >= 0")
-        if not 0 <= self.distractor_amp <= 1:
-            raise ValueError("distractor_amp must be in [0, 1]")
-
-    def _descriptor(self) -> FieldDescriptor:
-        return FieldDescriptor(self.kind, {k: getattr(self, k) for k in _AXIS_KEYS[self.kind]})
-
-    def _check_tube_geometry(self):
-        """Reject a coiled tube whose voxels need not form one chain along
-        its axis.
-
-        An axis along x runs along a row of the default grid's voxel centers.
-        A coiled tube at least one voxel diagonal wide holds the voxel nearest
-        every axis point, and those voxels are 26-connected.  Two 26-neighbours lie at
-        most one diagonal apart, so the tube widened by half a diagonal must
-        still leave the axis it winds around free and must not touch another
-        turn; otherwise the minimal path cuts through the filled core or
-        steps across to the next turn.
-        """
-        desc = self._descriptor()
-        if desc.coil_radius is None:
-            return
-        diag = math.hypot(*self.spacing)
-        if not 2 * self.radius >= diag:
-            raise ValueError(f"radius must be at least half the voxel diagonal "
-                             f"({diag / 2:.4g} mm)")
-        if not self.radius + diag / 2 <= desc.coil_radius:
-            around = _AXIS_KEYS[self.kind][0]  # the key holding the coil radius
-            raise ValueError(
-                f"radius + half the voxel diagonal must not exceed {around}: the "
-                "tube's voxels would fill the axis it winds around")
-        # Axis points an angle s apart lie d(s) apart; d grows until the next
-        # turn draws near, and the least d past that first maximum is the
-        # closest approach of two turns (or of the ends of a near-full turn).
-        # It lies within one turn, because later minima of d are farther.  On
-        # a quarter turn d only grows.
-        span = min(desc.span, 2 * math.pi)
-        s = np.append(np.arange(0.0, span, 0.01), span)
-        d = np.hypot(2 * desc.coil_radius * np.sin(s / 2), desc.rise * s)
-        falls = np.flatnonzero(np.diff(d) < 0)
-        gap = d[falls[0]:].min() - 2 * self.radius if len(falls) else math.inf
-        if not gap >= diag:
-            raise ValueError(
-                f"helix turns touch: pitch - 2 * radius, measured between the "
-                f"tilted turns, is {gap:.4g} mm, less than the voxel diagonal "
-                f"({diag:.4g} mm)")
+# The spec keys, in file order: every field but the derived ones.
+_SPEC_KEYS = tuple(f.name for f in fields(PhantomSpec) if f.init)
+# The name of the field class the spec replaced: the benchmark's layer tracer
+# (perfbench/layers.py) patches ``phantom.FieldDescriptor.axis_params``.
+FieldDescriptor = PhantomSpec
 
 
 @dataclass(frozen=True, eq=False)
 class Phantom:
-    """Generated phantom bundle: mask, peaks, analytic axis, flow field.
+    """Generated phantom bundle: mask, peaks, analytic axis, and as ``field``
+    the spec it was generated from, which holds the flow field.
 
     ``centerline`` holds axis points at an arc-length step near
     ``RESAMPLE_STEP``.  Like every centerline, its tangents follow from its
@@ -307,29 +295,30 @@ class Phantom:
     mask: Mask
     peaks: PeaksField
     centerline: Centerline
-    field: FieldDescriptor
+    field: PhantomSpec
     p1: np.ndarray
     p2: np.ndarray
 
 
-def _tube_bounds(desc: FieldDescriptor, r: float) -> tuple:
-    if desc.coil_radius is None:
+def _tube_bounds(spec: PhantomSpec) -> tuple:
+    r = spec.radius
+    if spec.coil_radius is None:
         # Along x the y half-width grows from r to spread and the z one shrinks.
-        spread = r * np.exp(desc.fan_rate * desc.span)
-        return np.array([0.0, -spread, -r]), np.array([desc.span, spread, r])
-    reach = desc.coil_radius + r
-    if desc.kind == "quarter-torus":
+        spread = r * np.exp(spec.rate * spec.span)
+        return np.array([0.0, -spread, -r]), np.array([spec.span, spread, r])
+    reach = spec.coil_radius + r
+    if spec.kind == "quarter-torus":
         return np.array([0.0, 0.0, -r]), np.array([reach, reach, r])
-    top = desc.params["pitch"] * desc.params["turns"] + r
+    top = spec.pitch * spec.turns + r
     return np.array([-reach, -reach, -r]), np.array([reach, reach, top])
 
 
-def _grid_layout(desc: FieldDescriptor, radius: float, spacing: tuple) -> tuple:
-    s = np.asarray(spacing)
+def _grid_layout(spec: PhantomSpec) -> tuple:
+    s = np.asarray(spec.spacing)
     # A bound or voxel count past the float range becomes inf, which the
     # budget check rejects.
     with np.errstate(over="ignore"):
-        lo, hi = _tube_bounds(desc, radius)
+        lo, hi = _tube_bounds(spec)
         i0 = np.floor(lo / s) - _GRID_MARGIN
         i1 = np.ceil(hi / s) + _GRID_MARGIN
     counts = i1 - i0 + 1
@@ -342,25 +331,26 @@ def _grid_layout(desc: FieldDescriptor, radius: float, spacing: tuple) -> tuple:
     return dims, origin
 
 
-def _foreground(desc: FieldDescriptor, r: float, centers: np.ndarray):
+def _foreground(spec: PhantomSpec, centers: np.ndarray):
     x, y, z = centers[:, 0], centers[:, 1], centers[:, 2]
-    if desc.coil_radius is None:
-        span_y = y * np.exp(-desc.fan_rate * x)
-        span_z = z * np.exp(desc.fan_rate * x)
-        return (x >= 0) & (x <= desc.span) & (span_y ** 2 + span_z ** 2 <= r * r)
-    if desc.kind == "quarter-torus":
-        ring = np.hypot(x, y) - desc.coil_radius
+    r = spec.radius
+    if spec.coil_radius is None:
+        span_y = y * np.exp(-spec.rate * x)
+        span_z = z * np.exp(spec.rate * x)
+        return (x >= 0) & (x <= spec.span) & (span_y ** 2 + span_z ** 2 <= r * r)
+    if spec.kind == "quarter-torus":
+        ring = np.hypot(x, y) - spec.coil_radius
         return (x >= 0) & (y >= 0) & (ring * ring + z * z <= r * r)
-    dist = np.linalg.norm(centers - desc.axis_point(desc.axis_params(centers)), axis=1)
+    dist = np.linalg.norm(centers - spec.axis_point(spec.axis_params(centers)), axis=1)
     # Flat end caps: cut the half-ball overhangs past each axis endpoint,
     # across the coil's unit tangent there.  The cap half-space applies only
     # near its endpoint, because for a full turn the plane would otherwise
     # slice the tube mid-helix.
-    t, radius = np.array([0.0, desc.span]), desc.coil_radius
-    ends = desc.axis_point(t)
+    t, radius = np.array([0.0, spec.span]), spec.coil_radius
+    ends = spec.axis_point(t)
     tans = np.stack(
-        [-radius * np.sin(t), radius * np.cos(t), np.full_like(t, desc.rise)], axis=-1
-    ) / desc.speed
+        [-radius * np.sin(t), radius * np.cos(t), np.full_like(t, spec.rise)], axis=-1
+    ) / spec.speed
     lo_cut = ((centers - ends[0]) @ tans[0] < 0) & (
         np.linalg.norm(centers - ends[0], axis=1) <= 1.5 * r
     )
@@ -381,10 +371,10 @@ def _orthonormal_frame(tangents: np.ndarray) -> tuple:
     return e1, e2
 
 
-def _analytic_centerline(desc: FieldDescriptor) -> Centerline:
-    count = max(1, int(round(desc.axis_length / RESAMPLE_STEP)))
-    ts = np.linspace(0.0, desc.span, count + 1)
-    return Centerline(desc.axis_point(ts), desc.axis_length / count)
+def _analytic_centerline(spec: PhantomSpec) -> Centerline:
+    count = max(1, int(round(spec.axis_length / RESAMPLE_STEP)))
+    ts = np.linspace(0.0, spec.span, count + 1)
+    return Centerline(spec.axis_point(ts), spec.axis_length / count)
 
 
 def _snap_endpoint(mask: Mask, point: np.ndarray) -> np.ndarray:
@@ -396,26 +386,25 @@ def _snap_endpoint(mask: Mask, point: np.ndarray) -> np.ndarray:
 
 
 def generate(spec: PhantomSpec, rng_seed: int = 0) -> Phantom:
-    """Build the mask, peaks, analytic centerline, and flow descriptor.
+    """Build the mask, peaks and analytic centerline of ``spec``.
 
     Primary peaks are unit flow vectors at each foreground voxel center,
     optionally rotated by a Gaussian angular jitter; distractor peaks are
     random directions orthogonal to the unjittered flow, one per voxel in
     the ``_DISTRACTOR_BAND`` share of the axis range, at ``distractor_amp``.
     """
-    desc = spec._descriptor()
-    dims, origin = _grid_layout(desc, spec.radius, spec.spacing)
+    dims, origin = _grid_layout(spec)
     s = np.asarray(spec.spacing)
     idx = np.indices(dims).reshape(3, -1).T
     centers = np.asarray(origin) + idx * s
-    keep = _foreground(desc, spec.radius, centers)
+    keep = _foreground(spec, centers)
     if not keep.any():
         raise GeometryError("phantom tube covers no voxel centers")
     mask = Mask(dims, spec.spacing, origin, keep.reshape(dims))
 
     fg_idx = idx[keep]
     fg_centers = centers[keep]
-    flow = desc.vectors_at(fg_centers)
+    flow = spec.vectors_at(fg_centers)
     flow /= np.linalg.norm(flow, axis=1, keepdims=True)
     rng = np.random.default_rng(np.random.SeedSequence((int(rng_seed), 0x70AD)))
     n = len(fg_centers)
@@ -437,7 +426,7 @@ def generate(spec: PhantomSpec, rng_seed: int = 0) -> Phantom:
     directions[fg_idx[:, 0], fg_idx[:, 1], fg_idx[:, 2], 0] = primary
     amplitudes[fg_idx[:, 0], fg_idx[:, 1], fg_idx[:, 2], 0] = 1.0
     if k == 2:
-        frac = desc.axis_params(fg_centers) / desc.span
+        frac = spec.axis_params(fg_centers) / spec.span
         band = (frac >= _DISTRACTOR_BAND[0]) & (frac <= _DISTRACTOR_BAND[1])
         psi = rng.uniform(0.0, 2 * math.pi, size=n)
         ortho = np.cos(psi)[:, None] * e1 + np.sin(psi)[:, None] * e2
@@ -446,14 +435,14 @@ def generate(spec: PhantomSpec, rng_seed: int = 0) -> Phantom:
         amplitudes[sel[:, 0], sel[:, 1], sel[:, 2], 1] = spec.distractor_amp
     peaks = PeaksField(dims, tuple(spec.spacing), origin, directions, amplitudes)
 
-    cl = _analytic_centerline(desc)
+    cl = _analytic_centerline(spec)
     p1 = _snap_endpoint(mask, cl.points[0])
     p2 = _snap_endpoint(mask, cl.points[-1])
-    return Phantom(mask, peaks, cl, desc, p1, p2)
+    return Phantom(mask, peaks, cl, spec, p1, p2)
 
 
 def analytic_streamline(
-    desc: FieldDescriptor, seed, arc_length: float, fine_step: float
+    spec: PhantomSpec, seed, arc_length: float, fine_step: float
 ) -> np.ndarray:
     """Reference unit-speed trajectory by classic RK4 at a fine step.
 
@@ -466,7 +455,7 @@ def analytic_streamline(
         raise ValueError("arc_length must be finite and >= 0")
 
     def g(p):
-        v = desc.vectors_at(p[None, :])[0]
+        v = spec.vectors_at(p[None, :])[0]
         return v / np.linalg.norm(v)
 
     p = np.asarray(seed, dtype=float).copy()
@@ -484,7 +473,7 @@ def analytic_streamline(
     return np.array(points)
 
 
-def completion_rate(tract: Tract, desc: FieldDescriptor) -> float:
+def completion_rate(tract: Tract, spec: PhantomSpec) -> float:
     """Fraction of streamlines whose axis-parameter span reaches both caps.
 
     A streamline completes when its points cover the axis range up to a
@@ -492,24 +481,23 @@ def completion_rate(tract: Tract, desc: FieldDescriptor) -> float:
     """
     if not len(tract.counts):
         return 0.0
-    pad = _COMPLETION_MARGIN * desc.span
-    t = desc.axis_params(tract.points)
+    pad = _COMPLETION_MARGIN * spec.span
+    t = spec.axis_params(tract.points)
     starts = np.cumsum(tract.counts) - tract.counts
     lo, hi = np.minimum.reduceat(t, starts), np.maximum.reduceat(t, starts)
-    return float(np.mean((lo <= pad) & (hi >= desc.span - pad)))
+    return float(np.mean((lo <= pad) & (hi >= spec.span - pad)))
 
 
 def save_phantom_spec(spec: PhantomSpec, path):
     """Write a phantom spec as a key: value text file, one line per field."""
-    _write_text(path, [_line(f.name, getattr(spec, f.name)) for f in fields(spec)])
+    _write_text(path, [_line(name, getattr(spec, name)) for name in _SPEC_KEYS])
 
 
 def load_phantom_spec(path) -> PhantomSpec:
     """Read a phantom spec text file; omitted keys keep their defaults."""
-    keys = {f.name for f in fields(PhantomSpec)}
     kwargs = {}
     for key, text in _parse_fields(_read_text(path).splitlines(), path).items():
-        if key not in keys:
+        if key not in _SPEC_KEYS:
             raise FormatError(f"{path}: unknown spec key {key!r}")
         if key == "kind":
             kwargs[key] = text
@@ -521,7 +509,7 @@ def load_phantom_spec(path) -> PhantomSpec:
     return _checked(path, PhantomSpec, **kwargs)
 
 
-def load_descriptor(path) -> FieldDescriptor:
-    """The field descriptor of the phantom spec in ``path``, such as the
-    ``descriptor.txt`` that ``tractfield phantom`` writes."""
-    return load_phantom_spec(path)._descriptor()
+def load_descriptor(path) -> PhantomSpec:
+    """The phantom spec in ``path``, such as the ``descriptor.txt`` that
+    ``tractfield phantom`` writes, with the flow field derived from it."""
+    return load_phantom_spec(path)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .centerline import Centerline, cross_section_normals
 from .errors import DomainError
-from .grids import Mask, PeaksField, _dots, nearest_indices, same_geometry
+from .grids import Mask, PeaksField, _dots, _on_grid, nearest_indices, same_geometry
 
 MIN_AMP_DEFAULT = 0.05
 
@@ -64,12 +64,17 @@ def build_prior(
     Each foreground voxel center takes the tangent of the nearest
     centerline point as its cross-section normal and keeps the peak closest
     in axial angle.  Returns a one-slot field whose amplitude is 1 where a
-    peak was selected and 0 elsewhere.
+    peak was selected and 0 elsewhere.  Every centerline point's nearest
+    voxel must lie on the mask's grid, as on an extracted centerline.
     """
     if not math.isfinite(min_amp):
         raise ValueError("min_amp must be finite")
     if not same_geometry(peaks, mask):
         raise DomainError("peaks grid does not match the mask grid")
+    off = np.flatnonzero(~_on_grid(mask, cl.points))
+    if len(off):
+        coords = tuple(float(c) for c in cl.points[off[0]])
+        raise DomainError(f"centerline point {off[0]} at {coords} lies off the mask's grid")
     pts = mask.foreground_points()
     return _one_slot(mask, *select_peak(peaks, pts, cross_section_normals(cl, pts), min_amp))
 

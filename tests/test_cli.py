@@ -30,7 +30,7 @@ from tractfield import (
 )
 from tractfield import cli
 from tractfield.cli import main
-from tractfield.grids import _save_lines
+from tractfield.grids import _load_lines, _save_lines
 from tractfield.metrics import hausdorff, spatial_overlap, voxelize
 from tractfield.phantom import KINDS, _VOXEL_BUDGET
 from tractfield.polyfield import bundle_ridge
@@ -481,6 +481,74 @@ class TestExitCodes:
         assert err.startswith("tractfield: numerical failure: field vectors overflow")
         assert err.count("\n") == 1 and str(field) in err
         assert not (tmp_path / "run" / "streamlines.tract").exists()
+
+    # In the four cases below a finite number read from a file overflowed
+    # later, in arithmetic numpy warns about; tier-1 turns any such warning
+    # into an error, so each case also shows that none is left.
+    def test_overflowing_hausdorff_is_numerical_error(self, tmp_path, stages_dir, capsys):
+        # The reference axis moved 1e200 mm along x: every squared distance
+        # overflows, and hd and ahd once read inf at exit 0.
+        far = tmp_path / "far.tract"
+        step, points, counts = _load_lines(stages_dir / "axis.tract")
+        _save_lines(far, step, points + [1e200, 0.0, 0.0], counts)
+        code = main(["metrics", "--tract", f"{stages_dir}/streamlines.tract",
+                     "--ref-tract", str(far), "--grid", f"{stages_dir}/mask.rvf",
+                     "--ref-mask", f"{stages_dir}/mask.rvf", "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("tractfield: numerical failure: hausdorff distances overflow")
+        assert err.count("\n") == 1 and str(far) in err
+        assert not (tmp_path / "run" / "metrics.txt").exists()
+
+    @pytest.mark.parametrize("artifact", ["endpoints.txt", "mask.rvf"])
+    def test_endpoint_far_off_the_grid_is_data_error(self, tmp_path, stages_dir, capsys,
+                                                     artifact):
+        # p1's x, or the mask origin's, at 1e308: the voxel index is past the
+        # int64 range.
+        bad = tmp_path / artifact
+        raw = (stages_dir / artifact).read_bytes()
+        key = b"p1: " if artifact == "endpoints.txt" else b"origin: "
+        start = raw.index(key) + len(key)
+        bad.write_bytes(raw[:start] + b"1e308" + raw[raw.index(b" ", start):])
+        files = {name: str(bad if name == artifact else stages_dir / name)
+                 for name in ("endpoints.txt", "mask.rvf")}
+        code = main(["centerline", "--mask", files["mask.rvf"],
+                     "--endpoints", files["endpoints.txt"], "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("tractfield: p1 at (")
+        assert "is not inside the mask foreground" in err
+        assert err.count("\n") == 1 and str(bad) in err
+
+    def test_far_tract_point_is_format_error(self, tmp_path, stages_dir, capsys):
+        # One point's x at 1e308: the gap to its neighbours overflows.
+        far = tmp_path / "far.tract"
+        step, points, counts = _load_lines(stages_dir / "streamlines.tract")
+        points = points.copy()
+        points[0, 0] = 1e308
+        _save_lines(far, step, points, counts)
+        code = main(["metrics", "--tract", str(far), "--ref-tract", f"{stages_dir}/axis.tract",
+                     "--grid", f"{stages_dir}/mask.rvf", "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (f"tractfield: {far}: consecutive streamline points exceed twice "
+                       "the step length\n")
+
+    def test_centerline_point_off_the_grid_is_data_error(self, tmp_path, stages_dir, capsys):
+        # Point 10's x at -1e308: the prior was once written at exit 0.
+        far = tmp_path / "far.tract"
+        step, points, counts = _load_lines(stages_dir / "centerline.tract")
+        points = points.copy()
+        points[10, 0] = -1e308
+        _save_lines(far, step, points, counts)
+        code = main(["prior", "--peaks", f"{stages_dir}/peaks.rvf", "--centerline", str(far),
+                     "--mask", f"{stages_dir}/mask.rvf", "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("tractfield: centerline point 10 at (-1e+308, ")
+        assert "lies off the mask's grid" in err
+        assert err.count("\n") == 1 and str(far) in err
+        assert not (tmp_path / "run" / "prior.rvf").exists()
 
 
 class TestPhantomCommand:

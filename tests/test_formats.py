@@ -254,8 +254,9 @@ def test_text_artifacts_round_trip_bitwise(tmp_path_factory, data, order):
     back = load_phantom_spec(path)
     assert back.kind == spec.kind
     for f in dataclasses.fields(spec)[1:]:
-        assert _bits(getattr(back, f.name)) == _bits(getattr(spec, f.name)), f.name
-    assert _bits(load_descriptor(path).params["length"]) == _bits(spec.length)
+        if f.init:  # a spec key, not a number derived from them
+            assert _bits(getattr(back, f.name)) == _bits(getattr(spec, f.name)), f.name
+    assert _bits(load_descriptor(path).length) == _bits(spec.length)
 
     p1, p2 = np.array(floats(3)), np.array(floats(3))
     cli._save_endpoints(path, p1, p2)

@@ -28,7 +28,7 @@ from tractfield import (
     save_volume,
     voxel_centers,
 )
-from tractfield.grids import _dots, _line_deltas, _line_gaps
+from tractfield.grids import _dots, _line_deltas, _line_gaps, _on_grid
 
 from conftest import make_grid, make_mask, tract_from_lines
 
@@ -317,6 +317,16 @@ def test_nearest_indices_matches_out_of_place_oracle(rng):
     oracle = out_of_place_nearest_indices(grid, pts)
     assert idx.dtype == oracle.dtype and idx.tobytes() == oracle.tobytes()
     assert inb.tolist() == np.all((oracle >= 0) & (oracle < grid.dims), axis=1).tolist()
+    assert _on_grid(grid, pts).tolist() == inb.tolist()
+
+
+def test_points_past_the_int64_range_are_off_the_grid():
+    # Voxel indices past the int64 range, some of them infinite, are decided
+    # without a cast, so numpy gives no warning.
+    far = [(1e308, 0.0, 0.0), (0.0, -1e308, 0.0), (0.0, 0.0, 1e19), (1.0, 1.0, 1.0)]
+    assert _on_grid(make_grid(np.zeros((4, 4, 4))), far).tolist() == [False] * 3 + [True]
+    tiny = make_grid(np.zeros((4, 4, 4)), spacing=(5e-324,) * 3, origin=(-1e308,) * 3)
+    assert not _on_grid(tiny, far).any()
 
 
 @pytest.mark.parametrize("counts", [[], [1], [2, 1, 5], [3] * 400, [1000]])

@@ -333,6 +333,14 @@ class TestHausdorff:
         assert abs(before[0] - after[0]) <= 1e-9
         assert abs(before[1] - after[1]) <= 1e-9
 
+    @pytest.mark.parametrize("n", [40, 200], ids=["pairwise", "k-d trees"])
+    def test_overflowing_distances_raise(self, rng, n):
+        # Both search paths square the 1e200 mm offset to inf, without a warning.
+        a = self._random_tract(rng, n=n)
+        far = tract_from_lines([a.points + [1e200, 0.0, 0.0]], a.step)
+        with pytest.raises(FloatingPointError, match="hausdorff distances overflow"):
+            hausdorff(a, far)
+
     def test_max_dominates_average(self, rng):
         for _ in range(5):
             hd, ahd = hausdorff(self._random_tract(rng), self._random_tract(rng))

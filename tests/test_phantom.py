@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from scipy.spatial import cKDTree
 
 from tractfield import (
-    FieldDescriptor,
     FormatError,
     GeometryError,
     PhantomSpec,
@@ -85,53 +84,37 @@ def helix_descriptor():
 
 
 def straight_descriptor():
-    return FieldDescriptor("straight-tube", PARAMS["straight-tube"])
+    return PhantomSpec(kind="straight-tube", **PARAMS["straight-tube"])
 
 
 def fanning_descriptor():
-    return FieldDescriptor("fanning", PARAMS["fanning"])
+    return PhantomSpec(kind="fanning", **PARAMS["fanning"])
 
 
 class TestFieldDescriptor:
     def test_linear_part_is_traceless(self):
         assert sorted(PARAMS) == sorted(KINDS)
         for kind, params in PARAMS.items():
-            assert np.trace(FieldDescriptor(kind, params).linear) == 0.0, kind
+            assert np.trace(PhantomSpec(kind=kind, **params).linear) == 0.0, kind
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
-            FieldDescriptor("moebius", {})
+            PhantomSpec(kind="moebius")
 
     def test_vectors_at_affine(self, rng):
         pts = rng.normal(scale=10.0, size=(20, 3))
         for kind, params in PARAMS.items():
-            desc = FieldDescriptor(kind, params)
+            desc = PhantomSpec(kind=kind, **params)
             want = closed_form_flow(kind, params, pts)
             np.testing.assert_allclose(desc.vectors_at(pts), want, rtol=1e-15, atol=1e-15,
                                        err_msg=kind)
-
-    @pytest.mark.parametrize(
-        "params, match",
-        [
-            ({}, "helix parameters must be helix_radius, pitch, turns, got none"),
-            ({"helix_radius": 8.0, "pitch": 8.0}, "got helix_radius, pitch$"),
-            ({"helix_radius": 8.0, "pitch": 8.0, "turns": 1.0, "length": 20.0}, "length"),
-            ({"helix_radius": 8.0, "pitch": 0.0, "turns": 1.0}, "pitch must be finite"),
-            ({"helix_radius": 8.0, "pitch": 8.0, "turns": -1.0}, "turns must be finite"),
-            ({"helix_radius": np.nan, "pitch": 8.0, "turns": 1.0}, "helix_radius"),
-            ({"helix_radius": 8.0, "pitch": np.inf, "turns": 1.0}, "pitch"),
-        ],
-    )
-    def test_rejects_bad_params_at_construction(self, params, match):
-        with pytest.raises(ValueError, match=match):
-            FieldDescriptor("helix", params)
 
     @pytest.mark.parametrize("kind, params", OVERFLOWING_PARAMS,
                              ids=[kind for kind, _ in OVERFLOWING_PARAMS])
     def test_rejects_params_whose_field_overflows(self, kind, params):
         # 1 / radius overflows: the field would hold inf and inf * 0 = nan.
         with pytest.raises(ValueError) as exc:
-            FieldDescriptor(kind, params)
+            PhantomSpec(kind=kind, **params)
         assert str(exc.value) == f"{kind} parameters {params} give a non-finite field"
 
     @pytest.mark.parametrize(
@@ -170,7 +153,7 @@ class TestFieldDescriptor:
     def test_helix_projection_matches_sampled_oracle(self, spec):
         ph = generate(spec)
         desc = ph.field
-        dims, origin = _grid_layout(desc, spec.radius, spec.spacing)
+        dims, origin = _grid_layout(spec)
         grid = np.asarray(origin) + np.indices(dims).reshape(3, -1).T * spec.spacing
         assert np.isfinite(desc.axis_params(grid)).all()
         centers = ph.mask.foreground_points()
@@ -299,8 +282,7 @@ class TestGenerate:
     ])
     def test_grid_over_the_voxel_budget_is_rejected(self, kwargs, dims):
         with pytest.raises(GeometryError, match=f"budget of {_VOXEL_BUDGET} voxels") as info:
-            spec = PhantomSpec(**kwargs)
-            _grid_layout(spec._descriptor(), spec.radius, spec.spacing)
+            _grid_layout(PhantomSpec(**kwargs))
         assert dims is None or dims in str(info.value)
 
     def test_quarter_torus_descriptor_metadata(self):
@@ -310,7 +292,7 @@ class TestGenerate:
 
 class TestAnalyticStreamline:
     def test_constant_field_unit_length(self):
-        desc = FieldDescriptor("straight-tube", {"length": 1.0})
+        desc = PhantomSpec(length=1.0)
         pts = analytic_streamline(desc, (0.0, 0, 0), 1.0, 1e-3)
         assert np.linalg.norm(pts[-1] - [1.0, 0, 0]) < 1e-12
 
@@ -324,7 +306,7 @@ class TestAnalyticStreamline:
         (-1.0, 1e-3, "arc_length"),
     ])
     def test_rejects_bad_length_and_step(self, arc_length, fine_step, message):
-        desc = FieldDescriptor("straight-tube", {"length": 1.0})
+        desc = PhantomSpec(length=1.0)
         with pytest.raises(ValueError, match=message):
             analytic_streamline(desc, (0.0, 0, 0), arc_length, fine_step)
 
@@ -332,7 +314,7 @@ class TestAnalyticStreamline:
         # Off the axis the fanning field is faster than unit speed; its
         # streamline through (0, y0, 0) is y = y0 exp(rate x) in z = 0.
         rate, y0 = 0.5, 2.0
-        desc = FieldDescriptor("fanning", {"length": 20.0, "fan_rate": rate})
+        desc = PhantomSpec(kind="fanning", fan_rate=rate)
         assert np.linalg.norm(desc.vectors_at([(0.0, y0, 0)])[0]) > 1.4
         pts = analytic_streamline(desc, (0.0, y0, 0), 1.05, 0.1)
         gaps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
@@ -427,6 +409,8 @@ class TestSpecValidation:
             # passes the coil rules at subnormal sizes, but 1 / major_radius overflows
             (dict(kind="quarter-torus", radius=1e-320, spacing=1e-320, major_radius=2e-320),
              "give a non-finite field"),
+            (dict(kind="helix", pitch=0.0), "pitch must be positive"),
+            (dict(kind="helix", turns=-1.0), "turns must be positive"),
         ],
     )
     def test_rejects_non_finite_fields(self, kwargs, match):
@@ -497,8 +481,7 @@ class TestSpecIO:
         path = tmp_path_factory.getbasetemp() / "round-trip-descriptor.txt"
         save_phantom_spec(spec, path)
         back = load_descriptor(path)
-        assert back.kind == desc.kind
-        assert back.params == desc.params
+        assert back == desc
         assert back.constant.tobytes() == desc.constant.tobytes()
         assert back.linear.tobytes() == desc.linear.tobytes()
         centers = ph.mask.foreground_points()
