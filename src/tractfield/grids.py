@@ -211,27 +211,20 @@ def nearest_indices(grid, pts) -> tuple[np.ndarray, np.ndarray]:
     """Round world points to their nearest voxel indices.
 
     Returns ``(indices, inbounds)`` with shapes (n, 3) and (n,). Halfway
-    coordinates round toward the higher index.
+    coordinates round toward the higher index.  A point off the grid, NaN or
+    infinite too, gets index (0, 0, 0) before the int64 cast, so the cast
+    never sees a value past the int64 range, where numpy warns.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    q = pts - np.asarray(grid.origin)
-    q /= np.asarray(grid.spacing)
-    q += 0.5
-    np.floor(q, out=q)
-    idx = q.astype(np.int64)
-    inb = np.all((idx >= 0) & (idx < np.asarray(grid.dims)), axis=1)
-    return idx, inb
-
-
-def _on_grid(grid, pts) -> np.ndarray:
-    """The ``inbounds`` of ``nearest_indices``, decided before the integer
-    cast: a point read from a file may lie past the int64 range, where the
-    cast is undefined and numpy warns."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
     with np.errstate(over="ignore"):  # an infinite q is off the grid
-        q = (pts - np.asarray(grid.origin)) / np.asarray(grid.spacing) + 0.5
-    # floor(q) lies in [0, dims) exactly when q does.
-    return np.all((q >= 0) & (q < np.asarray(grid.dims)), axis=1)
+        q = pts - np.asarray(grid.origin)
+        q /= np.asarray(grid.spacing)
+        q += 0.5
+        np.floor(q, out=q)
+    # A NaN fails both comparisons, so it is off the grid too.
+    inb = ((q >= 0) & (q < np.asarray(grid.dims))).all(axis=1)
+    q[~inb] = 0.0
+    return q.astype(np.int64), inb
 
 
 # Most query-reference pairs one block of `_sq_distance_blocks` holds: two
@@ -280,7 +273,6 @@ def inside_many(mask: Mask, pts) -> np.ndarray:
     """Per point of an (n, 3) array: True when its nearest voxel center is
     in bounds and foreground."""
     idx, inb = nearest_indices(mask, pts)
-    idx *= inb[:, None]  # an out-of-bounds point reads voxel 0, which inb masks
     return inb & (mask.data[idx[:, 0], idx[:, 1], idx[:, 2]] != 0)
 
 
@@ -410,6 +402,15 @@ def _load_raw_grid(path, expected_keys, dtypes):
     values = [_numbers(fields[key], key, path, 3, conv)
               for key, conv in (("dims", int), ("spacing", float), ("origin", float))]
     lattice = _checked(path, Lattice, *values)
+    for axis, n, s, o in zip("xyz", lattice.dims, lattice.spacing, lattice.origin):
+        # Points map to voxels only if the centres are finite and strictly
+        # increase, and half a spacing is not 0.  A valid payload holds a byte
+        # or more per voxel, so no more centres than its bytes are built.
+        with np.errstate(over="ignore"):
+            centres = o + np.arange(min(n, len(payload))) * s
+        if not (0.5 * s > 0 and np.isfinite(centres).all() and np.all(np.diff(centres) > 0)):
+            raise FormatError(f"{path}: the voxel centres along {axis} cannot be represented "
+                              f"(dims {n}, spacing {s!r}, origin {o!r})")
     return fields, payload, lattice.dims, lattice.spacing, lattice.origin
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .centerline import Centerline, cross_section_normals
 from .errors import DomainError
-from .grids import Mask, PeaksField, _dots, _on_grid, nearest_indices, same_geometry
+from .grids import Mask, PeaksField, _dots, nearest_indices, same_geometry
 
 MIN_AMP_DEFAULT = 0.05
 
@@ -33,7 +33,6 @@ def select_peak(peaks: PeaksField, pts, normals, min_amp=MIN_AMP_DEFAULT):
     admissible peak, among them points off the grid, are zero with ok False.
     """
     idx, inb = nearest_indices(peaks, pts)
-    idx[~inb] = 0
     i, j, k = idx.T
     dirs = peaks.directions[i, j, k]
     amps = peaks.amplitudes[i, j, k]
@@ -71,7 +70,7 @@ def build_prior(
         raise ValueError("min_amp must be finite")
     if not same_geometry(peaks, mask):
         raise DomainError("peaks grid does not match the mask grid")
-    off = np.flatnonzero(~_on_grid(mask, cl.points))
+    off = np.flatnonzero(~nearest_indices(mask, cl.points)[1])
     if len(off):
         coords = tuple(float(c) for c in cl.points[off[0]])
         raise DomainError(f"centerline point {off[0]} at {coords} lies off the mask's grid")

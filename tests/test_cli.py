@@ -482,7 +482,7 @@ class TestExitCodes:
         assert err.count("\n") == 1 and str(field) in err
         assert not (tmp_path / "run" / "streamlines.tract").exists()
 
-    # In the four cases below a finite number read from a file overflowed
+    # In the six tests below a finite number read from a file overflowed
     # later, in arithmetic numpy warns about; tier-1 turns any such warning
     # into an error, so each case also shows that none is left.
     def test_overflowing_hausdorff_is_numerical_error(self, tmp_path, stages_dir, capsys):
@@ -503,8 +503,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("artifact", ["endpoints.txt", "mask.rvf"])
     def test_endpoint_far_off_the_grid_is_data_error(self, tmp_path, stages_dir, capsys,
                                                      artifact):
-        # p1's x, or the mask origin's, at 1e308: the voxel index is past the
-        # int64 range.
+        # p1's x at 1e308: the voxel index is past the int64 range.  A mask
+        # origin's x at 1e308 collapses the voxel centres, so the mask fails
+        # to load.
         bad = tmp_path / artifact
         raw = (stages_dir / artifact).read_bytes()
         key = b"p1: " if artifact == "endpoints.txt" else b"origin: "
@@ -516,9 +517,60 @@ class TestExitCodes:
                      "--endpoints", files["endpoints.txt"], "--out", str(tmp_path / "run")])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("tractfield: p1 at (")
-        assert "is not inside the mask foreground" in err
+        if artifact == "endpoints.txt":
+            assert err.startswith("tractfield: p1 at (")
+            assert "is not inside the mask foreground" in err
+        else:
+            assert err.startswith(f"tractfield: {bad}: the voxel centres along x cannot be "
+                                  "represented")
         assert err.count("\n") == 1 and str(bad) in err
+
+    def test_far_tract_is_numerical_error(self, tmp_path, stages_dir, capsys):
+        # The whole tract moved 1e200 mm along x: it passes the gap check,
+        # but its voxel indices are past the int64 range, where voxelize once
+        # warned about the cast.
+        far = tmp_path / "far.tract"
+        step, points, counts = _load_lines(stages_dir / "streamlines.tract")
+        _save_lines(far, step, points + [1e200, 0.0, 0.0], counts)
+        code = main(["metrics", "--tract", str(far), "--ref-tract", f"{stages_dir}/axis.tract",
+                     "--grid", f"{stages_dir}/mask.rvf", "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("tractfield: numerical failure: hausdorff distances overflow")
+        assert err.count("\n") == 1 and str(far) in err
+        assert not (tmp_path / "run" / "metrics.txt").exists()
+
+    @pytest.mark.parametrize("key, value, stage", [
+        ("spacing", "5e-324", "metrics"),
+        ("spacing", "1e308", "track"),
+        ("spacing", "1e308", "baseline"),
+        ("origin", "1e308", "track"),
+        ("origin", "-1e308", "metrics"),
+    ])
+    def test_unrepresentable_voxel_centres_are_format_error(self, tmp_path, stages_dir,
+                                                            capsys, key, value, stage):
+        # The mask's first spacing or origin value replaced: half a spacing
+        # underflows, or the centres overflow or collapse to one value.
+        # metrics once wrote overlap 0 at exit 0, and track and baseline
+        # warned about the overflow before they exited.
+        bad = tmp_path / "mask.rvf"
+        raw = (stages_dir / "mask.rvf").read_bytes()
+        start = raw.index(f"{key}: ".encode()) + len(key) + 2
+        bad.write_bytes(raw[:start] + value.encode() + raw[raw.index(b" ", start):])
+        o = stages_dir
+        inputs = {
+            "metrics": ["--tract", f"{o}/streamlines.tract", "--ref-tract", f"{o}/axis.tract",
+                        "--grid", str(bad)],
+            "track": ["--field", f"{o}/field.txt", "--mask", str(bad)] + TRACK_FLAGS,
+            "baseline": ["--peaks", f"{o}/peaks.rvf", "--mask", str(bad)],
+        }
+        code = main([stage, *inputs[stage], "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"tractfield: {bad}: the voxel centres along x cannot be "
+                              "represented (dims ")
+        assert err.count("\n") == 1
+        assert not any((tmp_path / "run").iterdir())
 
     def test_far_tract_point_is_format_error(self, tmp_path, stages_dir, capsys):
         # One point's x at 1e308: the gap to its neighbours overflows.

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from tractfield import (
     save_volume,
     voxel_centers,
 )
-from tractfield.grids import _dots, _line_deltas, _line_gaps, _on_grid
+from tractfield.grids import _dots, _line_deltas, _line_gaps
 
 from conftest import make_grid, make_mask, tract_from_lines
 
@@ -81,10 +83,12 @@ class TestInside:
 
     def test_far_outside(self):
         # The single voxel is foreground, so only the bounds test says no; the
-        # non-finite and huge points have no representable voxel index.
+        # non-finite and huge points have no representable voxel index, and
+        # no numpy warning is raised for them.
         pts = [(50.0, 0, 0), (np.nan, 0, 0), (np.inf, 0, 0), (0, -np.inf, 0), (0, 0, 1e300),
                (-1e300, 0, 0)]
-        with np.errstate(invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert not inside_many(single_voxel_mask(), pts).any()
 
     def test_matches_mask_value_at_voxel_centers(self, rng):
@@ -261,6 +265,18 @@ class TestVolumeRoundTrip:
             with pytest.raises(FormatError, match="spacing"):
                 load_volume(path)
 
+    @pytest.mark.parametrize("spacing, origin, axis", [
+        ((5e-324, 1, 1), (0, 0, 0), "x"),  # half a spacing underflows to 0
+        ((1, 1e308, 1), (0, 0, 0), "y"),  # the third centre overflows
+        ((1, 1, 1), (0, 0, -1e308), "z"),  # every centre is -1e308
+    ])
+    def test_unrepresentable_voxel_centres(self, tmp_path, spacing, origin, axis):
+        path = tmp_path / "bad.rvf"
+        save_volume(make_grid(np.zeros((3, 3, 3), dtype=np.uint8), spacing, origin), path)
+        with pytest.raises(FormatError, match=re.escape(
+                f"{path}: the voxel centres along {axis} cannot be represented")):
+            load_volume(path)
+
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "short.rvf"
         grid = make_grid(np.zeros((2, 2, 2), dtype=np.float32))
@@ -315,18 +331,26 @@ def test_nearest_indices_matches_out_of_place_oracle(rng):
     pts = np.vstack([random, halfway, signed_zero])
     idx, inb = nearest_indices(grid, pts)
     oracle = out_of_place_nearest_indices(grid, pts)
-    assert idx.dtype == oracle.dtype and idx.tobytes() == oracle.tobytes()
     assert inb.tolist() == np.all((oracle >= 0) & (oracle < grid.dims), axis=1).tolist()
-    assert _on_grid(grid, pts).tolist() == inb.tolist()
+    # In-grid rows carry the oracle's bits; off-grid rows name voxel (0, 0, 0).
+    assert idx.dtype == oracle.dtype
+    assert idx[inb].tobytes() == oracle[inb].tobytes()
+    assert not idx[~inb].any() and (~inb).sum() > 100
 
 
 def test_points_past_the_int64_range_are_off_the_grid():
-    # Voxel indices past the int64 range, some of them infinite, are decided
-    # without a cast, so numpy gives no warning.
-    far = [(1e308, 0.0, 0.0), (0.0, -1e308, 0.0), (0.0, 0.0, 1e19), (1.0, 1.0, 1.0)]
-    assert _on_grid(make_grid(np.zeros((4, 4, 4))), far).tolist() == [False] * 3 + [True]
+    # Voxel indices past the int64 range, some of them infinite or NaN, are
+    # decided before the cast, so numpy gives no warning.
+    far = [(1e308, 0.0, 0.0), (0.0, -1e308, 0.0), (0.0, 0.0, 1e19), (np.nan, 0.0, 0.0),
+           (0.0, np.inf, 0.0), (0.0, 0.0, -np.inf), (1.0, 1.0, 1.0)]
     tiny = make_grid(np.zeros((4, 4, 4)), spacing=(5e-324,) * 3, origin=(-1e308,) * 3)
-    assert not _on_grid(tiny, far).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        idx, inb = nearest_indices(make_grid(np.zeros((4, 4, 4))), far)
+        tiny_idx, tiny_inb = nearest_indices(tiny, far)
+    assert inb.tolist() == [False] * 6 + [True]
+    assert idx.tolist() == [[0, 0, 0]] * 6 + [[1, 1, 1]]
+    assert not tiny_inb.any() and not tiny_idx.any()
 
 
 @pytest.mark.parametrize("counts", [[], [1], [2, 1, 5], [3] * 400, [1000]])

@@ -4,6 +4,7 @@ import hashlib
 import math
 import re
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -533,6 +534,20 @@ class TestTrack:
                 field, straight.mask, [(30.0, 0, 0), (30.0, 10.0, 0)], params
             )
         assert len(tract.streamlines) == 2
+
+    def test_seeds_off_the_int64_range_warn_only_outside(self, straight):
+        # Huge and non-finite seeds have no voxel index; each draws the
+        # documented warning and nothing else, no numpy cast warning.
+        field = straight.field.to_polyfield()
+        params = TrackParams(step=0.3, sigma=0.1, seed_count=1)
+        far = [(1e300, 0.0, 0.0), (np.nan, 0.0, 0.0), (0.0, np.inf, 0.0), (0.0, 0.0, -np.inf)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            tract = track(field, straight.mask, far + [(30.0, 0.0, 0.0)], params)
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (UserWarning, f"seed {p} is outside the mask, skipped") for p in far
+        ]
+        assert len(tract.streamlines) == 1
 
     def test_all_seeds_outside_raises(self, straight):
         field = straight.field.to_polyfield()
