@@ -16,17 +16,7 @@ from .centerline import (
     path_energy,
     save_centerline,
 )
-from .errors import (
-    ConditioningError,
-    ConnectivityError,
-    DomainError,
-    EmptyTractError,
-    FormatError,
-    GeometryError,
-    TractFieldError,
-    TruncationError,
-    UnderdeterminedError,
-)
+from .errors import ConditioningError, DomainError, FormatError, TractFieldError
 from .grids import (
     Mask,
     PeaksField,

@@ -16,7 +16,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import ConnectivityError, DomainError, FormatError
+from .errors import DomainError, FormatError
 from .grids import (
     Mask,
     VolumeGrid,
@@ -204,7 +204,7 @@ def _dijkstra_chain(nbrs, costs, ends, src, dst) -> list:
                 pred[v] = u
                 heapq.heappush(heap, (alt, -v))
     else:
-        raise ConnectivityError("endpoints are not connected inside the mask")
+        raise DomainError("endpoints are not connected inside the mask")
     chain = [dst]
     while chain[-1] != src:
         chain.append(pred[chain[-1]])

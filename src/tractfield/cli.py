@@ -23,8 +23,7 @@ import numpy as np
 
 from . import __version__
 from .centerline import RESAMPLE_STEP, extract_centerline, load_centerline, save_centerline
-from .errors import (ConditioningError, ConnectivityError, DomainError, GeometryError,
-                     TractFieldError, UnderdeterminedError)
+from .errors import ConditioningError, DomainError, TractFieldError
 from .grids import (
     _line,
     _numbers,
@@ -58,6 +57,9 @@ FIELD_FILE = "field.txt"
 TRACT_FILE = "streamlines.tract"
 BASELINE_FILE = "baseline.tract"
 METRICS_FILE = "metrics.txt"
+
+# The errors that exit 3.
+_NUMERICAL = (ConditioningError, FloatingPointError, np.linalg.LinAlgError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -276,8 +278,9 @@ def _run_stage(stage, args):
                   for name in stage.params}
     try:
         parameters.update(stage.run(args, outputs))
-    except (DomainError, ConnectivityError, GeometryError, FloatingPointError) as exc:
-        # The input data is at fault: name the files it came from.
+    except (DomainError, *_NUMERICAL) as exc:
+        # The input data is at fault: name the files it came from.  A
+        # FormatError or OSError names its file already.
         named = ", ".join(f"{name} {path}" for name, path in inputs.items() if path)
         raise type(exc)(f"{exc} (inputs: {named})") from exc
     payload = {
@@ -341,8 +344,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (UnderdeterminedError, ConditioningError, np.linalg.LinAlgError,
-            FloatingPointError) as exc:
+    # LinAlgError is a ValueError: this clause must come before exit 1's.
+    except _NUMERICAL as exc:
         print(f"tractfield: numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

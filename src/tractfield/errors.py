@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The class decides a command's exit code: a ``FormatError`` or a
+``DomainError`` is a data error, a ``ConditioningError`` a numerical one.
+"""
 
 
 class TractFieldError(Exception):
@@ -6,33 +10,15 @@ class TractFieldError(Exception):
 
 
 class FormatError(TractFieldError):
-    """A file does not conform to its declared format."""
-
-
-class TruncationError(FormatError):
-    """Header-declared payload size disagrees with the actual payload."""
+    """A file does not conform to its declared format, its payload size
+    included."""
 
 
 class DomainError(TractFieldError):
-    """An input violates a documented precondition."""
-
-
-class ConnectivityError(TractFieldError):
-    """Requested endpoints are not connected inside the mask."""
-
-
-class GeometryError(TractFieldError):
-    """A phantom's grid exceeds the voxel budget, or its tube covers no
-    voxel center."""
-
-
-class UnderdeterminedError(TractFieldError):
-    """Too few samples to determine the field coefficients."""
+    """An input violates a documented precondition, such as endpoints the
+    mask does not connect or tracking that keeps no streamline."""
 
 
 class ConditioningError(TractFieldError):
-    """A linear system is singular beyond the requested regularization."""
-
-
-class EmptyTractError(TractFieldError):
-    """Tracking produced no usable streamline."""
+    """A linear system is underdetermined or singular beyond the requested
+    regularization."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, TruncationError
+from .errors import FormatError
 
 UNIT_TOL = 1e-6
 
@@ -27,7 +27,7 @@ _LINES_KEYS = ("step", "lines", "points", "dtype", "encoding")
 
 @dataclass(frozen=True, eq=False)
 class Lattice:
-    """Geometry of a regular 3-D grid: three positive ``dims``, three finite
+    """Shape and placement of a regular 3-D grid: three positive ``dims``, three finite
     positive ``spacing`` values (mm) and a finite ``origin``."""
 
     dims: tuple[int, int, int]
@@ -139,6 +139,8 @@ class PeaksField(Lattice):
             raise ValueError("peak amplitudes must be nonnegative")
         if not np.all(np.diff(self.amplitudes, axis=-1) <= 0):
             raise ValueError("peak amplitudes must be sorted descending per voxel")
+        if not np.isfinite(self.directions).all():
+            raise ValueError("peak directions must be finite, in every slot")
         norms = np.linalg.norm(self.directions, axis=-1)
         active = self.amplitudes > 0
         if not np.all(np.abs(norms[active] - 1.0) <= UNIT_TOL):
@@ -384,7 +386,7 @@ def _load_raw(path, expected_keys, dtypes) -> tuple[dict, bytes]:
 
 def _check_size(payload: bytes, expected: int, path):
     if len(payload) != expected:
-        raise TruncationError(
+        raise FormatError(
             f"{path}: payload holds {len(payload)} bytes, header implies {expected}"
         )
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field as dc_field, fields
 import numpy as np
 
 from .centerline import RESAMPLE_STEP, Centerline
-from .errors import FormatError, GeometryError
+from .errors import DomainError, FormatError
 from .grids import (
     Mask,
     PeaksField,
@@ -64,7 +64,7 @@ _DERIVED = dict(init=False, compare=False, repr=False)
 
 @dataclass(frozen=True)
 class PhantomSpec:
-    """Geometry, spacing and corruption of a synthetic tube, and its flow
+    """Shape, spacing and corruption of a synthetic tube, and its flow
     field; its grid is the tube's bounds padded by ``_GRID_MARGIN`` voxels.
 
     The init fields are the spec keys.  Construction checks them and derives
@@ -323,7 +323,7 @@ def _grid_layout(spec: PhantomSpec) -> tuple:
         i1 = np.ceil(hi / s) + _GRID_MARGIN
     counts = i1 - i0 + 1
     if math.prod(counts.tolist()) > _VOXEL_BUDGET:
-        raise GeometryError(
+        raise DomainError(
             f"phantom grid of {' x '.join(f'{v:.0f}' for v in counts)} voxels "
             f"exceeds the budget of {_VOXEL_BUDGET} voxels")
     dims = tuple(int(v) for v in counts)
@@ -399,7 +399,7 @@ def generate(spec: PhantomSpec, rng_seed: int = 0) -> Phantom:
     centers = np.asarray(origin) + idx * s
     keep = _foreground(spec, centers)
     if not keep.any():
-        raise GeometryError("phantom tube covers no voxel centers")
+        raise DomainError("phantom tube covers no voxel centers")
     mask = Mask(dims, spec.spacing, origin, keep.reshape(dims))
 
     fg_idx = idx[keep]

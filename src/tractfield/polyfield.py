@@ -14,12 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    ConditioningError,
-    DomainError,
-    FormatError,
-    UnderdeterminedError,
-)
+from .errors import ConditioningError, DomainError, FormatError
 from .grids import (
     Mask,
     PeaksField,
@@ -249,8 +244,8 @@ def fit_field(
 
     Solves min ||D a - t||^2 + ridge ||a||^2 subject to the exact divergence
     constraints, by reducing to the constraint null space.  Raises
-    UnderdeterminedError when there are fewer samples than free parameters
-    and ConditioningError when the reduced system is numerically singular.
+    ConditioningError when there are fewer samples than free parameters or
+    the reduced system is numerically singular.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     tgt = np.atleast_2d(np.asarray(targets, dtype=float))
@@ -263,7 +258,7 @@ def fit_field(
     null = _divergence_free_basis(int(order))
     free = null.shape[1]
     if 3 * len(pts) < free:
-        raise UnderdeterminedError(
+        raise ConditioningError(
             f"{len(pts)} samples give {3 * len(pts)} equations, fewer than "
             f"the {free} free parameters at order {order}; add samples or "
             "lower the order"
@@ -338,7 +333,7 @@ def fit_bundle_field(
     usable = int(keep.sum())
     m = term_count(order)
     if usable < m:
-        raise UnderdeterminedError(
+        raise ConditioningError(
             f"{usable} usable voxels cannot support {m} basis terms at order "
             f"{order}; lower the order or widen the prior"
         )

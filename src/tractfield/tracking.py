@@ -29,7 +29,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import DomainError, EmptyTractError
+from .errors import DomainError
 from .grids import (Mask, PeaksField, Tract, _dots, _line_gaps, inside_many, nearest_indices,
                     same_geometry)
 from .polyfield import PolyField
@@ -320,7 +320,7 @@ def _assemble(starts, parts, handoff, params) -> Tract:
     lengths = np.add.reduceat(_line_gaps(points, counts), np.cumsum(counts) - counts)
     kept = lengths >= params.min_len
     if not kept.any():
-        raise EmptyTractError("every streamline was shorter than min_len; nothing to keep")
+        raise DomainError("every streamline was shorter than min_len; nothing to keep")
     if not kept.all():
         points = points[np.repeat(kept, counts)]
         counts = counts[kept]
@@ -332,7 +332,7 @@ def _valid_seeds(mask: Mask, seeds) -> np.ndarray:
     a list of one.  Warns for each seed outside the mask."""
     given = np.asarray(seeds, dtype=float)
     if given.shape == (0,):
-        raise EmptyTractError("no seeds given")
+        raise DomainError("no seeds given")
     seeds = given.reshape(1, 3) if given.shape == (3,) else given
     if seeds.ndim != 2 or seeds.shape[1] != 3:
         raise ValueError(f"seeds must be (x, y, z) points, got an array of shape {given.shape}")
@@ -341,7 +341,7 @@ def _valid_seeds(mask: Mask, seeds) -> np.ndarray:
         coords = tuple(float(c) for c in seeds[i])
         warnings.warn(f"seed {coords} is outside the mask, skipped", stacklevel=3)
     if not ok.any():
-        raise EmptyTractError("no seeds fall inside the mask")
+        raise DomainError("no seeds fall inside the mask")
     return seeds[ok]
 
 
@@ -353,6 +353,8 @@ def track(field: PolyField, mask: Mask, seeds, params: TrackParams) -> Tract:
     boundary (the exiting point is discarded, so every emitted point lies
     inside the mask), at ``params.max_steps`` per direction, or where the
     field vanishes; results shorter than ``params.min_len`` are dropped.
+    A field vector that is not finite at a seed, or whose squared norm
+    overflows, raises FloatingPointError.
     """
     kept_seeds = _valid_seeds(mask, seeds)
     reps = params.seed_count
@@ -383,9 +385,14 @@ def track(field: PolyField, mask: Mask, seeds, params: TrackParams) -> Tract:
         )
 
     # A field whose squared norms overflow stops the run with _check_norms's
-    # error instead of numpy's overflow warnings.
-    with np.errstate(over="ignore"):
+    # error instead of numpy's warnings.  Seeds lie inside the mask and the
+    # coefficients are finite, so a vector that is not finite at a seed can
+    # only come from overflow in the field's normalization or monomials.
+    with np.errstate(over="ignore", invalid="ignore"):
         first, alive = turn(np.arange(len(starts)), starts, None)
+        if not np.isfinite(first).all():
+            raise FloatingPointError("field vectors are not finite at the seeds; check "
+                                     "the field's offset and scale")
         parts, handoff = _lockstep(mask, starts, first, alive, advance, turn, params)
     # ~2.6 KB per line that the assembly does not need
     del rngs, blocks
@@ -432,7 +439,7 @@ def baseline_peak_track(
     first = peaks.directions[i, j, k, np.argmax(admissible, axis=1)]
     alive = admissible.any(axis=1)
     if not alive.any():
-        raise EmptyTractError(f"no seed's voxel has a peak at or above min_amp "
-                              f"(--cutoff) {min_amp!r}; nothing to track")
+        raise DomainError(f"no seed's voxel has a peak at or above min_amp "
+                          f"(--cutoff) {min_amp!r}; nothing to track")
     parts, handoff = _lockstep(mask, kept_seeds, first, alive, advance, turn, params)
     return _assemble(kept_seeds, parts, handoff, params)

@@ -17,7 +17,6 @@ from hypothesis import given, settings
 import tractfield
 from tractfield import (
     Centerline,
-    ConnectivityError,
     DomainError,
     FormatError,
     PhantomSpec,
@@ -203,14 +202,14 @@ class TestExtractCenterline:
         data[:3] = 1
         data[6:] = 1
         mask = make_mask(data)
-        with pytest.raises(ConnectivityError):
+        with pytest.raises(DomainError, match="not connected"):
             extract_centerline(mask, (0, 1, 1), (8, 1, 1))
 
     def test_isolated_endpoints_raise(self):
         # No two foreground voxels touch, so the graph has no edge at all.
         data = np.zeros((5, 3, 3))
         data[0, 1, 1] = data[4, 1, 1] = 1
-        with pytest.raises(ConnectivityError):
+        with pytest.raises(DomainError, match="not connected"):
             extract_centerline(make_mask(data), (0, 1, 1), (4, 1, 1))
 
     def test_energy_not_worse_than_straight_chain(self):

@@ -1,16 +1,21 @@
 """Command-line behaviour: artifacts, manifests, exit codes, reproducibility."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tractfield
 from tractfield import (
@@ -440,18 +445,31 @@ class TestExitCodes:
             for path in paths:
                 assert path in err, (argv[0], path)
 
-    def test_linalg_failure_is_numerical_error(self, tmp_path, stages_dir, capsys,
-                                               monkeypatch):
-        def diverge(*args):
-            raise np.linalg.LinAlgError("SVD did not converge")
+    @pytest.mark.parametrize("error, code, named", [
+        (tractfield.DomainError, 2, True),
+        (tractfield.ConditioningError, 3, True),
+        (FloatingPointError, 3, True),
+        (np.linalg.LinAlgError, 3, True),
+        (tractfield.FormatError, 2, False),
+        (ValueError, 1, False),
+        (OSError, 2, False),
+    ])
+    def test_error_class_decides_exit_code(self, tmp_path, stages_dir, capsys, monkeypatch,
+                                           error, code, named):
+        # A data error other than a format error, and every numerical
+        # failure, names the stage's inputs; a FormatError or OSError names
+        # its file itself.
+        def fail(*args):
+            raise error("the stage failed")
 
-        monkeypatch.setattr(cli, "fit_bundle_field", diverge)
-        code = main([
-            "fit", "--prior", f"{stages_dir}/prior.rvf",
-            "--mask", f"{stages_dir}/mask.rvf", "--out", str(tmp_path),
-        ])
-        assert code == 3
-        assert "numerical failure" in capsys.readouterr().err
+        monkeypatch.setattr(cli, "fit_bundle_field", fail)
+        prior, mask = f"{stages_dir}/prior.rvf", f"{stages_dir}/mask.rvf"
+        assert main(["fit", "--prior", prior, "--mask", mask, "--out", str(tmp_path)]) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert ("numerical failure" in err) == (code == 3)
+        inputs = f" (inputs: --prior {prior}, --mask {mask})" if named else ""
+        assert err.endswith(f"the stage failed{inputs}\n")
 
     def test_underdetermined_fit_is_numerical_error(self, tmp_path, capsys):
         spec = PhantomSpec(kind="straight-tube", radius=1.0, length=4.0)
@@ -463,23 +481,33 @@ class TestExitCodes:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
-    def test_overflowing_field_is_numerical_error(self, tmp_path, stages_dir, capsys):
-        # One finite coefficient of 1e308: the field's values stay finite, but
-        # their squared norms overflow, which read as zero slopes and let the
-        # run finish.
+    @pytest.mark.parametrize("key, value, message", [
+        ("coeffs.x", "1e308", "field vectors overflow"),
+        ("offset", "1e308", "field vectors are not finite at the seeds"),
+        ("offset", "-1e308", "field vectors are not finite at the seeds"),
+        ("scale", "5e-324", "field vectors are not finite at the seeds"),
+    ])
+    def test_overflowing_field_is_numerical_error(self, tmp_path, stages_dir, capsys, key,
+                                                  value, message):
+        # The first value of one field line replaced.  A coefficient of 1e308
+        # keeps the field's values finite, but their squared norms overflow,
+        # which read as zero slopes and let the run finish.  An extreme
+        # offset or scale overflows the seeds' monomials, and the run once
+        # exited 2 with "every streamline was shorter than min_len" after
+        # numpy's invalid-value warnings.
         field = tmp_path / "field.txt"
         lines = (stages_dir / "field.txt").read_text().splitlines()
-        row = next(i for i, line in enumerate(lines) if line.startswith("coeffs.x:"))
+        row = next(i for i, line in enumerate(lines) if line.startswith(f"{key}:"))
         values = lines[row].split()
-        values[1] = "1e308"
+        values[1] = value
         lines[row] = " ".join(values)
         field.write_text("\n".join(lines) + "\n")
         code = main(["track", "--field", str(field), "--mask", f"{stages_dir}/mask.rvf",
                      "--out", str(tmp_path / "run")] + TRACK_FLAGS)
         err = capsys.readouterr().err
         assert code == 3
-        assert err.startswith("tractfield: numerical failure: field vectors overflow")
-        assert err.count("\n") == 1 and str(field) in err
+        assert err.startswith(f"tractfield: numerical failure: {message}")
+        assert err.count("\n") == 1 and f"--field {field}" in err
         assert not (tmp_path / "run" / "streamlines.tract").exists()
 
     # In the six tests below a finite number read from a file overflowed
@@ -601,6 +629,105 @@ class TestExitCodes:
         assert "lies off the mask's grid" in err
         assert err.count("\n") == 1 and str(far) in err
         assert not (tmp_path / "run" / "prior.rvf").exists()
+
+
+# Each value that replaces one header number, or None to remove it.
+HEADER_VALUES = ("nan", "inf", "1e308", "-1e308", "5e-324", "0", "-1", None)
+
+
+def payload_values(dtype):
+    """The values that replace one payload number of ``dtype``: the header's,
+    with float32's own range ends, and for integers their range ends."""
+    if dtype == np.float64:
+        return (np.nan, np.inf, 1e308, -1e308, 5e-324, 0.0, -1.0, None)
+    if dtype == np.float32:
+        return (np.nan, np.inf, 3.4e38, -3.4e38, 1e-45, 0.0, -1.0, None)
+    info = np.iinfo(dtype)
+    return (info.max, info.min, 0, -1, 2, None)
+
+
+@st.composite
+def one_number_changed(draw, raw):
+    """``raw``, an artifact's bytes, with one number replaced or removed: a
+    number in a ``key: values`` line, or one value of a raw payload."""
+    end = raw.find(b"\n\n")
+    head = raw if end < 0 else raw[:end]
+    lines = head.decode("ascii").split("\n")
+    fields = dict(line.split(": ", 1) for line in lines if line)
+    slots = [(i, j) for i, line in enumerate(lines)
+             if line and not line.startswith(("dtype:", "encoding:"))
+             for j in range(1, len(line.split()))]
+    segments = []
+    if end >= 0:
+        size = len(raw) - end - 2
+        if "lines" in fields:
+            lines_bytes = 8 * int(fields["lines"])
+            segments = [(np.dtype("<i8"), 0, int(fields["lines"])),
+                        (np.dtype("<f8"), lines_bytes, (size - lines_bytes) // 8)]
+        else:
+            dtype = np.dtype("u1" if fields["dtype"] == "u8" else "<f4")
+            segments = [(dtype, 0, size // dtype.itemsize)]
+    if not segments or draw(st.booleans()):
+        i, j = draw(st.sampled_from(slots))
+        value = draw(st.sampled_from(HEADER_VALUES))
+        words = lines[i].split()
+        words[j:j + 1] = [] if value is None else [value]
+        lines[i] = " ".join(words)
+        return "\n".join(lines).encode("ascii") + raw[len(head):]
+    dtype, start, count = draw(st.sampled_from([s for s in segments if s[2]]))
+    at = len(head) + 2 + start + dtype.itemsize * draw(st.integers(0, count - 1))
+    value = draw(st.sampled_from(payload_values(dtype)))
+    new = b"" if value is None else np.array(value).astype(dtype).tobytes()
+    return raw[:at] + new + raw[at + dtype.itemsize:]
+
+
+def read_record(path):
+    assert RECORD_RE.match(Path(path).read_text().splitlines()[0])
+
+
+# How to tell that a stage output is finite: its reader rejects a non-finite
+# number.
+OUTPUT_READERS = {
+    "centerline.tract": load_centerline,
+    "prior.rvf": load_peaks,
+    "field.txt": load_field,
+    "streamlines.tract": load_tract,
+    "metrics.txt": read_record,
+}
+
+
+@pytest.mark.parametrize("artifact", [
+    "mask.rvf", "endpoints.txt", "peaks.rvf", "centerline.tract", "prior.rvf",
+    "field.txt", "streamlines.tract",
+])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_one_changed_number_fails_loudly(stages_dir, artifact, data):
+    # The first stage that reads the artifact runs on it with one number
+    # changed.  It succeeds with finite outputs, or exits 2 or 3 with one
+    # stderr line that names the file; a numpy warning fails the test.
+    bad_bytes = data.draw(one_number_changed((stages_dir / artifact).read_bytes()))
+    stage = next(stage for stage in cli.STAGES
+                 if any(cli._FLAGS[name].file == artifact for name in stage.inputs))
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = Path(tmp, "in", artifact)
+        bad.parent.mkdir()
+        bad.write_bytes(bad_bytes)
+        argv = [stage.name, "--out", str(Path(tmp, "out"))]
+        for name in stage.inputs:
+            file = cli._FLAGS[name].file
+            argv += [name, str(bad if file == artifact else stages_dir / file)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv + (TRACK_FLAGS if stage.name == "track" else []))
+        if code:
+            assert code in (2, 3), err.getvalue()
+            assert err.getvalue().count("\n") == 1 and str(bad) in err.getvalue()
+            return
+        for file in stage.outputs.values():
+            OUTPUT_READERS[file](Path(tmp, "out", file))
+        manifest = Path(tmp, "out", f"manifest-{stage.name}.json").read_text()
+        json.loads(manifest, parse_constant=lambda name: pytest.fail(f"{name} in manifest"))
 
 
 class TestPhantomCommand:

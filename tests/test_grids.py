@@ -16,7 +16,6 @@ from tractfield import (
     Mask,
     PeaksField,
     Tract,
-    TruncationError,
     VolumeGrid,
     inside_many,
     load_mask,
@@ -202,7 +201,9 @@ class TestTypeValidation:
                 tract_from_lines([line], step=bad)
 
     def test_peaks_validate_catches_non_unit(self):
-        for x, amp in [(0.5, 1.0), (np.nan, 1.0), (1.0, np.nan)]:
+        # An empty slot's direction takes part in prior's dot products, where
+        # an infinite one once raised numpy's invalid-value warning.
+        for x, amp in [(0.5, 1.0), (np.nan, 1.0), (1.0, np.nan), (np.inf, 0.0), (np.nan, 0.0)]:
             dirs = np.zeros((1, 1, 1, 1, 3))
             dirs[..., 0] = x
             amps = np.full((1, 1, 1, 1), amp)
@@ -283,7 +284,7 @@ class TestVolumeRoundTrip:
         save_volume(grid, path)
         raw = path.read_bytes()
         path.write_bytes(raw[:-4])
-        with pytest.raises(TruncationError):
+        with pytest.raises(FormatError, match="header implies"):
             load_volume(path)
 
     def test_mask_round_trip(self, tmp_path, rng):

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from scipy.spatial import cKDTree
 
 from tractfield import (
+    DomainError,
     FormatError,
-    GeometryError,
     PhantomSpec,
     analytic_streamline,
     completion_rate,
@@ -281,7 +281,7 @@ class TestGenerate:
         (dict(kind="fanning", length=1e7), "10000005 x inf x 11"),
     ])
     def test_grid_over_the_voxel_budget_is_rejected(self, kwargs, dims):
-        with pytest.raises(GeometryError, match=f"budget of {_VOXEL_BUDGET} voxels") as info:
+        with pytest.raises(DomainError, match=f"budget of {_VOXEL_BUDGET} voxels") as info:
             _grid_layout(PhantomSpec(**kwargs))
         assert dims is None or dims in str(info.value)
 

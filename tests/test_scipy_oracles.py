@@ -16,7 +16,7 @@ from scipy.ndimage import distance_transform_edt
 from scipy.sparse import csgraph, csr_matrix
 from scipy.spatial import cKDTree
 
-from tractfield import (ConnectivityError, PhantomSpec, distance_transform,
+from tractfield import (DomainError, PhantomSpec, distance_transform,
                         extract_centerline, generate)
 from tractfield import centerline, grids, metrics
 from tractfield.centerline import DT_EPS, _min_energy_path, _pull_inside
@@ -124,7 +124,7 @@ def scipy_path(dt, start, goal):
 def assert_same_path(dt, start, goal):
     want = scipy_path(dt, start, goal)
     if want is None:
-        with pytest.raises(ConnectivityError):
+        with pytest.raises(DomainError, match="not connected"):
             _min_energy_path(dt, start, goal)
     else:
         assert _min_energy_path(dt, start, goal).tolist() == want.tolist()

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tractfield import (
-    EmptyTractError,
+    DomainError,
     Mask,
     PeaksField,
     PhantomSpec,
@@ -553,14 +553,14 @@ class TestTrack:
         field = straight.field.to_polyfield()
         params = TrackParams(step=0.3, sigma=0.1, seed_count=1)
         with pytest.warns(UserWarning, match="outside the mask"):
-            with pytest.raises(EmptyTractError, match="no seeds"):
+            with pytest.raises(DomainError, match="no seeds"):
                 track(field, straight.mask, [(30.0, 10.0, 0)], params)
 
     def test_short_streamlines_filtered(self, straight):
         # one step per direction caps the arc at 0.6, under the default 0.9
         field = straight.field.to_polyfield()
         params = TrackParams(step=0.3, sigma=0.0, seed_count=1, max_steps=1)
-        with pytest.raises(EmptyTractError, match="shorter than min_len"):
+        with pytest.raises(DomainError, match="shorter than min_len"):
             track(field, straight.mask, [(30.0, 0, 0)], params)
 
     def test_min_len_zero_keeps_stubs(self, straight):
@@ -575,7 +575,7 @@ class TestTrack:
     def test_vanishing_field_yields_no_streamlines(self, straight):
         dead = PolyField(0, np.zeros((3, 1)))
         params = TrackParams(step=0.3, sigma=0.0, seed_count=1)
-        with pytest.raises(EmptyTractError, match="shorter than min_len"):
+        with pytest.raises(DomainError, match="shorter than min_len"):
             track(dead, straight.mask, [(30.0, 0, 0)], params)
 
     def test_bidirectional_contains_seed_mid_line(self, straight):
@@ -745,7 +745,7 @@ def lexsort_assemble(starts, parts, handoff, params):
     lengths = np.add.reduceat(gaps, np.cumsum(counts) - counts)
     kept = (counts > 1) & (lengths >= params.min_len)
     if not kept.any():
-        raise EmptyTractError("every streamline was shorter than min_len; nothing to keep")
+        raise DomainError("every streamline was shorter than min_len; nothing to keep")
     return Tract(points[np.repeat(kept, counts)], counts[kept], params.step)
 
 
@@ -836,7 +836,7 @@ class TestAssemblyMatchesLexsortOracle:
         params = TrackParams(step=0.6, sigma=0.1, seed_count=2, min_len=0.0)
         # the island holds no peak, which the baseline names before it tracks
         cause = "shorter than min_len" if tracker == "track" else "at or above min_amp"
-        with pytest.raises(EmptyTractError, match=cause):
+        with pytest.raises(DomainError, match=cause):
             run_tracker(tracker, straight, [corner], params, mask)
 
 
@@ -845,7 +845,7 @@ class TestAssemblyMatchesLexsortOracle:
 class TestSeedShapes:
     @pytest.mark.parametrize("seeds", [[], np.empty((0, 3))], ids=["list", "array"])
     def test_no_seeds_raise_empty(self, straight, tracker, seeds):
-        with pytest.raises(EmptyTractError, match="no seeds"):
+        with pytest.raises(DomainError, match="no seeds"):
             run_tracker(tracker, straight, seeds, TrackParams(seed_count=1))
 
     @pytest.mark.parametrize("shape", [(5, 2), (2, 4), (2,), (1, 1, 3), (0, 2)], ids=str)
@@ -907,7 +907,7 @@ class TestBaselinePeakTrack:
             straight.peaks.amplitudes * 0.04,
         )
         params = TrackParams(step=0.3, sigma=0.0, seed_count=1)
-        with pytest.raises(EmptyTractError, match=r"at or above min_amp \(--cutoff\) 0.05;"):
+        with pytest.raises(DomainError, match=r"at or above min_amp \(--cutoff\) 0.05;"):
             baseline_peak_track(weak, straight.mask, [(30.0, 0, 0)], params)
         tract = baseline_peak_track(
             weak, straight.mask, [(30.0, 0, 0)], params, min_amp=0.03
@@ -927,7 +927,7 @@ class TestBaselinePeakTrack:
         alone = baseline_peak_track(peaks, straight.mask, [live], params)
         assert both.counts.tolist() == alone.counts.tolist() and len(both.counts) == 1
         assert both.points.tobytes() == alone.points.tobytes()
-        with pytest.raises(EmptyTractError, match="at or above min_amp"):
+        with pytest.raises(DomainError, match="at or above min_amp"):
             baseline_peak_track(peaks, straight.mask, [dead], params)
 
     @pytest.mark.parametrize("min_amp", [0.0, -1.0])
