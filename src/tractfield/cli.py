@@ -27,9 +27,7 @@ from .errors import ConditioningError, DomainError, TractFieldError
 from .grids import (
     _line,
     _numbers,
-    _parse_fields,
-    _read_text,
-    _require_keys,
+    _read_fields,
     _write_text,
     load_mask,
     load_peaks,
@@ -76,8 +74,7 @@ def _save_endpoints(path, p1, p2):
 
 
 def _load_endpoints(path):
-    fields = _parse_fields(_read_text(path).splitlines(), path)
-    _require_keys(fields, ("p1", "p2"), path)
+    fields = _read_fields(path, ("p1", "p2"))
     return tuple(np.array(_numbers(fields[key], key, path, 3)) for key in ("p1", "p2"))
 
 

@@ -299,16 +299,12 @@ def _checked(path, build, *args, **kwargs):
         raise FormatError(f"{path}: {exc}") from None
 
 
-def _read_text(path) -> str:
-    with open(path, "rb") as fh:
-        return _ascii(fh.read(), path)
-
-
-def _parse_fields(lines, path) -> dict:
+def _parse_fields(lines, path, expected=None) -> dict:
     """The ``key: value`` lines of every text format, as a dict.
 
     Each line splits at its first colon and both sides are stripped; blank
     lines and ``#`` comments are skipped, and a repeated key is an error.
+    When ``expected`` is given, the keys must be exactly those.
     """
     fields = {}
     for line in lines:
@@ -322,16 +318,20 @@ def _parse_fields(lines, path) -> dict:
         if key in fields:
             raise FormatError(f"{path}: duplicate key in line {line!r}")
         fields[key] = value.strip()
+    if expected is not None:
+        for key in expected:
+            if key not in fields:
+                raise FormatError(f"{path}: missing key {key!r}")
+        for key, value in fields.items():
+            if key not in expected:
+                raise FormatError(f"{path}: unexpected line {f'{key}: {value}'!r}")
     return fields
 
 
-def _require_keys(fields: dict, expected, path):
-    for key in expected:
-        if key not in fields:
-            raise FormatError(f"{path}: missing key {key!r}")
-    for key, value in fields.items():
-        if key not in expected:
-            raise FormatError(f"{path}: unexpected line {f'{key}: {value}'!r}")
+def _read_fields(path, expected=None) -> dict:
+    """The fields of an ASCII ``key: value`` text file (see ``_parse_fields``)."""
+    with open(path, "rb") as fh:
+        return _parse_fields(_ascii(fh.read(), path).splitlines(), path, expected)
 
 
 def _numbers(text: str, what: str, path, count: int, conv=float) -> list:
@@ -376,8 +376,8 @@ def _load_raw(path, expected_keys, dtypes) -> tuple[dict, bytes]:
     end = raw.find(b"\n\n")
     if end < 0:
         raise FormatError(f"{path}: header not terminated by a blank line")
-    fields = _parse_fields(_ascii(raw[:end], path).split("\n"), path)
-    _require_keys(fields, expected_keys, path)
+    # Split at "\n" only: splitlines() would also split at "\x0c" and the like.
+    fields = _parse_fields(_ascii(raw[:end], path).split("\n"), path, expected_keys)
     for key, allowed in (("encoding", ("raw",)), ("dtype", dtypes)):
         if fields[key] not in allowed:
             raise FormatError(f"{path}: unsupported line {_line(key, fields[key])!r}")
@@ -404,13 +404,15 @@ def _load_raw_grid(path, expected_keys, dtypes):
     values = [_numbers(fields[key], key, path, 3, conv)
               for key, conv in (("dims", int), ("spacing", float), ("origin", float))]
     lattice = _checked(path, Lattice, *values)
-    for axis, n, s, o in zip("xyz", lattice.dims, lattice.spacing, lattice.origin):
-        # Points map to voxels only if the centres are finite and strictly
-        # increase, and half a spacing is not 0.  A valid payload holds a byte
-        # or more per voxel, so no more centres than its bytes are built.
+    for a, (axis, n, s, o) in enumerate(zip("xyz", lattice.dims, lattice.spacing, lattice.origin)):
+        # Points map to voxels only if each centre maps back to its own voxel,
+        # and half a spacing is not 0.  A valid payload holds a byte or more
+        # per voxel, so no more centres than its bytes are built.
+        idx = np.zeros((min(n, len(payload)), 3), np.int64)
+        idx[:, a] = np.arange(len(idx))
         with np.errstate(over="ignore"):
-            centres = o + np.arange(min(n, len(payload))) * s
-        if not (0.5 * s > 0 and np.isfinite(centres).all() and np.all(np.diff(centres) > 0)):
+            back, inb = nearest_indices(lattice, voxel_centers(lattice, idx))
+        if not (0.5 * s > 0 and inb.all() and np.array_equal(back, idx)):
             raise FormatError(f"{path}: the voxel centres along {axis} cannot be represented "
                               f"(dims {n}, spacing {s!r}, origin {o!r})")
     return fields, payload, lattice.dims, lattice.spacing, lattice.origin

@@ -36,8 +36,7 @@ from .grids import (
     _checked,
     _line,
     _numbers,
-    _parse_fields,
-    _read_text,
+    _read_fields,
     _write_text,
     nearest_indices,
     nearest_point_indices,
@@ -156,9 +155,10 @@ class PhantomSpec:
         A coiled tube at least one voxel diagonal wide holds the voxel nearest
         every axis point, and those voxels are 26-connected.  Two 26-neighbours lie at
         most one diagonal apart, so the tube widened by half a diagonal must
-        still leave the axis it winds around free and must not touch another
-        turn; otherwise the minimal path cuts through the filled core or
-        steps across to the next turn.
+        not touch another turn, or the minimal path steps across to it.  The
+        tube widened by a whole diagonal must leave the axis it winds around
+        free: with half a diagonal, the minimal path could still cut the
+        coil's inner side by more than two voxels.
         """
         if self.coil_radius is None:
             return
@@ -166,10 +166,10 @@ class PhantomSpec:
         if not 2 * self.radius >= diag:
             raise ValueError(f"radius must be at least half the voxel diagonal "
                              f"({diag / 2:.4g} mm)")
-        if not self.radius + diag / 2 <= self.coil_radius:
+        if not self.radius + diag <= self.coil_radius:
             around = _AXIS_KEYS[self.kind][0]  # the key holding the coil radius
             raise ValueError(
-                f"radius + half the voxel diagonal must not exceed {around}: the "
+                f"radius + the voxel diagonal must not exceed {around}: the "
                 "tube's voxels would fill the axis it winds around")
         # Axis points an angle s apart lie d(s) apart; d grows until the next
         # turn draws near, and the least d past that first maximum is the
@@ -496,7 +496,7 @@ def save_phantom_spec(spec: PhantomSpec, path):
 def load_phantom_spec(path) -> PhantomSpec:
     """Read a phantom spec text file; omitted keys keep their defaults."""
     kwargs = {}
-    for key, text in _parse_fields(_read_text(path).splitlines(), path).items():
+    for key, text in _read_fields(path).items():
         if key not in _SPEC_KEYS:
             raise FormatError(f"{path}: unknown spec key {key!r}")
         if key == "kind":

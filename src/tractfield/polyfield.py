@@ -21,12 +21,10 @@ from .grids import (
     _checked,
     _line,
     _numbers,
-    _parse_fields,
-    _read_text,
-    _require_keys,
+    _read_fields,
     _write_text,
+    inside_many,
     same_geometry,
-    voxel_centers,
 )
 from .prior import prior_from_peaks
 
@@ -298,24 +296,22 @@ RIDGE_PER_SAMPLE = 1e-8
 
 def bundle_ridge(prior: PeaksField, mask: Mask, ridge=None) -> float:
     """The ridge ``fit_bundle_field`` applies: ``ridge`` when given, else
-    RIDGE_PER_SAMPLE per usable voxel, a floor against rank deficiency in
+    RIDGE_PER_SAMPLE per fit sample, a floor against rank deficiency in
     thin tubes."""
     if ridge is not None:
         return ridge
-    return _default_ridge(int(_usable(prior, mask).sum()))
+    return RIDGE_PER_SAMPLE * len(_samples(prior, mask)[0])
 
 
-def _default_ridge(usable: int) -> float:
-    return RIDGE_PER_SAMPLE * usable
-
-
-def _usable(prior: PeaksField, mask: Mask) -> np.ndarray:
-    """The voxels the fit samples: mask foreground where the prior's one slot
-    is used.  Raises DomainError for any other slot count or grid."""
+def _samples(prior: PeaksField, mask: Mask) -> tuple[np.ndarray, np.ndarray]:
+    """The fit's points and targets: ``prior.samples()`` inside the mask.
+    Raises DomainError for any other slot count or grid."""
     prior_from_peaks(prior)
     if not same_geometry(prior, mask):
         raise DomainError("prior grid does not match the mask grid")
-    return (prior.amplitudes[..., 0] > 0) & mask.foreground
+    pts, dirs = prior.samples()
+    keep = inside_many(mask, pts)
+    return pts[keep], dirs[keep]
 
 
 def fit_bundle_field(
@@ -323,26 +319,22 @@ def fit_bundle_field(
 ) -> PolyField:
     """Divergence-free fit of the selected voxel directions inside the mask.
 
-    ``prior`` is a one-slot field (see ``prior_from_peaks``).  Samples are
-    the voxel centers that are both mask foreground and used in the prior;
-    the domain normalization comes from the mask bounding box.  Requires at
-    least term_count(order) usable voxels.  ridge=None picks
-    ``bundle_ridge``; pass 0.0 for an unregularized fit.
+    ``prior`` is a one-slot field (see ``prior_from_peaks``).  The samples
+    are ``prior.samples()`` at the points inside the mask; the domain
+    normalization comes from the mask bounding box.  Requires at least
+    term_count(order) samples.  ridge=None picks ``bundle_ridge``; pass 0.0
+    for an unregularized fit.
     """
-    keep = _usable(prior, mask)
-    usable = int(keep.sum())
+    pts, tgt = _samples(prior, mask)
     m = term_count(order)
-    if usable < m:
+    if len(pts) < m:
         raise ConditioningError(
-            f"{usable} usable voxels cannot support {m} basis terms at order "
+            f"{len(pts)} usable voxels cannot support {m} basis terms at order "
             f"{order}; lower the order or widen the prior"
         )
-    idx = np.argwhere(keep)
-    pts = voxel_centers(mask, idx)
-    tgt = prior.directions[idx[:, 0], idx[:, 1], idx[:, 2], 0]
     offset, scale = domain_from_mask(mask)
     if ridge is None:
-        ridge = _default_ridge(usable)
+        ridge = RIDGE_PER_SAMPLE * len(pts)
     return fit_field(pts, tgt, order, offset, scale, ridge)
 
 
@@ -364,8 +356,7 @@ def save_field(field_: PolyField, path):
 
 def load_field(path) -> PolyField:
     """Read a field written by ``save_field``."""
-    fields = _parse_fields(_read_text(path).splitlines(), path)
-    _require_keys(fields, _FIELD_KEYS, path)
+    fields = _read_fields(path, _FIELD_KEYS)
     (order,) = _numbers(fields["order"], "order", path, 1, int)
     (terms,) = _numbers(fields["terms"], "terms", path, 1, int)
     if order < 0 or terms != term_count(order):

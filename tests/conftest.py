@@ -132,12 +132,12 @@ def small_specs(draw, kinds=KINDS):
     size = st.floats(0.5, 2.0)
     spacing = (draw(size),) * 3 if draw(st.booleans()) else tuple(draw(size) for _ in "xyz")
     kind = draw(st.sampled_from(kinds))
-    half_diag = math.hypot(*spacing) / 2
+    diag = math.hypot(*spacing)
     curved = kind in ("quarter-torus", "helix")
-    radius = draw(st.floats(half_diag if curved else 0.5, 4.0))
-    around = radius + half_diag if curved else 1.0
+    radius = draw(st.floats(diag / 2 if curved else 0.5, 4.0))
+    around = radius + diag if curved else 1.0
     helix_radius = draw(st.floats(around, 8.0))
-    pitch_floor = helix_pitch_floor(radius, helix_radius, 2 * half_diag) if curved else 1.0
+    pitch_floor = helix_pitch_floor(radius, helix_radius, diag) if curved else 1.0
     kwargs = dict(
         kind=kind, radius=radius, spacing=spacing, length=draw(st.floats(2.0, 20.0)),
         major_radius=draw(st.floats(around, 15.0)), helix_radius=helix_radius,

@@ -319,6 +319,7 @@ def tangent_cases(rng, n) -> tuple:
     return walk, np.cumsum(steps, axis=0), runs
 
 
+@pytest.mark.oldest_numpy
 @pytest.mark.parametrize("seed", range(25))
 def test_unit_tangents_match_loop_oracle_bitwise(seed):
     rng = np.random.default_rng(seed)

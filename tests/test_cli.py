@@ -481,6 +481,7 @@ class TestExitCodes:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.oldest_numpy
     @pytest.mark.parametrize("key, value, message", [
         ("coeffs.x", "1e308", "field vectors overflow"),
         ("offset", "1e308", "field vectors are not finite at the seeds"),
@@ -513,6 +514,7 @@ class TestExitCodes:
     # In the six tests below a finite number read from a file overflowed
     # later, in arithmetic numpy warns about; tier-1 turns any such warning
     # into an error, so each case also shows that none is left.
+    @pytest.mark.oldest_numpy
     def test_overflowing_hausdorff_is_numerical_error(self, tmp_path, stages_dir, capsys):
         # The reference axis moved 1e200 mm along x: every squared distance
         # overflows, and hd and ahd once read inf at exit 0.
@@ -528,6 +530,7 @@ class TestExitCodes:
         assert err.count("\n") == 1 and str(far) in err
         assert not (tmp_path / "run" / "metrics.txt").exists()
 
+    @pytest.mark.oldest_numpy
     @pytest.mark.parametrize("artifact", ["endpoints.txt", "mask.rvf"])
     def test_endpoint_far_off_the_grid_is_data_error(self, tmp_path, stages_dir, capsys,
                                                      artifact):
@@ -553,6 +556,7 @@ class TestExitCodes:
                                   "represented")
         assert err.count("\n") == 1 and str(bad) in err
 
+    @pytest.mark.oldest_numpy
     def test_far_tract_is_numerical_error(self, tmp_path, stages_dir, capsys):
         # The whole tract moved 1e200 mm along x: it passes the gap check,
         # but its voxel indices are past the int64 range, where voxelize once
@@ -568,6 +572,7 @@ class TestExitCodes:
         assert err.count("\n") == 1 and str(far) in err
         assert not (tmp_path / "run" / "metrics.txt").exists()
 
+    @pytest.mark.oldest_numpy
     @pytest.mark.parametrize("key, value, stage", [
         ("spacing", "5e-324", "metrics"),
         ("spacing", "1e308", "track"),
@@ -600,6 +605,7 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert not any((tmp_path / "run").iterdir())
 
+    @pytest.mark.oldest_numpy
     def test_far_tract_point_is_format_error(self, tmp_path, stages_dir, capsys):
         # One point's x at 1e308: the gap to its neighbours overflows.
         far = tmp_path / "far.tract"
@@ -614,6 +620,7 @@ class TestExitCodes:
         assert err == (f"tractfield: {far}: consecutive streamline points exceed twice "
                        "the step length\n")
 
+    @pytest.mark.oldest_numpy
     def test_centerline_point_off_the_grid_is_data_error(self, tmp_path, stages_dir, capsys):
         # Point 10's x at -1e308: the prior was once written at exit 0.
         far = tmp_path / "far.tract"
@@ -696,6 +703,7 @@ OUTPUT_READERS = {
 }
 
 
+@pytest.mark.oldest_numpy
 @pytest.mark.parametrize("artifact", [
     "mask.rvf", "endpoints.txt", "peaks.rvf", "centerline.tract", "prior.rvf",
     "field.txt", "streamlines.tract",

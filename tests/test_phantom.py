@@ -430,9 +430,13 @@ class TestSpecValidation:
             # the voxels fill the helix core and the path cuts through it
             (dict(kind="helix", radius=3.71, helix_radius=4.79, pitch=14.16, turns=1.39,
                   spacing=1.5), "helix_radius"),
+            # radius + half the voxel diagonal fits inside helix_radius, but
+            # the path still cuts the coil's inner side, 3.57 mm off the axis
+            (dict(kind="helix", radius=3.0, helix_radius=4.375, pitch=10.0, turns=1.0,
+                  spacing=1.5), "helix_radius"),
             # pitch - 2 * radius is one z spacing, but the tilted turns come
-            # within 0.96 mm and a diagonal voxel step skips a turn
-            (dict(kind="helix", radius=3.25, helix_radius=4.8, pitch=7.7, turns=1.8,
+            # within 1.01 mm and a diagonal voxel step skips a turn
+            (dict(kind="helix", radius=3.25, helix_radius=5.4, pitch=7.7, turns=1.8,
                   spacing=1.2), "helix turns touch"),
             # the ends of a near-full turn overlap
             (dict(kind="helix", radius=1.16, helix_radius=9.32, pitch=2.16, turns=0.996,

@@ -391,6 +391,7 @@ def vstack_fit_coeffs(points, targets, order, offset, scale, ridge):
     return np.vstack([cvec[:m], cvec[m:2 * m], cvec[2 * m:]])
 
 
+@pytest.mark.oldest_numpy
 @pytest.mark.parametrize("ridge", [0.0, 2.5e-6, 0.3])
 @pytest.mark.parametrize("order", range(9))
 def test_fit_matches_vstack_oracle_byte_for_byte(order, ridge):
@@ -460,7 +461,7 @@ class TestFitBundleField:
         prior = build_prior(ph.peaks, ph.centerline, ph.mask)
         fit_bundle_field(prior, ph.mask, 8)  # builds the cached null basis
         free = _divergence_free_basis(8).shape[1]
-        rows = 3 * int(polyfield._usable(prior, ph.mask).sum()) + free
+        rows = 3 * len(polyfield._samples(prior, ph.mask)[0]) + free
         tracemalloc.start()
         try:
             fit_bundle_field(prior, ph.mask, 8)
@@ -475,16 +476,29 @@ class TestFitBundleField:
         prior = synthetic_prior(mask, truth.evaluate_many)
         given = fit_bundle_field(prior, mask, order=2, ridge=polyfield.bundle_ridge(prior, mask))
         calls = []
-        usable = polyfield._usable
+        samples = PeaksField.samples
 
-        def counting(*args):
+        def counting(self):
             calls.append(1)
-            return usable(*args)
+            return samples(self)
 
-        monkeypatch.setattr(polyfield, "_usable", counting)
+        monkeypatch.setattr(PeaksField, "samples", counting)
         default = fit_bundle_field(prior, mask, order=2)
         assert len(calls) == 1
         assert default.coeffs.tobytes() == given.coeffs.tobytes()
+
+    def test_prior_voxels_outside_the_mask_are_not_fitted(self, rng):
+        data = np.zeros((8, 8, 8))
+        data[1:7, 2:6, 1:7] = 1
+        mask = make_mask(data)
+        truth = random_divfree_field(2, rng, *domain_from_mask(mask))
+        wide = synthetic_prior(make_mask(np.ones((8, 8, 8))), truth.evaluate_many)
+        inside = PeaksField(wide.dims, wide.spacing, wide.origin,
+                            wide.directions * data[..., None, None],
+                            wide.amplitudes * data[..., None])
+        got = fit_bundle_field(wide, mask, order=2)
+        want = fit_bundle_field(inside, mask, order=2)
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
 
     def test_grid_mismatch(self, rng):
         mask = make_mask(np.ones((4, 4, 4)))

@@ -25,6 +25,8 @@ from tractfield.metrics import hausdorff
 
 from conftest import make_mask, random_mask, small_specs, tract_from_lines
 
+pytestmark = pytest.mark.oldest_numpy
+
 # 0.75 and 1.25 are not powers of two, so their products and sums round
 # differently from unit spacing's.
 SPACINGS = [(1.0, 1.0, 1.0), (0.75, 0.75, 0.75), (1.25, 1.25, 1.25), (0.75, 1.25, 1.0),
@@ -146,9 +148,9 @@ def test_min_energy_path_matches_scipy_on_random_masks(seed):
 
 
 # Offsets (1, 1, 2), (1, 2, 1) and (2, 1, 1) tie in exact arithmetic but not
-# after rounding; at four voxels scipy reports the one that rounds up.
+# after rounding; at three voxels scipy reports the one that rounds up.
 @example(spec=PhantomSpec(kind="helix", radius=2.0, spacing=(0.7478366422535947,) * 3,
-                          helix_radius=3.0, pitch=6.0, turns=1.0))
+                          helix_radius=3.5, pitch=6.0, turns=1.0))
 @given(spec=small_specs())
 @settings(max_examples=40, deadline=None)
 def test_min_energy_path_matches_scipy_on_phantoms(spec):

@@ -14,6 +14,8 @@ import pytest
 
 from tractfield.tracking import DRAW_BLOCK, _key_states, _substreams
 
+pytestmark = pytest.mark.oldest_numpy
+
 # Rows with 3, 2, 1 and 0 one-word coordinates.
 SEEDS = np.array([
     [0.0, 5e-324, 1e-320],

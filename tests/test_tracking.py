@@ -797,6 +797,7 @@ ASSEMBLY_CASES = {
 }
 
 
+@pytest.mark.oldest_numpy
 @pytest.mark.parametrize("tracker", ["track", "baseline"])
 class TestAssemblyMatchesLexsortOracle:
     @pytest.mark.parametrize("case", sorted(ASSEMBLY_CASES))
