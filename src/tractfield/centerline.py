@@ -24,9 +24,9 @@ from .grids import (
     _dots,
     _load_lines,
     _save_lines,
+    closest_points,
     inside_many,
     nearest_indices,
-    nearest_point_indices,
     voxel_centers,
 )
 
@@ -227,7 +227,7 @@ def _pull_inside(pts: np.ndarray, mask: Mask) -> np.ndarray:
         return pts
     centers = mask.foreground_points()
     out = pts.copy()
-    out[~ok] = centers[nearest_point_indices(pts[~ok], centers)]
+    out[~ok] = centers[closest_points(pts[~ok], centers)[0]]
     return out
 
 
@@ -312,7 +312,7 @@ def cross_section_normals(cl: Centerline, pts) -> np.ndarray:
     The cross-section plane's normal is the local centerline tangent; when
     two centerline points are equidistant the earlier one wins.
     """
-    return cl.tangents[nearest_point_indices(pts, cl.points)]
+    return cl.tangents[closest_points(pts, cl.points)[0]]
 
 
 def save_centerline(cl: Centerline, path):

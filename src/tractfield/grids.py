@@ -229,46 +229,88 @@ def nearest_indices(grid, pts) -> tuple[np.ndarray, np.ndarray]:
     return q.astype(np.int64), inb
 
 
-# Most query-reference pairs one block of `_sq_distance_blocks` holds: two
+# Most pairs `closest_points` compares, or builds box bounds for, at once:
 # float temporaries of 256 KiB each, whatever the point counts.  On tracts
 # against their axis, 2**14 to 2**17 ran within 15% of each other.
 _PAIR_BLOCK = 2**15
+_CELLS = 8  # cells per side of the box by which `closest_points` sorts the larger set
 
 
-def _sq_distance_blocks(queries, refs):
-    """Yield ``(lo, d2)`` over runs of the (n, 3) ``queries``: ``d2[i, j]`` is
-    the squared distance from query ``lo + i`` to reference ``j``.
+def _sum_squares(d: np.ndarray) -> np.ndarray:
+    """x^2 + y^2 + z^2 over the last axis, summed in that order."""
+    d = d * d
+    return (d[..., 0] + d[..., 1]) + d[..., 2]
 
-    The squared coordinate differences are summed x, then y, then z, as
-    scipy's cKDTree and the tests' brute-force oracles sum them, so a
-    minimum and its square root are theirs bit for bit.  A block holds at
-    most ``_PAIR_BLOCK`` pairs, or one query row.  ``d2`` is overwritten by
-    the next block.
+
+def closest_points(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(index, d2_ab, d2_ba)`` of two (n, 3) point sets, exactly: ``index[i]``
+    is the lowest index of ``a[i]``'s nearest points in ``b``, ``d2_ab[i]``
+    the squared distance to them, and ``d2_ba[j]`` ``b[j]``'s least squared
+    distance to ``a``.  Squares are summed x, then y, then z, as cKDTree and
+    the tests' oracles sum them, so square roots are theirs bit for bit.
+    Against an empty set, distances are inf and indices 0.
+
+    The larger set is sorted by coarse cell into blocks of nearby points.
+    The box around a block bounds each of its pairs' squared distances, in
+    the pairs' own rounded arithmetic, from below and from above.  One pass
+    over the pairs that no bound rules out gives both directions, with
+    bounds and pairs built ``_PAIR_BLOCK`` at a time (or one block row).
     """
-    refs = np.ascontiguousarray(np.asarray(refs, dtype=float).T)
-    rows = max(1, _PAIR_BLOCK // refs.shape[1])
-    d2 = np.empty((min(rows, len(queries)), refs.shape[1]))
-    tmp = np.empty_like(d2)
-    for lo in range(0, len(queries), rows):
-        q = queries[lo:lo + rows]
-        out, t = d2[:len(q)], tmp[:len(q)]
-        np.subtract(q[:, :1], refs[0], out=out)
-        out *= out
-        for axis in (1, 2):
-            np.subtract(q[:, axis:axis + 1], refs[axis], out=t)
-            t *= t
-            out += t
-        yield lo, out
-
-
-def nearest_point_indices(queries, refs) -> np.ndarray:
-    """Index of each query's nearest reference point; the lowest index wins a
-    tie.  Exact, with bounded temporaries (see ``_sq_distance_blocks``)."""
-    queries = np.atleast_2d(np.asarray(queries, dtype=float))
-    out = np.empty(len(queries), dtype=np.int64)
-    for lo, d2 in _sq_distance_blocks(queries, refs):
-        np.argmin(d2, axis=1, out=out[lo:lo + len(d2)])
-    return out
+    a, b = (np.atleast_2d(np.asarray(p, dtype=float)) for p in (a, b))
+    if not len(a) or not len(b):
+        return np.zeros(len(a), np.int64), np.full(len(a), np.inf), np.full(len(b), np.inf)
+    a_big = len(a) >= len(b)
+    big, small = (a, b) if a_big else (b, a)
+    corner = big.min(axis=0)
+    side = float((big.max(axis=0) - corner).max()) / _CELLS or 1.0
+    cells = ((big - corner) / side).astype(np.uint16)  # a 16-bit key sorts by radix
+    order = np.argsort((cells[:, 0] * (_CELLS + 1) + cells[:, 1]) * (_CELLS + 1) + cells[:, 2],
+                       kind="stable")
+    rows = max(1, _PAIR_BLOCK // len(small))  # points per block, blocks per chunk of bounds
+    if not a_big:  # each block in input order: its first minimum has the lowest index
+        full = len(order) - len(order) % rows
+        order[:full] = np.sort(order[:full].reshape(-1, rows), axis=1).ravel()
+        order[full:].sort()
+    pts = big[order]
+    starts = np.arange(0, len(pts), rows)
+    box_lo, box_hi = np.minimum.reduceat(pts, starts), np.maximum.reduceat(pts, starts)
+    small_t = np.ascontiguousarray(small.T)
+    d2_big, index = np.empty(len(pts)), np.empty(len(pts), np.int64)
+    to_big, near_big = np.full(len(small), np.inf), np.zeros(len(small), np.int64)
+    for chunk in range(0, len(starts), rows):
+        low = box_lo[chunk:chunk + rows, None] - small  # (blocks, small, 3)
+        high = box_hi[chunk:chunk + rows, None] - small
+        near = _sum_squares(np.maximum(np.maximum(low, -high), 0.0))
+        far = _sum_squares(np.maximum(-low, high))
+        # A block's points are each within its least `far` of some small
+        # point, and a small point within its least `far`, or its nearest
+        # so far, of some point of the larger set.
+        need = ((near <= far.min(axis=1, keepdims=True))
+                | (near <= np.minimum(far.min(axis=0), to_big)))
+        size = min(rows, len(pts)) * int(need.sum(axis=1).max())  # the pair kernel's buffers
+        buf_d2, buf_t = np.empty(size), np.empty(size)
+        for start, block_need in zip(starts[chunk:chunk + rows], need):
+            cols = np.flatnonzero(block_need)
+            p, q = pts[start:start + rows], small_t[:, cols]
+            d2 = buf_d2[:len(p) * len(cols)].reshape(len(p), len(cols))
+            t = buf_t[:d2.size].reshape(d2.shape)
+            np.subtract.outer(p[:, 0], q[0], out=d2)
+            d2 *= d2
+            for axis in (1, 2):
+                np.subtract.outer(p[:, axis], q[axis], out=t)
+                t *= t
+                d2 += t
+            j = d2.argmin(axis=1)
+            back = order[start:start + rows]
+            index[back], d2_big[back] = cols[j], d2[np.arange(len(p)), j]
+            if a_big:
+                to_big[cols] = np.minimum(to_big[cols], d2.min(axis=0))
+            else:  # an earlier block keeps a tie when its index is lower
+                i = d2.argmin(axis=0)
+                m, i = d2[i, np.arange(len(cols))], back[i]
+                better = (m < to_big[cols]) | ((m == to_big[cols]) & (i < near_big[cols]))
+                to_big[cols[better]], near_big[cols[better]] = m[better], i[better]
+    return (index, d2_big, to_big) if a_big else (near_big, to_big, d2_big)
 
 
 def inside_many(mask: Mask, pts) -> np.ndarray:

@@ -14,8 +14,8 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .grids import (_PAIR_BLOCK, Lattice, Mask, Tract, _line_deltas, _line_gaps,
-                    _sq_distance_blocks, nearest_indices, same_geometry)
+from .grids import (Lattice, Mask, Tract, _line_deltas, _line_gaps, closest_points,
+                    nearest_indices, same_geometry)
 
 # Lines that `voxelize` densifies at a time.  A mask is a union, so the chunks
 # mark the one-pass mask, and the dense points stay bounded on a large tract.
@@ -24,8 +24,6 @@ _VOXELIZE_LINES = 256
 # (scipy's cKDTree, imported only then) instead of comparing point pairs;
 # near here both take the same time on a tract against its 0.5 mm-step axis.
 _BRUTE_FORCE_POINTS = 128
-# Cells per side of the box by which that search sorts the larger set.
-_CELLS = 8
 
 
 def _densify(points, counts, max_gap: float) -> np.ndarray:
@@ -101,54 +99,12 @@ def hausdorff(a: Tract, b: Tract) -> tuple:
             d_ab = cKDTree(b.points, balanced_tree=False, compact_nodes=False).query(a.points)[0]
             d_ba = cKDTree(a.points, balanced_tree=False, compact_nodes=False).query(b.points)[0]
         else:
-            d_ab, d_ba = _closest_distances(a.points, b.points)
+            # The larger set first: its nearest indices cost nothing extra.
+            big, small = sorted((a.points, b.points), key=len, reverse=True)
+            d_ab, d_ba = (np.sqrt(d2, out=d2) for d2 in closest_points(big, small)[1:])
         hd = max(float(d_ab.max()), float(d_ba.max()))
         ahd = 0.5 * (float(d_ab.mean()) + float(d_ba.mean()))
     if not (math.isfinite(hd) and math.isfinite(ahd)):
         raise FloatingPointError("hausdorff distances overflow: the tracts' points lie "
                                  "too far apart for float64")
     return hd, ahd
-
-
-def _closest_distances(a, b) -> tuple:
-    """Each point of ``a``'s distance to the closest point of ``b``, and each
-    of ``b``'s to ``a``: cKDTree's values, bit for bit.
-
-    The larger set is sorted by coarse cell into blocks of nearby points.
-    The box around a block bounds each of its pairs' squared distances, in
-    the pairs' own rounded arithmetic, from below and from above.  One pass
-    over the pairs that a bound cannot rule out gives both directions.
-    """
-    big, small = (a, b) if len(a) >= len(b) else (b, a)
-    corner = big.min(axis=0)
-    side = float((big.max(axis=0) - corner).max()) / _CELLS or 1.0
-    cells = ((big - corner) / side).astype(np.uint16)  # a 16-bit key sorts by radix
-    order = np.argsort((cells[:, 0] * (_CELLS + 1) + cells[:, 1]) * (_CELLS + 1) + cells[:, 2],
-                       kind="stable")
-    pts = big[order]
-    rows = max(1, _PAIR_BLOCK // len(small))  # a block's pairs fill one pair block at most
-    starts = np.arange(0, len(pts), rows)
-    low = np.minimum.reduceat(pts, starts)[:, None] - small  # (blocks, small, 3)
-    high = np.maximum.reduceat(pts, starts)[:, None] - small
-    near = _sum_squares(np.maximum(np.maximum(low, -high), 0.0))
-    far = _sum_squares(np.maximum(-low, high))
-    # A block's points are each within its least `far` of some small point,
-    # and a small point within its least `far` of some block's point.
-    need = (near <= far.min(axis=1, keepdims=True)) | (near <= far.min(axis=0))
-    to_small = np.empty(len(pts))
-    to_big = np.full(len(small), np.inf)
-    for block, start in enumerate(starts):
-        cols = np.flatnonzero(need[block])
-        for lo, d2 in _sq_distance_blocks(pts[start:start + rows], small[cols]):
-            d2.min(axis=1, out=to_small[start + lo:start + lo + len(d2)])
-            to_big[cols] = np.minimum(to_big[cols], d2.min(axis=0))
-    to_small[order] = to_small.copy()
-    np.sqrt(to_small, out=to_small)
-    np.sqrt(to_big, out=to_big)
-    return (to_small, to_big) if big is a else (to_big, to_small)
-
-
-def _sum_squares(d: np.ndarray) -> np.ndarray:
-    """x^2 + y^2 + z^2 over the last axis, summed in that order."""
-    d = d * d
-    return (d[..., 0] + d[..., 1]) + d[..., 2]

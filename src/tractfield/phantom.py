@@ -38,8 +38,8 @@ from .grids import (
     _numbers,
     _read_fields,
     _write_text,
+    closest_points,
     nearest_indices,
-    nearest_point_indices,
 )
 from .polyfield import PolyField, _term_index, term_count
 
@@ -382,7 +382,7 @@ def _snap_endpoint(mask: Mask, point: np.ndarray) -> np.ndarray:
     if inb[0] and mask.data[tuple(idx[0])]:
         return np.asarray(point, dtype=float)
     centers = mask.foreground_points()
-    return centers[nearest_point_indices([point], centers)[0]]
+    return centers[closest_points([point], centers)[0][0]]
 
 
 def generate(spec: PhantomSpec, rng_seed: int = 0) -> Phantom:

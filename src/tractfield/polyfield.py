@@ -47,15 +47,13 @@ def monomial_exponents(order: int) -> np.ndarray:
     For order 1 the monomials are [1, z, y, x].
     """
     n = int(order)
-    if n < 0:
-        raise ValueError("order must be >= 0")
     rows = [
         (i, j, k)
         for i in range(n + 1)
         for j in range(n + 1 - i)
         for k in range(n + 1 - i - j)
     ]
-    return np.array(rows, dtype=np.int64).reshape(len(rows), 3)
+    return np.array(rows, dtype=np.int64).reshape(term_count(n), 3)  # rejects n < 0
 
 
 @lru_cache(maxsize=None)
@@ -130,13 +128,10 @@ class PolyField:
 
     def __post_init__(self):
         n = int(self.order)
-        if n < 0:
-            raise ValueError("order must be >= 0")
+        m = term_count(n)
         coeffs = np.asarray(self.coeffs, dtype=float)
-        if coeffs.shape != (3, term_count(n)):
-            raise ValueError(
-                f"coeffs must have shape (3, {term_count(n)}) for order {n}"
-            )
+        if coeffs.shape != (3, m):
+            raise ValueError(f"coeffs must have shape (3, {m}) for order {n}")
         offset = np.zeros(3) if self.offset is None else np.asarray(self.offset, dtype=float)
         scale = np.ones(3) if self.scale is None else np.asarray(self.scale, dtype=float)
         if offset.shape != (3,) or scale.shape != (3,):

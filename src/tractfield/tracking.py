@@ -353,8 +353,9 @@ def track(field: PolyField, mask: Mask, seeds, params: TrackParams) -> Tract:
     boundary (the exiting point is discarded, so every emitted point lies
     inside the mask), at ``params.max_steps`` per direction, or where the
     field vanishes; results shorter than ``params.min_len`` are dropped.
-    A field vector that is not finite at a seed, or whose squared norm
-    overflows, raises FloatingPointError.
+    A field that vanishes at every seed raises DomainError.  A field vector
+    that is not finite at a seed, or whose squared norm overflows, raises
+    FloatingPointError.
     """
     kept_seeds = _valid_seeds(mask, seeds)
     reps = params.seed_count
@@ -393,6 +394,8 @@ def track(field: PolyField, mask: Mask, seeds, params: TrackParams) -> Tract:
         if not np.isfinite(first).all():
             raise FloatingPointError("field vectors are not finite at the seeds; check "
                                      "the field's offset and scale")
+        if not alive.any():
+            raise DomainError("the field vanishes at every seed; nothing to track")
         parts, handoff = _lockstep(mask, starts, first, alive, advance, turn, params)
     # ~2.6 KB per line that the assembly does not need
     del rngs, blocks

@@ -392,6 +392,35 @@ class TestExitCodes:
         assert "min_len" not in err
         assert not (tmp_path / "baseline.tract").exists()
 
+    @pytest.mark.oldest_numpy
+    def test_field_vanishing_at_every_seed_says_so(self, tmp_path, stages_dir, capsys):
+        # Every coefficient 0: no line moves, and the run once exited 2 with
+        # "every streamline was shorter than min_len".
+        field = tmp_path / "field.txt"
+        lines = [line.split(":")[0] + ": " + " ".join(["0.0"] * (len(line.split()) - 1))
+                 if line.startswith("coeffs.") else line
+                 for line in (stages_dir / "field.txt").read_text().splitlines()]
+        field.write_text("\n".join(lines) + "\n")
+        code = main(["track", "--field", str(field), "--mask", f"{stages_dir}/mask.rvf",
+                     "--out", str(tmp_path / "run")] + TRACK_FLAGS)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("tractfield: the field vanishes at every seed; nothing to track")
+        assert err.count("\n") == 1 and f"--field {field}" in err
+        assert not (tmp_path / "run" / "streamlines.tract").exists()
+
+    @pytest.mark.oldest_numpy
+    def test_field_terms_must_match_its_order(self, tmp_path, stages_dir, capsys):
+        field = tmp_path / "field.txt"
+        text = (stages_dir / "field.txt").read_text()
+        assert "terms: 35" in text
+        field.write_text(text.replace("terms: 35", "terms: 34"))
+        code = main(["track", "--field", str(field), "--mask", f"{stages_dir}/mask.rvf",
+                     "--out", str(tmp_path / "run")] + TRACK_FLAGS)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"tractfield: {field}: terms 34 does not match order 4\n")
+
     def test_overflowing_centerline_is_format_error(self, tmp_path, stages_dir, capsys):
         # Finite points at opposite ends of the float range: their difference
         # overflows, and the tangents built from it are not finite.

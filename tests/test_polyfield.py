@@ -371,6 +371,27 @@ class TestFitField:
         with pytest.raises(ConditioningError):
             fit_field(pts, targets, 1, (0, 0, 0), (1, 1, 1), 0.0)
 
+    @pytest.mark.oldest_numpy
+    def test_collinear_samples_are_rank_deficient(self):
+        # On a line, each component's monomials reduce to 1, t and t**2, so
+        # the three components reach rank 9 of the 26 free parameters.
+        pts = np.column_stack([np.linspace(0.0, 1.0, 50), np.zeros(50), np.zeros(50)])
+        targets = np.tile([1.0, 0.0, 0.0], (50, 1))
+        with pytest.raises(ConditioningError, match=r"rank deficient \(9 < 26\)"):
+            fit_field(pts, targets, 2, ridge=0.0)
+
+
+@pytest.mark.oldest_numpy
+@pytest.mark.parametrize("build", [
+    term_count,
+    monomial_exponents,
+    lambda order: PolyField(order, np.zeros((3, 0))),
+    lambda order: fit_field(np.zeros((5, 3)), np.ones((5, 3)), order),
+], ids=["term_count", "monomial_exponents", "PolyField", "fit_field"])
+def test_negative_order_is_rejected(build):
+    with pytest.raises(ValueError, match=r"^order must be >= 0$"):
+        build(-1)
+
 
 def vstack_fit_coeffs(points, targets, order, offset, scale, ridge):
     """``fit_field``'s coefficients from the reduced system built as a chain

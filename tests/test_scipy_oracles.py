@@ -1,4 +1,4 @@
-"""The numpy distance transform, minimal path and nearest-point searches
+"""The numpy distance transform, minimal path and nearest-point search
 against the scipy routines they replaced, bit for bit.
 
 The package runs these steps without scipy; only these tests import the
@@ -7,6 +7,7 @@ scipy routines, as oracles.
 
 from __future__ import annotations
 
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -16,11 +17,11 @@ from scipy.ndimage import distance_transform_edt
 from scipy.sparse import csgraph, csr_matrix
 from scipy.spatial import cKDTree
 
-from tractfield import (DomainError, PhantomSpec, distance_transform,
+from tractfield import (DomainError, PhantomSpec, cross_section_normals, distance_transform,
                         extract_centerline, generate)
 from tractfield import centerline, grids, metrics
-from tractfield.centerline import DT_EPS, _min_energy_path, _pull_inside
-from tractfield.grids import nearest_indices, nearest_point_indices
+from tractfield.centerline import DT_EPS, Centerline, _min_energy_path, _pull_inside
+from tractfield.grids import closest_points, nearest_indices
 from tractfield.metrics import hausdorff
 
 from conftest import make_mask, random_mask, small_specs, tract_from_lines
@@ -185,7 +186,7 @@ def test_hausdorff_matches_kd_trees(monkeypatch, path):
         monkeypatch.setattr(metrics, "_BRUTE_FORCE_POINTS",
                             10**9 if path == "brute force" else 0)
     # few pairs per block, so that blocks end mid-set
-    monkeypatch.setattr(metrics, "_PAIR_BLOCK", 4096)
+    monkeypatch.setattr(grids, "_PAIR_BLOCK", 4096)
     rng = np.random.default_rng(17)
     for small in (2, 3, 7, limit, limit + 1, 2 * limit + 1):
         for big in (small, small + 1, 900):
@@ -199,7 +200,7 @@ def test_hausdorff_skips_pairs_exactly(monkeypatch):
     # A tract-like cloud around a helix axis, and the axis plus points far
     # off it: small blocks of the cloud rule out most axis points, and an
     # outlier's nearest cloud point lies in a block no axis point needs.
-    monkeypatch.setattr(metrics, "_PAIR_BLOCK", 2048)
+    monkeypatch.setattr(grids, "_PAIR_BLOCK", 2048)
     rng = np.random.default_rng(8)
     t = np.linspace(0.0, 2 * np.pi, 100)
     axis = np.column_stack([8 * np.cos(t), 8 * np.sin(t), 8 * t / (2 * np.pi)])
@@ -219,7 +220,53 @@ def test_nearest_point_takes_the_lowest_index_on_a_tie(monkeypatch):
     refs = np.vstack([refs, refs[::-1]])
     queries = np.round(rng.uniform(-4, 4, (300, 3)) * 2) / 2
     want = [int(np.argmin(((refs - q) ** 2).sum(axis=1))) for q in queries]
-    assert nearest_point_indices(queries, refs).tolist() == want
+    assert closest_points(queries, refs)[0].tolist() == want
+    want = [int(np.argmin(((queries - r) ** 2).sum(axis=1))) for r in refs]
+    assert closest_points(refs, queries)[0].tolist() == want
+
+
+def brute_closest(a, b) -> tuple:
+    d = (a[:, None, :] - b[None, :, :]) ** 2
+    d2 = (d[..., 0] + d[..., 1]) + d[..., 2]
+    return d2.argmin(axis=1), d2.min(axis=1), d2.min(axis=0)
+
+
+# Pair blocks of 200 hold 8 points of the larger set against 23: the last
+# block, and the last chunk of 8 blocks' bounds, end mid-set.
+@pytest.mark.parametrize("sizes", [(301, 23), (23, 301), (97, 96), (1, 250), (250, 1)])
+def test_closest_points_match_brute_force_and_kd_tree(monkeypatch, sizes):
+    monkeypatch.setattr(grids, "_PAIR_BLOCK", 200)
+    rng = np.random.default_rng(sum(sizes))
+    a, b = (np.round(rng.uniform(-3.0, 3.0, (n, 3)) * 2) / 2 for n in sizes)
+    index, d2_ab, d2_ba = closest_points(a, b)
+    want = brute_closest(a, b)
+    assert index.tolist() == want[0].tolist()  # the lowest index of tied points
+    assert d2_ab.tobytes() == want[1].tobytes()
+    assert d2_ba.tobytes() == want[2].tobytes()
+    assert np.sqrt(d2_ab).tobytes() == cKDTree(b).query(a)[0].tobytes()
+    assert np.sqrt(d2_ba).tobytes() == cKDTree(a).query(b)[0].tobytes()
+
+
+def test_closest_points_of_an_empty_set():
+    cl = Centerline(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]), 1.0)
+    assert cross_section_normals(cl, np.zeros((0, 3))).shape == (0, 3)
+    index, d2_ab, d2_ba = closest_points(np.zeros((0, 3)), cl.points)
+    assert (index.shape, d2_ab.shape, d2_ba.tolist()) == ((0,), (0,), [np.inf, np.inf])
+
+
+@pytest.mark.parametrize("a_first", [True, False])
+def test_closest_points_memory_is_bounded(a_first):
+    # The box bounds of every block against every point of the smaller set
+    # would take 250 MiB here.
+    rng = np.random.default_rng(5)
+    big, small = rng.uniform(0.0, 100.0, (20_000, 3)), rng.uniform(0.0, 100.0, (2_000, 3))
+    tracemalloc.start()
+    try:
+        closest_points(big, small) if a_first else closest_points(small, big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -575,7 +575,7 @@ class TestTrack:
     def test_vanishing_field_yields_no_streamlines(self, straight):
         dead = PolyField(0, np.zeros((3, 1)))
         params = TrackParams(step=0.3, sigma=0.0, seed_count=1)
-        with pytest.raises(DomainError, match="shorter than min_len"):
+        with pytest.raises(DomainError, match="the field vanishes at every seed"):
             track(dead, straight.mask, [(30.0, 0, 0)], params)
 
     def test_bidirectional_contains_seed_mid_line(self, straight):
